@@ -364,6 +364,20 @@ def run(tier: str = "full") -> Dict[str, object]:
     )
     record["normalized"] = record["tasks_per_sec"] / calibration_ops
     results["cluster_rack_4x16_2000"] = record
+    # Rack-local work stealing (infinite cross-rack threshold) on 1024
+    # devices in 32 racks of 32: the per-rack steal-candidate sets keep
+    # each idle thief's probes inside its own rack.  The rack-blind scan
+    # probed every fleet-wide victim per thief and cost ~30x more per
+    # event on this shape.
+    record = measure_cluster(
+        4096,
+        num_devices=1024,
+        seed=39,
+        racks=RackTopology.uniform(32, 32),
+        cross_rack_threshold_cycles=math.inf,
+    )
+    record["normalized"] = record["tasks_per_sec"] / calibration_ops
+    results["rack_32x32_inf"] = record
     # The parallel backend on the same rack shape scaled to 4x64: the
     # conservative-PDES protocol (per-arrival barriers, rack-key
     # exchange, event-log merge) under the regression gate.  Worker

@@ -72,7 +72,7 @@ import math
 import random
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.context import TaskState
 from repro.core.tokens import ClusterTokenLedger
@@ -448,7 +448,34 @@ class ClusterResult:
         return utilization
 
 
-class _OrderedIndexSet:
+_Victim = Tuple[int, float, List[TaskRuntime]]
+
+
+def _pick_victim(
+    devices: Sequence[DeviceSim],
+    victims: Iterable[int],
+    thief_index: int,
+    now: float,
+) -> Optional[_Victim]:
+    """The steal rule over ``victims`` (walked in ascending device order):
+    the device holding stealable work with the largest live predicted
+    backlog, ties to the lowest index.  Returns (device, backlog, its
+    stealable tasks), or None when no victim holds stealable work."""
+    best: Optional[_Victim] = None
+    for index in victims:
+        if index == thief_index:
+            continue
+        device = devices[index]
+        candidates = device.stealable_tasks()
+        if not candidates:
+            continue
+        backlog = device.predicted_backlog(now)
+        if best is None or backlog > best[1]:
+            best = (index, backlog, candidates)
+    return best
+
+
+class _OrderedIndexSet(list):
     """Device-index set that stays sorted: O(1) membership, amortized
     O(log k) + memmove insertion, and ascending iteration without a
     per-event ``sorted()``.
@@ -456,41 +483,35 @@ class _OrderedIndexSet:
     The PR-5 candidate sets were plain ``set``s, and every steal/migrate
     consultation paid ``sorted(...)`` to recover the reference scan's
     ascending device order -- O(k log k) per event, which is what bent
-    the per-event cost curve past ~1k devices.  This keeps the members
-    in a bisect-maintained list instead, so iteration is a plain copy.
+    the per-event cost curve past ~1k devices.  This *is* the
+    bisect-maintained ascending list instead (mutate it only through
+    :meth:`add` / :meth:`discard`), so iteration, ``len`` and truth
+    tests run at C speed -- the steal scan tests one set per idle thief
+    -- while a side ``set`` keeps membership O(1).
     """
 
-    __slots__ = ("_members", "_sorted")
+    __slots__ = ("_members",)
 
     def __init__(self) -> None:
+        super().__init__()
         self._members: Set[int] = set()
-        self._sorted: List[int] = []
 
     def add(self, index: int) -> None:
         if index not in self._members:
             self._members.add(index)
-            bisect.insort(self._sorted, index)
+            bisect.insort(self, index)
 
     def discard(self, index: int) -> None:
         if index in self._members:
             self._members.remove(index)
-            del self._sorted[bisect.bisect_left(self._sorted, index)]
+            del self[bisect.bisect_left(self, index)]
 
     def ordered(self) -> List[int]:
         """Ascending snapshot, safe to iterate while the set mutates."""
-        return list(self._sorted)
+        return self[:]
 
-    def __contains__(self, index: int) -> bool:
+    def __contains__(self, index: object) -> bool:
         return index in self._members
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self):
-        return iter(self._sorted)
 
 
 class _ClusterIndexes:
@@ -553,6 +574,12 @@ class _ClusterIndexes:
         self.idle_candidates = _OrderedIndexSet()
         self.steal_candidates = _OrderedIndexSet()
         self.source_candidates = _OrderedIndexSet()
+        #: Per device, the steal-candidate set of its rack: the thief's
+        #: in-rack victims (the whole fleet's set here; one set per rack
+        #: under the rack frontend).
+        self.steal_candidates_of: List[_OrderedIndexSet] = [
+            self.steal_candidates
+        ] * num
         for device in devices:
             device.on_next_event_change = self._on_event_change
             self._on_event_change(device)
@@ -756,6 +783,11 @@ class _RackIndexes(_ClusterIndexes):
     rack the same way ("predict against the chosen rack's surviving
     capacity").
 
+    Work stealing reads one steal-candidate set per rack
+    (``steal_candidates_of``), kept by :meth:`refresh` with the same
+    ``has_queued`` predicate as the fleet-wide set, so a thief probes
+    only its own rack's victims.
+
     A single-rack topology is decision-identical to the flat indexes:
     the rack pick is trivial and the rack's device heap holds the whole
     fleet (``tests/test_rack.py`` pins this bit-for-bit).
@@ -772,11 +804,19 @@ class _RackIndexes(_ClusterIndexes):
                 f"rack topology covers {topology.num_devices} devices, "
                 f"fleet has {len(devices)}"
             )
-        # The base initializer runs refresh() per device; the router
-        # attaches afterwards and reconciles any bound that moved during
-        # construction (devices start empty, so normally none do).
+        # The base initializer runs refresh() per device, so the per-rack
+        # sets exist first; the router attaches afterwards and reconciles
+        # any bound that moved during construction (devices start empty,
+        # so normally none do).
+        self._rack_of = topology.rack_of
+        self._rack_steal_candidates = [
+            _OrderedIndexSet() for _ in range(topology.num_racks)
+        ]
         self._router: Optional[RackRouter] = None
         super().__init__(devices, verify=verify)
+        self.steal_candidates_of = [
+            self._rack_steal_candidates[rack] for rack in topology.rack_of
+        ]
         self._router = RackRouter(topology, self._backlog_bound)
         self.topology = topology
         for index, bound in enumerate(self._backlog_bound):
@@ -790,6 +830,23 @@ class _RackIndexes(_ClusterIndexes):
         new_bound = self._backlog_bound[index]
         if self._router is not None and new_bound != old_bound:
             self._router.update(index, old_bound, new_bound)
+        rack_steal = self._rack_steal_candidates[self._rack_of[index]]
+        if device.has_queued:
+            rack_steal.add(index)
+        else:
+            rack_steal.discard(index)
+
+    def verify_candidate_sets(self, now: float) -> None:
+        """The base check, plus: each per-rack set is exactly the
+        fleet-wide ``steal_candidates`` restricted to its rack."""
+        super().verify_candidate_sets(now)
+        for rack, members in enumerate(self._rack_steal_candidates):
+            expected = [d for d in self.steal_candidates if self._rack_of[d] == rack]
+            if members != expected:
+                raise AssertionError(
+                    f"rack {rack} steal candidates {members}, fleet-wide "
+                    f"set restricted to the rack {expected}"
+                )
 
     def pick_rack(self) -> int:
         """Least aggregate-backlog rack (the O(log r) frontend tier)."""
@@ -1877,18 +1934,6 @@ class ClusterScheduler:
             elif sum(device.completed_count for device in devices) >= total:
                 break
 
-        device_results = tuple(device.result() for device in devices)
-        transfers = fabric.transfers if fabric is not None else ()
-        timeline = ClusterTimeline(
-            {
-                index: device.timeline
-                for index, device in enumerate(devices)
-                # A device whose every task migrated away still executed
-                # cycles; its trace must survive for conservation checks.
-                if device.num_tasks > 0 or len(device.timeline) > 0
-            },
-            transfers=transfers,
-        )
         lost_ids = {task.task_id for task in lost}
         if admission is None:
             if lost_ids:
@@ -1907,6 +1952,25 @@ class ClusterScheduler:
                 and task.task_id not in lost_ids
             )
             records = admission.records[records_start:]
+        # Every task neither rejected nor lost must have finished, however
+        # the loop ended (its last completion or quiesce).
+        unsettled = [task.task_id for task in executed if not task.is_done]
+        if unsettled:
+            raise RuntimeError(
+                f"task loop ended with unsettled tasks: {unsettled}"
+            )
+        device_results = tuple(device.result() for device in devices)
+        transfers = fabric.transfers if fabric is not None else ()
+        timeline = ClusterTimeline(
+            {
+                index: device.timeline
+                for index, device in enumerate(devices)
+                # A device whose every task migrated away still executed
+                # cycles; its trace must survive for conservation checks.
+                if device.num_tasks > 0 or len(device.timeline) > 0
+            },
+            transfers=transfers,
+        )
         return ClusterResult(
             tasks=executed,
             device_results=device_results,
@@ -2852,22 +2916,28 @@ class ClusterScheduler:
 
         With indexes, thieves come from the idle-candidate set (a
         superset of the truly idle; `is_idle(now)` still decides) and
-        victims from the steal-candidate set, both walked in ascending
-        device order like the reference fleet enumeration -- the common
-        nobody-idle event is an O(1) set peek instead of an O(d) scan,
-        and a steal never touches a device without queued work.
+        victims from the thief's rack's steal-candidate set, both walked
+        in ascending device order like the reference fleet enumeration
+        -- the common nobody-idle event is an O(1) set peek instead of an
+        O(d) scan, and a steal never touches a device without queued
+        work.
 
         Under a rack topology victim selection is locality-aware: an
         in-rack victim always wins, and a cross-rack victim is taken
         only when no rack-local device has stealable work *and* the
         victim's backlog clears the uplink-cost threshold -- pulling
         work across the oversubscribed tier is only worth it when the
-        starvation gap exceeds what the uplink would charge.
+        starvation gap exceeds what the uplink would charge.  With an
+        infinite threshold (rack-local stealing) a thief whose rack
+        holds no queued work cannot steal, so it is skipped before its
+        idle check and the cross-rack scan never runs.
         """
         moves: List[MigrationRecord] = []
         rack_of = self.rack_of
+        rack_local = self.cross_rack_threshold == math.inf
+        verify = indexes is not None and indexes.verify
         if indexes is not None:
-            if indexes.verify:
+            if verify:
                 indexes.verify_candidate_sets(now)
             # No idle thief or no device holding queued work: nothing to
             # move.  The second peek is what keeps the common
@@ -2876,56 +2946,54 @@ class ClusterScheduler:
             if not indexes.idle_candidates or not indexes.steal_candidates:
                 return moves
             thieves: Sequence[int] = indexes.idle_candidates.ordered()
+            fleet_victims = indexes.steal_candidates
+            rack_victims = indexes.steal_candidates_of
         else:
             thieves = range(len(devices))
         for thief_index in thieves:
             thief = devices[thief_index]
-            if not thief.is_idle(now):
+            if indexes is None:
+                victim = self._fleet_victim(devices, thief_index, now)
+            else:
+                victim = None
+                local = rack_victims[thief_index]
+                # Once earlier thieves have stolen the last queued task,
+                # the remaining idle thieves skip both scans.
+                if (
+                    (local or not rack_local)
+                    and thief.is_idle(now)
+                    and fleet_victims
+                ):
+                    remote: Optional[Iterable[int]] = None
+                    if rack_of is not None and not rack_local:
+                        rack = rack_of[thief_index]
+                        remote = (
+                            index
+                            for index in fleet_victims
+                            if rack_of[index] != rack
+                        )
+                    victim = self._choose_victim(
+                        devices, thief_index, now, local, remote
+                    )
+                if verify:
+                    reference = self._fleet_victim(devices, thief_index, now)
+                    if victim != reference:
+                        raise AssertionError(
+                            f"thief {thief_index} stole {victim and victim[0]}, "
+                            f"fleet-wide reference scan {reference and reference[0]}"
+                        )
+            if victim is None:
                 continue
-            victim_index: Optional[int] = None
-            victim_backlog = 0.0
-            victim_tasks: List[TaskRuntime] = []
-            remote_index: Optional[int] = None
-            remote_backlog = 0.0
-            remote_tasks: List[TaskRuntime] = []
-            victims: Sequence[int] = (
-                indexes.steal_candidates.ordered()
-                if indexes is not None
-                else range(len(devices))
-            )
-            for index in victims:
-                if index == thief_index:
-                    continue
-                device = devices[index]
-                candidates = device.stealable_tasks()
-                if not candidates:
-                    continue
-                backlog = device.predicted_backlog(now)
-                if rack_of is None or rack_of[index] == rack_of[thief_index]:
-                    if victim_index is None or backlog > victim_backlog:
-                        victim_index, victim_backlog = index, backlog
-                        victim_tasks = candidates
-                elif remote_index is None or backlog > remote_backlog:
-                    remote_index, remote_backlog = index, backlog
-                    remote_tasks = candidates
-            if (
-                victim_index is None
-                and remote_index is not None
-                and remote_backlog >= self.cross_rack_threshold
-            ):
-                victim_index, victim_backlog = remote_index, remote_backlog
-                victim_tasks = remote_tasks
-            if victim_index is None:
-                continue
-            victim = devices[victim_index]
+            victim_index, _, victim_tasks = victim
+            victim_device = devices[victim_index]
             stolen = max(
                 victim_tasks,
                 key=lambda t: (t.context.estimated_remaining_cycles, -t.task_id),
             )
-            victim.remove_task(stolen.task_id, now)
+            victim_device.remove_task(stolen.task_id, now)
             thief.inject(stolen, arrival=now)
             if indexes is not None:
-                indexes.refresh(victim)
+                indexes.refresh(victim_device)
                 indexes.refresh(thief)
             assignments[stolen.task_id] = thief_index
             moves.append(
@@ -2955,6 +3023,48 @@ class ClusterScheduler:
                     },
                 )
         return moves
+
+    def _choose_victim(
+        self,
+        devices: Sequence[DeviceSim],
+        thief_index: int,
+        now: float,
+        local: Iterable[int],
+        remote: Optional[Iterable[int]],
+    ) -> Optional[_Victim]:
+        """The locality rule: the best ``local`` (in-rack) victim; failing
+        that, the best ``remote`` one if its backlog clears the cross-rack
+        threshold (``remote`` None: no cross-rack scan)."""
+        victim = _pick_victim(devices, local, thief_index, now)
+        if victim is None and remote is not None:
+            victim = _pick_victim(devices, remote, thief_index, now)
+            if victim is not None and victim[1] < self.cross_rack_threshold:
+                victim = None
+        return victim
+
+    def _fleet_victim(
+        self,
+        devices: Sequence[DeviceSim],
+        thief_index: int,
+        now: float,
+    ) -> Optional[_Victim]:
+        """The reference steal scan over the whole fleet: the linear
+        loop's victim, and the ``verify_indexes`` oracle for the indexed
+        one.  None unless the thief is idle."""
+        if not devices[thief_index].is_idle(now):
+            return None
+        rack_of = self.rack_of
+        fleet = range(len(devices))
+        if rack_of is None:
+            return self._choose_victim(devices, thief_index, now, fleet, None)
+        rack = rack_of[thief_index]
+        return self._choose_victim(
+            devices,
+            thief_index,
+            now,
+            (index for index in fleet if rack_of[index] == rack),
+            (index for index in fleet if rack_of[index] != rack),
+        )
 
     def _migrate(
         self,

@@ -312,6 +312,34 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             cluster.route([synthetic_task(0, 0.0, 1.0, 1.0)])
 
+    @pytest.mark.parametrize("use_indexes", [False, True])
+    def test_unfinished_task_raises_instead_of_returning(
+        self, monkeypatch, use_indexes
+    ):
+        """A task whose COMPLETE is swallowed must fail the run by name,
+        not come back unfinished inside ``ClusterResult.tasks``."""
+        from repro.npu.config import NPUConfig
+        from repro.sched.cluster import ClusterConfig
+
+        complete = TaskRuntime.complete
+
+        def swallow_task_2(task, now):
+            if task.task_id != 2:
+                complete(task, now)
+
+        monkeypatch.setattr(TaskRuntime, "complete", swallow_task_2)
+        cluster = ClusterScheduler(
+            2,
+            SimulationConfig(npu=NPUConfig(), mode=PreemptionMode.NP),
+            config=ClusterConfig(
+                policy_name="FCFS",
+                routing=RoutingPolicy.WORK_STEALING,
+                use_indexes=use_indexes,
+            ),
+        )
+        with pytest.raises(RuntimeError, match=r"unsettled tasks: \[2\]"):
+            cluster.run(burst_workload())
+
     def test_cluster_timeline_reports_devices(self):
         result = run_cluster(burst_workload(), RoutingPolicy.WORK_STEALING)
         assert len(result.timeline) >= 1

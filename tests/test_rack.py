@@ -1,6 +1,6 @@
 """Rack-scale fleets: topology, two-tier routing, locality, conservation.
 
-Five layers of coverage for the rack composition:
+Six layers of coverage for the rack composition:
 
 1. *Topology units*: the device->rack map validates shape (contiguous,
    non-empty racks) and answers membership queries.
@@ -21,6 +21,10 @@ Five layers of coverage for the rack composition:
 5. *Rack-correlated churn*: whole racks go dark together, evacuations
    land cross-rack, and no task is silently dropped -- every offered
    task is exactly one of completed / rejected / lost.
+6. *Per-rack steal-candidate sets*: verify mode checks each rack's set
+   and every thief's victim against the fleet-wide scan (and catches
+   planted divergences), and steal probes per event stay flat as one
+   fleet is split into more, smaller racks.
 """
 
 import math
@@ -560,3 +564,132 @@ def test_flat_run_yields_zero_rack_metrics():
     assert metrics.cross_rack_migration_bytes == 0.0
     assert metrics.mean_uplink_utilization == 0.0
     assert metrics.per_rack_attainment == {}
+
+
+# ----------------------------------------------------------------------
+# 6. Per-rack steal-candidate sets
+# ----------------------------------------------------------------------
+STEAL_TOPOLOGIES = {
+    "uniform_4x4": RackTopology.uniform(4, 4),
+    "sizes_1_2_4": RackTopology.from_sizes([1, 2, 4]),
+    # Raw maps may interleave racks: thieves must still be walked in
+    # ascending device order, not rack by rack.
+    "interleaved_2x8": RackTopology(rack_of=tuple(d % 2 for d in range(16))),
+}
+
+
+def _verify_steal_run(topology: RackTopology, threshold):
+    return _run(
+        topology.num_devices,
+        RoutingPolicy.WORK_STEALING,
+        num_tasks=12 * topology.num_devices,
+        racks=topology,
+        cross_rack_threshold_cycles=threshold,
+        verify_indexes=True,
+    )
+
+
+@pytest.mark.parametrize("threshold", [math.inf, None], ids=["inf", "default"])
+@pytest.mark.parametrize("name", sorted(STEAL_TOPOLOGIES))
+def test_rack_steal_sets_match_fleet_scan_in_verify_mode(
+    monkeypatch, name, threshold
+):
+    """verify_indexes checks every per-rack set against the fleet-wide
+    set and every thief's victim against the fleet-wide scan."""
+    fleet_victim = ClusterScheduler._fleet_victim
+    checks = []
+
+    def counted(self, devices, thief_index, now):
+        checks.append(thief_index)
+        return fleet_victim(self, devices, thief_index, now)
+
+    monkeypatch.setattr(ClusterScheduler, "_fleet_victim", counted)
+    topology = STEAL_TOPOLOGIES[name]
+    result = _verify_steal_run(topology, threshold)
+    assert len(result.tasks) == 12 * topology.num_devices
+    assert result.migrations, "the trace must exercise the steal path"
+    assert len(checks) >= len(result.migrations)
+
+
+def test_verify_mode_catches_a_stale_rack_steal_set(monkeypatch):
+    from repro.sched.cluster import _RackIndexes
+
+    refresh = _RackIndexes.refresh
+
+    def forgetful(self, device):
+        refresh(self, device)
+        self.steal_candidates_of[device.device_id].discard(device.device_id)
+
+    monkeypatch.setattr(_RackIndexes, "refresh", forgetful)
+    with pytest.raises(AssertionError, match="steal candidates"):
+        _verify_steal_run(STEAL_TOPOLOGIES["uniform_4x4"], math.inf)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, None], ids=["inf", "default"])
+def test_verify_mode_catches_a_wrong_victim(monkeypatch, threshold):
+    from repro.sched.cluster import _OrderedIndexSet, _RackIndexes
+
+    init = _RackIndexes.__init__
+
+    def blind(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.steal_candidates_of = [
+            _OrderedIndexSet() for _ in self.steal_candidates_of
+        ]
+
+    monkeypatch.setattr(_RackIndexes, "__init__", blind)
+    with pytest.raises(AssertionError, match="fleet-wide reference scan"):
+        _verify_steal_run(STEAL_TOPOLOGIES["uniform_4x4"], threshold)
+
+
+#: Steal probes per event may grow at most this much when the same
+#: fleet is split into more, smaller racks.  The rack-blind scan probed
+#: every fleet-wide victim for every idle thief, so its probe count grew
+#: with the rack count instead.
+MAX_PROBE_GROWTH = 2.0
+
+
+def test_steal_probes_per_event_flat_across_rack_shapes(monkeypatch):
+    """One bursty 1024-device trace under rack-local stealing, three
+    rack shapes: ``stealable_tasks`` and ``is_idle`` calls per event must
+    stay within 2x of the 4x256 shape.  Counts, not timings, so the
+    assertion is deterministic."""
+    counts = {"stealable_tasks": 0, "is_idle": 0}
+    for method in counts:
+        original = getattr(DeviceSim, method)
+
+        def counted(self, *args, _original=original, _method=method):
+            counts[_method] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(DeviceSim, method, counted)
+
+    per_event = {}
+    for num_racks, per_rack in ((4, 256), (16, 64), (32, 32)):
+        runtimes = synthetic_trace_runtimes(
+            1024,
+            seed=5,
+            mean_interarrival_cycles=DEFAULT_MEAN_INTERARRIVAL_CYCLES / 1024,
+            bursty=True,
+        )
+        config = ClusterConfig(
+            policy_name="PREMA",
+            routing=RoutingPolicy.WORK_STEALING,
+            seed=5,
+            racks=RackTopology.uniform(num_racks, per_rack),
+            cross_rack_threshold_cycles=math.inf,
+        )
+        for method in counts:
+            counts[method] = 0
+        result = ClusterScheduler(1024, _config(), config=config).run(runtimes)
+        assert result.migrations
+        per_event[f"{num_racks}x{per_rack}"] = {
+            method: count / result.events_processed
+            for method, count in counts.items()
+        }
+    base = per_event["4x256"]
+    for probes in per_event.values():
+        for method, value in probes.items():
+            assert value <= MAX_PROBE_GROWTH * base[method], (
+                f"{method} calls per event: {per_event}"
+            )
