@@ -177,8 +177,8 @@ def measure_cluster(
     (QoS-tagged arrivals, admission decisions, online feedback) at a
     mildly overloaded arrival rate, so the frontier heap + decide()
     path sits under the same regression gate as the rest of the loop.
-    With ``batching`` the run takes the gang event loop instead (batch
-    windows, runtime merge, stage partition, activation DMA).  With
+    With ``batching`` the router batches and shards (batch windows,
+    runtime merge, stage partition, activation DMA).  With
     ``churn`` the fleet loses and regains devices mid-run (availability
     transitions, failure orphan re-dispatch, proactive evacuation).
     With ``racks`` the fleet routes through the two-tier rack frontend
@@ -202,35 +202,10 @@ def measure_cluster(
     controller = None
     if admission:
         controller = AdmissionController(feedback=PredictionFeedback())
-    observed = (
-        tracer is not None
-        or metrics_sampler is not None
-        or profiler is not None
-    )
-    if racks is not None or observed or workers is not None:
-        scheduler = ClusterScheduler(
-            num_devices=num_devices,
-            simulation_config=_simulation_config(),
-            config=ClusterConfig(
-                policy_name="PREMA",
-                routing=routing,
-                seed=seed,
-                admission=controller,
-                use_indexes=use_indexes,
-                batching=batching,
-                churn=churn,
-                racks=racks,
-                cross_rack_threshold_cycles=cross_rack_threshold_cycles,
-                tracer=tracer,
-                metrics_sampler=metrics_sampler,
-                profiler=profiler,
-                workers=workers,
-            ),
-        )
-    else:
-        scheduler = ClusterScheduler(
-            num_devices=num_devices,
-            simulation_config=_simulation_config(),
+    scheduler = ClusterScheduler(
+        num_devices=num_devices,
+        simulation_config=_simulation_config(),
+        config=ClusterConfig(
             policy_name="PREMA",
             routing=routing,
             seed=seed,
@@ -238,7 +213,14 @@ def measure_cluster(
             use_indexes=use_indexes,
             batching=batching,
             churn=churn,
-        )
+            racks=racks,
+            cross_rack_threshold_cycles=cross_rack_threshold_cycles,
+            tracer=tracer,
+            metrics_sampler=metrics_sampler,
+            profiler=profiler,
+            workers=workers,
+        ),
+    )
     start = time.perf_counter()
     result = scheduler.run(runtimes)
     seconds = time.perf_counter() - start
@@ -305,7 +287,7 @@ def run(tier: str = "full") -> Dict[str, object]:
     )
     record["normalized"] = record["tasks_per_sec"] / calibration_ops
     results["cluster_admission_4dev_500"] = record
-    # The gang event loop (router batching + 2-stage pipeline sharding):
+    # Router batching + 2-stage pipeline sharding:
     # batch-window flushes, runtime merge, stage partition, and
     # activation DMA all on the dispatch path, under the same gate.
     record = measure_cluster(

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.serving.admission import AdmissionConfig, AdmissionController
@@ -175,9 +175,11 @@ def run_admission_control(
             scheduler = ClusterScheduler(
                 num_devices=num_devices,
                 simulation_config=sim_config,
-                policy_name="PREMA",
-                routing=RoutingPolicy.ONLINE_PREDICTED,
-                admission=controller,
+                config=ClusterConfig(
+                    policy_name="PREMA",
+                    routing=RoutingPolicy.ONLINE_PREDICTED,
+                    admission=controller,
+                ),
             )
             # Fresh runtimes per run: the scheduler mutates them.
             result = scheduler.run([copy.deepcopy(t) for t in trace])

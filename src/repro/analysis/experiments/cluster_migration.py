@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.interconnect import InterconnectConfig
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.simulator import PreemptionMode, SimulationConfig
@@ -117,9 +117,11 @@ def run_cluster_migration(
                 simulation_config=SimulationConfig(
                     npu=config, mode=PreemptionMode.DYNAMIC
                 ),
-                policy_name="PREMA",
-                routing=routing,
-                interconnect=fabric,
+                config=ClusterConfig(
+                    policy_name="PREMA",
+                    routing=routing,
+                    interconnect=fabric,
+                ),
             )
             # Fresh runtimes per run: the scheduler mutates them.
             result = scheduler.run([copy.deepcopy(t) for t in trace])

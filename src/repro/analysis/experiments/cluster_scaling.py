@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.prepare import TaskFactory
 from repro.sched.simulator import PreemptionMode, SimulationConfig
@@ -85,9 +85,9 @@ def run_cluster_scaling(
                 scheduler = ClusterScheduler(
                     num_devices=num_devices,
                     simulation_config=SimulationConfig(npu=config, mode=mode),
-                    policy_name=policy,
-                    routing=routing,
-                    seed=seed,
+                    config=ClusterConfig(
+                        policy_name=policy, routing=routing, seed=seed
+                    ),
                 )
                 tasks = factory.build_workload(workload)
                 result = scheduler.run(tasks)
@@ -170,10 +170,12 @@ def run_control_plane_scaling(
                     mode=PreemptionMode.DYNAMIC,
                     mechanism="CHECKPOINT",
                 ),
-                policy_name="PREMA",
-                routing=routing,
-                seed=seed,
-                use_indexes=indexed,
+                config=ClusterConfig(
+                    policy_name="PREMA",
+                    routing=routing,
+                    seed=seed,
+                    use_indexes=indexed,
+                ),
             )
             start = time.perf_counter()
             result = scheduler.run(runtimes)

@@ -52,7 +52,9 @@ Routing strategies (:class:`RoutingPolicy`):
 
 All strategies run through the same event loop; for the static strategies
 each device's event sequence is identical to simulating its partition in
-isolation, so pre-existing results remain bit-for-bit reproducible.
+isolation, so pre-existing results remain bit-for-bit reproducible.  The
+loop serves jobs (:mod:`repro.sched.job`): a task is a single-slice job,
+and router batching and pipeline-sharded gangs ride the same loop.
 
 An optional SLA-aware frontend (:mod:`repro.serving`) can sit in front of
 the online routings: arrivals then pass through a PCS-style admission
@@ -175,32 +177,24 @@ PRIORITY_DRIVEN_POLICIES = frozenset({"HPF", "TOKEN", "PREMA"})
 SHORTEST_FIRST_POLICIES = frozenset({"SJF", "TOKEN", "PREMA"})
 
 #: Fleet size at which the O(log d) control plane pays for itself.  The
-#: indexed and linear loops are decision-identical, so the default is a
-#: pure cost choice: below this, enumerating the fleet is cheaper than
-#: maintaining the index (measured crossover ~4-8 devices; the paper's
-#: 1-4 NPU node settings keep the historical loop).
+#: indexed and linear control planes are decision-identical, so the
+#: default is a pure cost choice: below this, enumerating the fleet is
+#: cheaper than maintaining the index (measured crossover ~4-8 devices;
+#: the paper's 1-4 NPU node settings keep the linear scans).
 INDEXED_CONTROL_PLANE_MIN_DEVICES = 8
-
-#: Sentinel distinguishing "caller did not pass this legacy keyword"
-#: from any legitimate value (None included).
-_UNSET = object()
 
 
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
     """Everything a :class:`ClusterScheduler` needs beyond the fleet shape.
 
-    The preferred construction surface: ``ClusterScheduler(n, sim_config,
-    config=ClusterConfig(...))``.  The scheduler's historical keyword
-    sprawl (``policy_name=``, ``routing=``, ...) remains as a deprecated
-    compatibility path that assembles one of these internally; new knobs
-    (``batching``) land here first.
+    The one construction surface: ``ClusterScheduler(n, sim_config,
+    config=ClusterConfig(...))`` (no config means all defaults).
 
     ``interconnect`` None means a PCIe-gen3 bus at the NPU clock;
     ``global_tokens`` None means "on exactly for PREEMPTIVE_MIGRATION";
     ``use_indexes`` None means "on from
-    ``INDEXED_CONTROL_PLANE_MIN_DEVICES`` devices up" -- the same
-    defaults the legacy keywords resolved.
+    ``INDEXED_CONTROL_PLANE_MIN_DEVICES`` devices up".
     """
 
     policy_name: str = "PREMA"
@@ -297,7 +291,7 @@ class MigrationRecord:
 
 @dataclasses.dataclass(frozen=True)
 class BatchRecord:
-    """One router dispatch under the gang loop (batched or solo).
+    """One router dispatch of a batching or sharding run (batched or solo).
 
     ``proxy_task_id`` is the runtime the devices actually executed (a
     merged batch proxy, or the lone member itself); ``member_task_ids``
@@ -348,8 +342,9 @@ class ClusterResult:
     #: The jobs this run executed, when driven through the job surface
     #: (run_jobs / batching).  Empty for plain task runs.
     jobs: Tuple[Job, ...] = ()
-    #: One record per router dispatch under the gang loop (solo dispatches
-    #: included, so mean batch size is directly computable).
+    #: One record per router dispatch when the run batches or shards
+    #: (solo dispatches included, so mean batch size is directly
+    #: computable).  Empty for a plain task stream.
     batches: Tuple[BatchRecord, ...] = ()
     #: Tasks destroyed by device churn with no surviving capacity to
     #: recover them; they never completed and never will.
@@ -908,7 +903,7 @@ class _RackIndexes(_ClusterIndexes):
 
 
 class _ChurnRuntime:
-    """Churn mechanics shared by both cluster event loops.
+    """Churn mechanics of the cluster event loop.
 
     Owns the :class:`~repro.sched.faults.FleetAvailability` machine and
     applies its transitions to the live fleet:
@@ -957,11 +952,10 @@ class _ChurnRuntime:
         self.migrations = migrations
         self.ledger = ledger
         self.proactive = proactive
-        #: Work with nowhere to go while no device accepts (re-placed at
-        #: the next restore; lost if the fleet never recovers).  The task
-        #: loop parks TaskRuntimes, the gang loop parks Jobs.
-        self.parked: list = []
-        #: Loop-specific hooks, set by the owning loop before it runs.
+        #: Jobs with nowhere to go while no device accepts (re-placed at
+        #: the next restore; lost if the fleet never recovers).
+        self.parked: List[Job] = []
+        #: Loop hooks, set by the owning loop before it runs.
         self.on_orphans: Optional[Callable] = None
         self.on_restore: Optional[Callable] = None
         #: The churn event whose warning window a device is inside.
@@ -1260,9 +1254,9 @@ class ClusterScheduler:
     task-arrival events (and, under work stealing, at device-idle edges
     after any event).  The control plane runs on the O(log d)
     :class:`_ClusterIndexes` for fleets of
-    ``INDEXED_CONTROL_PLANE_MIN_DEVICES`` and larger (both loops make
-    identical decisions, so the default is purely the measured cost
-    crossover); ``use_indexes`` forces either loop, and
+    ``INDEXED_CONTROL_PLANE_MIN_DEVICES`` and larger (it decides exactly
+    like the linear scans, so the default is purely the measured cost
+    crossover); ``use_indexes`` forces either control plane, and
     ``verify_indexes=True`` runs both on every consultation and raises
     on any divergence.
     """
@@ -1271,48 +1265,12 @@ class ClusterScheduler:
         self,
         num_devices: int,
         simulation_config: SimulationConfig,
-        policy_name=_UNSET,
-        routing=_UNSET,
-        seed=_UNSET,
-        interconnect=_UNSET,
-        global_tokens=_UNSET,
-        admission=_UNSET,
-        use_indexes=_UNSET,
-        verify_indexes=_UNSET,
         config: Optional[ClusterConfig] = None,
-        batching=_UNSET,
-        churn=_UNSET,
-        proactive_migration=_UNSET,
     ) -> None:
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")
-        legacy = {
-            name: value
-            for name, value in (
-                ("policy_name", policy_name),
-                ("routing", routing),
-                ("seed", seed),
-                ("interconnect", interconnect),
-                ("global_tokens", global_tokens),
-                ("admission", admission),
-                ("use_indexes", use_indexes),
-                ("verify_indexes", verify_indexes),
-                ("batching", batching),
-                ("churn", churn),
-                ("proactive_migration", proactive_migration),
-            )
-            if value is not _UNSET
-        }
         if config is None:
-            # Deprecated keyword surface: assemble the config the old
-            # arguments described.  Kept so pre-ClusterConfig call sites
-            # (and the golden suites) construct byte-identical schedulers.
-            config = ClusterConfig(**legacy)
-        elif legacy:
-            raise ValueError(
-                "pass either config= or the legacy keywords, not both: "
-                f"{sorted(legacy)}"
-            )
+            config = ClusterConfig()
         if (
             config.admission is not None
             and config.routing not in ONLINE_ROUTINGS
@@ -1487,518 +1445,67 @@ class ClusterScheduler:
     # Execution: the public surfaces
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[TaskRuntime]) -> ClusterResult:
-        """Serve a task stream (the historical per-request surface).
+        """Serve a task stream (the per-request surface).
 
-        Without batching configured this is *the* legacy event loop,
-        bit-for-bit (the golden suites run through here).  With
-        ``ClusterConfig.batching`` set, each task is promoted to a
-        single-slice job and served by the gang loop, where the router
-        may coalesce and shard dispatches.
+        Each task is wrapped as a single-slice job (:meth:`Job.single`,
+        zero-copy) and served by the cluster event loop; with
+        ``ClusterConfig.batching`` set the router may coalesce and shard
+        those dispatches.  Without batching the wrappers are internal:
+        the result carries no ``jobs`` and no ``batches``.  ``workers >=
+        2`` takes the rack-sharded parallel backend when it supports the
+        configuration (bit-for-bit the same result).
         """
-        if self.batching is None:
-            return self._run_tasks(tasks)
-        return self.run_jobs([Job.single(task) for task in tasks])
-
-    def run_jobs(self, jobs: Sequence[Job]) -> ClusterResult:
-        """Serve a job stream (the gang-of-slices surface).
-
-        A stream of single-slice jobs with batching off replays the
-        legacy task path exactly -- same events, same floats -- and the
-        jobs are settled from their runtimes afterwards.  Any multi-slice
-        job, or any batching config, engages the gang loop, which
-        requires an online routing (gang placement reads live backlogs).
-        """
-        if not jobs:
-            raise ValueError("need at least one job")
-        seen: set = set()
-        for job in jobs:
-            for member in job.requests:
-                if member.task_id in seen:
-                    raise ValueError(
-                        f"duplicate task id {member.task_id} across jobs"
-                    )
-                seen.add(member.task_id)
-        if self.batching is None and all(job.is_single for job in jobs):
-            result = self._run_tasks([job.source for job in jobs])
-            rejected_ids = {task.task_id for task in result.rejected_tasks}
-            for job in jobs:
-                if job.source.task_id in rejected_ids:
-                    job.state = JobState.REJECTED
-                else:
-                    job.state = JobState.DONE
-                    job.dispatch_time = job.source.first_dispatch_time
-                    job.completion_time = job.source.completion_time
-                    job.slices[0].device_id = result.assignments.get(
-                        job.source.task_id
-                    )
-            return dataclasses.replace(result, jobs=tuple(jobs))
-        if self.routing not in ONLINE_ROUTINGS:
-            raise ValueError(
-                "multi-slice jobs and router batching dispatch against live "
-                f"device backlogs; use an online routing, not "
-                f"{self.routing.value}"
-            )
-        return self._run_gangs(jobs)
-
-    # ------------------------------------------------------------------
-    # Execution: the legacy shared event loop (tasks only)
-    # ------------------------------------------------------------------
-    def _run_tasks(self, tasks: Sequence[TaskRuntime]) -> ClusterResult:
-        if not tasks:
-            raise ValueError("need at least one task")
-        # Guard against task-id collisions up front: a duplicate would
-        # silently overwrite its twin's row in `assignments` and leave
-        # the completion count short of `total`, hanging the loop.
-        seen_ids: set = set()
-        for task in tasks:
-            if task.task_id in seen_ids:
-                raise ValueError(
-                    f"duplicate task id {task.task_id} in workload"
-                )
-            seen_ids.add(task.task_id)
-
-        self.last_run_parallel = False
-        self.last_parallel_stats = None
         if self.workers is not None and self.workers >= 2:
-            # Rack-sharded conservative-PDES backend; falls back to this
-            # loop transparently for unsupported configurations.
             from repro.sched.parallel import run_parallel, supported_reason
 
             if supported_reason(self) is None:
                 return run_parallel(self, tasks)
+        if not tasks:
+            raise ValueError("need at least one task")
+        result = self._run_gangs([Job.single(task) for task in tasks])
+        if self.batching is None:
+            return dataclasses.replace(result, jobs=())
+        return result
 
-        # The ledger only exists for policies that read tokens: attaching
-        # one to HPF/SJF/FCFS would just accumulate dead entries (their
-        # hooks never drain it).
-        ledger: Optional[ClusterTokenLedger] = None
-        if self.global_tokens and make_policy(self.policy_name).uses_tokens:
-            ledger = ClusterTokenLedger()
-        fabric: Optional[Interconnect] = None
-        if (
-            self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
-            or self.churn is not None
+    def run_jobs(self, jobs: Sequence[Job]) -> ClusterResult:
+        """Serve a job stream (the gang-of-slices surface).
+
+        Every job leaves with its state, dispatch and completion times
+        filled in, and the result carries the jobs.  Static routings
+        place single-slice jobs only: a multi-slice job's later stages
+        are placed against live device backlogs.
+        """
+        if not jobs:
+            raise ValueError("need at least one job")
+        if self.routing in STATIC_ROUTINGS and any(
+            job.num_stages > 1 for job in jobs
         ):
-            # Churn always builds the fabric: proactive evacuation ships
-            # checkpoints over it, and cancel_transfers_to() needs it.
-            fabric = Interconnect(
-                self.interconnect, self.num_devices, rack_of=self.rack_of
+            raise ValueError(
+                "multi-slice jobs dispatch against live device backlogs; "
+                f"use an online routing, not {self.routing.value}"
             )
-            fabric.tracer = self.tracer
-        devices = [
-            DeviceSim(
-                self.simulation_config,
-                make_policy(self.policy_name, ledger=ledger),
-                device_id=index,
-                tracer=self.tracer,
-            )
-            for index in range(self.num_devices)
-        ]
-        # The O(log d) control plane.  Built before any injection so the
-        # event-change hook sees every arrival; None runs the reference
-        # linear-scan loop (the pre-index behavior, decision-identical).
-        indexes: Optional[_ClusterIndexes] = None
-        if self.use_indexes:
-            if self.racks is not None:
-                indexes = _RackIndexes(
-                    devices, self.racks, verify=self.verify_indexes
-                )
-            else:
-                indexes = _ClusterIndexes(
-                    devices, verify=self.verify_indexes
-                )
-            indexes.tracer = self.tracer
-        assignments: Dict[int, int] = {}
-        migrations: List[MigrationRecord] = []
-        #: Per-device in-flight checkpoint deliveries: (arrival cycle,
-        #: estimated remaining cycles, task priority).  Routing counts
-        #: them as backlog and a device with one pending is not an
-        #: eligible thief; the admission path filters them by priority
-        #: like the rest of its class-aware backlog.
-        inflight: Dict[int, List[Tuple[float, float, int]]] = {
-            index: [] for index in range(self.num_devices)
-        }
-        total = len(tasks)
-        admission = self.admission
-        # Records accumulate for the controller's lifetime (the feedback
-        # EWMA deliberately keeps learning across runs); slice off this
-        # run's decisions so a reused scheduler reports only its own.
-        records_start = len(admission.records) if admission else 0
-        if admission is not None:
-            use_priority, use_sjf = self.admission_prediction_filters()
-        rejected: List[TaskRuntime] = []
-        lost: List[TaskRuntime] = []
-        churn_rt: Optional[_ChurnRuntime] = None
-        if self.churn is not None:
-            churn_rt = _ChurnRuntime(
-                self.churn, devices, indexes, fabric, inflight, assignments,
-                migrations, ledger, self.proactive_migration,
-            )
-            churn_rt.tracer = self.tracer
-            churn_rt.fleet.tracer = self.tracer
-            churn_rt.profiler = self.profiler
-
-            def _place_orphans(
-                orphans: Sequence[TaskRuntime], when: float
-            ) -> None:
-                assert churn_rt is not None
-                for task in orphans:
-                    if churn_rt.any_accepting():
-                        target = self._route_online(
-                            devices, when, inflight, indexes
-                        )
-                        assignments[task.task_id] = target
-                        devices[target].inject(task, arrival=when)
-                        if indexes is not None:
-                            indexes.refresh(devices[target])
-                    else:
-                        churn_rt.parked.append(task)
-
-            def _replace_parked(when: float) -> None:
-                assert churn_rt is not None
-                parked, churn_rt.parked = churn_rt.parked, []
-                _place_orphans(parked, when)
-
-            churn_rt.on_orphans = _place_orphans
-            churn_rt.on_restore = _replace_parked
-        #: Admission frontier: a min-heap of (consider_cycles, arrival,
-        #: task_id, attempt, task).  Deferred arrivals re-enter with a
-        #: later consideration time and a bumped attempt count.
-        frontier: List[Tuple[float, float, int, int, TaskRuntime]] = []
-        static_assignments: Optional[Dict[int, int]] = None
-        if self.routing in STATIC_ROUTINGS:
-            static_assignments = self.route(tasks)
-            if churn_rt is None:
-                # Static strategies know every placement up-front, so
-                # inject all arrivals immediately (in workload order, like
-                # the single-NPU batch run).  Each device then sees the
-                # exact event sequence of simulating its partition in
-                # isolation -- in particular its scheduling-period clock
-                # stays anchored at its first arrival even if the device
-                # drains between two assigned arrivals.
-                for task in tasks:
-                    target = static_assignments[task.task_id]
-                    assignments[task.task_id] = target
-                    devices[target].inject(task)
-                    if indexes is not None:
-                        indexes.refresh(devices[target])
-                pending: deque = deque()
-            else:
-                # Under churn the static placements are still honored,
-                # but arrivals feed through the loop one at a time so a
-                # placement targeting a doomed/down device can divert to
-                # the live least-backlog device at its arrival instant.
-                pending = deque(
-                    sorted(
-                        tasks,
-                        key=lambda t: (t.spec.arrival_cycles, t.task_id),
-                    )
-                )
-        else:
-            ordered = sorted(
-                tasks, key=lambda t: (t.spec.arrival_cycles, t.task_id)
-            )
-            if admission is None:
-                pending = deque(ordered)
-            else:
-                pending = deque()
-                # Sorted by (arrival, task_id) => already a valid heap.
-                frontier = [
-                    (task.spec.arrival_cycles, task.spec.arrival_cycles,
-                     task.task_id, 0, task)
-                    for task in ordered
-                ]
-
-        arrival_rank = int(_EventKind.ARRIVAL)
-        tracer = self.tracer
-        sampler = self.sampler
-        profiler = self.profiler
-        #: Running completion counter -- the O(1) termination check.  The
-        #: reference loop keeps the historical O(d) sum below.
-        completed_total = 0
-        while True:
-            # Earliest device event by (time, kind); ties break to the
-            # lowest device index.
-            device_index: Optional[int] = None
-            device_key: Optional[Tuple[float, int]] = None
-            if indexes is not None:
-                device_index, device_key = indexes.peek_next_device()
-            else:
-                for index, device in enumerate(devices):
-                    key = device.next_event_key()
-                    if key is not None and (
-                        device_key is None or key < device_key
-                    ):
-                        device_index, device_key = index, key
-
-            # Availability transitions rank between same-time completions
-            # (which fire first: a task finishing at the failure instant
-            # finished) and same-time arrivals (which see the post-
-            # transition fleet).
-            if churn_rt is not None:
-                churn_time = churn_rt.peek_time()
-                if churn_time is not None:
-                    if admission is None:
-                        next_arr = (
-                            pending[0].spec.arrival_cycles if pending else None
-                        )
-                    else:
-                        next_arr = frontier[0][0] if frontier else None
-                    if (
-                        device_key is None or device_key > (churn_time, 0)
-                    ) and (next_arr is None or churn_time <= next_arr):
-                        churn_rt.process_next()
-                        continue
-
-            # Route the next arrival only once every device event that
-            # logically precedes it has fired: earlier timestamps, plus
-            # same-time completions and previously admitted same-time
-            # arrivals (kind rank <= ARRIVAL).  Routing then sees exactly
-            # the device state a real node agent would see at that
-            # instant -- including the effects of simultaneous-burst
-            # predecessors admitted moments before.
-            if admission is None:
-                arrival_due = bool(pending) and (
-                    device_key is None
-                    or device_key > (pending[0].spec.arrival_cycles, arrival_rank)
-                )
-            else:
-                arrival_due = bool(frontier) and (
-                    device_key is None
-                    or device_key > (frontier[0][0], arrival_rank)
-                )
-            if arrival_due:
-                if admission is None:
-                    task = pending.popleft()
-                    if churn_rt is not None and not churn_rt.any_accepting():
-                        # Zero surviving capacity: park until a restore
-                        # (or account the task lost at quiesce).
-                        churn_rt.parked.append(task)
-                        continue
-                    target = None
-                    if static_assignments is not None:
-                        target = static_assignments[task.task_id]
-                        if not devices[target].accepts_work:
-                            target = None  # divert to a live device
-                    if target is None:
-                        target = self._route_online(
-                            devices, task.spec.arrival_cycles, inflight,
-                            indexes,
-                        )
-                    assignments[task.task_id] = target
-                    devices[target].inject(task)
-                    if indexes is not None:
-                        indexes.refresh(devices[target])
-                    continue
-                consider, _, _, attempt, task = heapq.heappop(frontier)
-                if churn_rt is not None and not churn_rt.any_accepting():
-                    # Nothing survives to predict against.  Re-consider
-                    # at the next availability transition (no attempt
-                    # burned -- the defer budget is for backlog, not
-                    # outages); with no transition left the task is lost.
-                    next_change = churn_rt.peek_time()
-                    if next_change is None:
-                        lost.append(task)
-                        total -= 1
-                        admission.on_lost(task)
-                    else:
-                        heapq.heappush(
-                            frontier,
-                            (max(consider, next_change),
-                             task.spec.arrival_cycles, task.task_id,
-                             attempt, task),
-                        )
-                    continue
-                # Admission-aware placement + prediction: the decision is
-                # scored against (and the task placed on) the device with
-                # the least *class-aware* backlog -- under a preemptive
-                # priority policy the arrival will not wait behind queued
-                # lower-priority work nor behind same-priority rows a
-                # shortest-first rule would serve after it, and counting
-                # either would over-reject the very class admission
-                # protects.  The filters follow the configured policy
-                # (see admission_prediction_filters); under FCFS/RRB the
-                # prediction is the plain total backlog.
-                min_priority, sjf_within = admission.placement_query(
-                    task, use_priority, use_sjf
-                )
-                target, backlog = self._route_admission(
-                    devices, consider, inflight, min_priority, sjf_within,
-                    indexes,
-                )
-                record = admission.decide(task, backlog, consider, attempt)
-                if tracer.enabled:
-                    tracer.instant(
-                        "admission",
-                        f"admission {record.decision.value} t{task.task_id}",
-                        consider,
-                        args={
-                            "task": task.task_id,
-                            "decision": record.decision.value,
-                            "backlog": backlog,
-                            "attempt": attempt,
-                            "target": target,
-                        },
-                    )
-                if sampler is not None:
-                    sampler.inc("admission." + record.decision.value)
-                if record.decision is AdmissionDecision.ACCEPT:
-                    # admit() rewrites the context estimate to the
-                    # feedback-corrected value first, so routing and
-                    # per-device scheduling see the corrected number.
-                    admission.admit(task)
-                    assignments[task.task_id] = target
-                    devices[target].inject(task, arrival=consider)
-                    if indexes is not None:
-                        indexes.refresh(devices[target])
-                elif record.decision is AdmissionDecision.DEFER:
-                    heapq.heappush(
-                        frontier,
-                        (consider + admission.config.defer_delay_cycles,
-                         task.spec.arrival_cycles, task.task_id,
-                         attempt + 1, task),
-                    )
-                else:
-                    rejected.append(task)
-                    total -= 1
-                continue
-
-            if device_index is None or device_key is None:
-                # Quiesced: no events, arrivals, or transitions left
-                # (transitions always process above when any remain).
-                # Whatever is still parked has no restore coming: lost.
-                if churn_rt is not None and churn_rt.parked:
-                    for task in churn_rt.parked:
-                        lost.append(task)
-                        total -= 1
-                        if admission is not None:
-                            admission.on_lost(task)
-                    churn_rt.parked = []
-                break
-            stepped = devices[device_index]
-            now = stepped.step()
-            if indexes is not None:
-                if profiler is None:
-                    indexes.refresh(stepped)
-                else:
-                    start_ns = time.perf_counter_ns()
-                    indexes.refresh(stepped)
-                    profiler.add("index", time.perf_counter_ns() - start_ns)
-            if stepped.last_completed is not None:
-                completed_total += 1
-                if sampler is not None:
-                    sampler.task_completed(stepped.last_completed)
-
-            if admission is not None and stepped.last_completed is not None:
-                # The observation point of the learning-augmented loop:
-                # release the class budget and fold (estimate, observed)
-                # into the prediction-correction EWMA.
-                admission.on_complete(stepped.last_completed)
-
-            # Steal opportunities only appear when a device goes idle
-            # (COMPLETE) or stealable work lands on a busy device
-            # (ARRIVAL); period ticks and reserved dispatches change
-            # neither, so skip the O(devices^2) scan for them.
-            if self.routing == RoutingPolicy.WORK_STEALING and (
-                stepped.last_event_kind
-                in (_EventKind.COMPLETE, _EventKind.ARRIVAL)
-            ):
-                migrations.extend(
-                    self._steal(devices, now, assignments, indexes)
-                )
-            elif self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
-                # Migration opportunities additionally appear when a
-                # preemption commits (PERIOD/DISPATCH wakes) and when a
-                # checkpoint becomes durable (the reserved DISPATCH at
-                # trap end), so check after every event; with the indexes
-                # that check is an O(1) idle-candidate peek, and only
-                # actually-idle devices trigger a candidate walk.
-                assert fabric is not None
-                migrations.extend(
-                    self._migrate(
-                        devices, now, assignments, fabric, inflight, ledger,
-                        indexes,
-                    )
-                )
-
-            if churn_rt is not None:
-                # A doomed device's own event may have freed the array or
-                # the link; revisit its evacuation plan.
-                churn_rt.after_step(stepped, now)
-
-            if sampler is not None and now >= sampler.next_due:
-                self._sample_obs(sampler, now, devices, fabric, migrations)
-
-            if indexes is not None:
-                if completed_total >= total:
-                    break
-            elif sum(device.completed_count for device in devices) >= total:
-                break
-
-        lost_ids = {task.task_id for task in lost}
-        if admission is None:
-            if lost_ids:
-                executed = tuple(
-                    task for task in tasks if task.task_id not in lost_ids
-                )
-            else:
-                executed = tuple(tasks)
-            records: Tuple[AdmissionRecord, ...] = ()
-        else:
-            rejected_ids = {task.task_id for task in rejected}
-            executed = tuple(
-                task
-                for task in tasks
-                if task.task_id not in rejected_ids
-                and task.task_id not in lost_ids
-            )
-            records = admission.records[records_start:]
-        # Every task neither rejected nor lost must have finished, however
-        # the loop ended (its last completion or quiesce).
-        unsettled = [task.task_id for task in executed if not task.is_done]
-        if unsettled:
-            raise RuntimeError(
-                f"task loop ended with unsettled tasks: {unsettled}"
-            )
-        device_results = tuple(device.result() for device in devices)
-        transfers = fabric.transfers if fabric is not None else ()
-        timeline = ClusterTimeline(
-            {
-                index: device.timeline
-                for index, device in enumerate(devices)
-                # A device whose every task migrated away still executed
-                # cycles; its trace must survive for conservation checks.
-                if device.num_tasks > 0 or len(device.timeline) > 0
-            },
-            transfers=transfers,
-        )
-        return ClusterResult(
-            tasks=executed,
-            device_results=device_results,
-            assignments=assignments,
-            routing=self.routing.value,
-            migrations=tuple(migrations),
-            timeline=timeline,
-            transfers=transfers,
-            admission_records=records,
-            rejected_tasks=tuple(rejected),
-            events_processed=sum(
-                device.events_processed for device in devices
-            ),
-            lost_tasks=tuple(lost),
-            rack_of=self.rack_of,
-        )
+        return self._run_gangs(jobs)
 
     # ------------------------------------------------------------------
-    # Execution: the gang event loop (jobs, batching, sharding)
+    # Execution: the cluster event loop
     # ------------------------------------------------------------------
     def _run_gangs(self, jobs: Sequence[Job]) -> ClusterResult:
-        """The job-surface event loop: coalesce, shard, pipeline, settle.
+        """The cluster event loop: place, coalesce, shard, settle.
 
-        Same chronology discipline as :meth:`_run_tasks` -- device events,
-        batch-window flushes and router arrivals interleave in timestamp
-        order (ties: completions, then flushes, then arrivals) -- plus
-        three new mechanics:
+        Device events, availability transitions, batch-window flushes
+        and router arrivals interleave in timestamp order (ties:
+        completions, then transitions, then flushes, then arrivals), so
+        every router decision reads the live device state of its
+        instant.  A plain task stream -- single-slice jobs, no batching
+        -- is the degenerate case: one dispatch per task, on one device.
 
+        - **Placement**: a static routing precomputes each job's device
+          (:meth:`route`).  Without churn every job is injected up front
+          at its arrival time, so each device replays its partition in
+          isolation; under churn jobs feed one at a time and divert from
+          a device that stopped accepting work.  Online routings place
+          stage 0 on the device admission control chose, else on the
+          least live backlog (:meth:`_route_online`).
         - **Coalescing**: the first arrival of a batch key opens a window;
           compatible arrivals join until the window closes or
           ``max_batch`` fills, then the members merge into one proxy
@@ -2014,12 +1521,33 @@ class ClusterScheduler:
         - **Settlement**: the final stage's completion settles every
           member request from the proxy (wait accrual, completion time,
           admission budget release + feedback observation).
+        - **Churn**: in a plain task stream an orphaned task restarts on
+          a live device (or parks until a restore); otherwise an orphan
+          loses its whole gang.
         """
+        # A duplicate id would overwrite its twin's assignment and slice
+        # entry and leave the settlement count short, hanging the loop.
+        seen: set = set()
+        for job in jobs:
+            for member in job.requests:
+                if member.task_id in seen:
+                    raise ValueError(f"duplicate task id {member.task_id}")
+                seen.add(member.task_id)
+        self.last_run_parallel = False
+        self.last_parallel_stats = None
         batching = self.batching
-        ordered = sorted(jobs, key=lambda j: (j.arrival_cycles, j.job_id))
+        #: A plain task stream keeps the per-task semantics: no batch
+        #: records, and churn orphans restart instead of losing a gang.
+        plain = batching is None and all(job.is_single for job in jobs)
+        # The ledger only exists for policies that read tokens: attaching
+        # one to HPF/SJF/FCFS would just accumulate dead entries (their
+        # hooks never drain it).
         ledger: Optional[ClusterTokenLedger] = None
         if self.global_tokens and make_policy(self.policy_name).uses_tokens:
             ledger = ClusterTokenLedger()
+        # The fabric carries checkpoint migrations, inter-stage
+        # activations and churn evacuations (churn always builds it:
+        # cancel_transfers_to() needs it even in reactive mode).
         needs_fabric = (
             self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
             or any(job.num_stages > 1 for job in jobs)
@@ -2041,6 +1569,9 @@ class ClusterScheduler:
             )
             for index in range(self.num_devices)
         ]
+        # The O(log d) control plane.  Built before any injection so the
+        # event-change hook sees every arrival; None runs the reference
+        # linear-scan loop (decision-identical).
         indexes: Optional[_ClusterIndexes] = None
         if self.use_indexes:
             if self.racks is not None:
@@ -2054,15 +1585,30 @@ class ClusterScheduler:
             indexes.tracer = self.tracer
         assignments: Dict[int, int] = {}
         migrations: List[MigrationRecord] = []
+        #: Per-device in-flight deliveries (checkpoints, activations):
+        #: (arrival cycle, estimated remaining cycles, task priority).
+        #: Routing counts them as backlog and a device with one pending is
+        #: not an eligible thief; the admission path filters them by
+        #: priority like the rest of its class-aware backlog.
         inflight: Dict[int, List[Tuple[float, float, int]]] = {
             index: [] for index in range(self.num_devices)
         }
         admission = self.admission
+        # Records accumulate for the controller's lifetime (the feedback
+        # EWMA deliberately keeps learning across runs); slice off this
+        # run's decisions so a reused scheduler reports only its own.
         records_start = len(admission.records) if admission else 0
         if admission is not None:
             use_priority, use_sjf = self.admission_prediction_filters()
         bandwidth = self.simulation_config.npu.bandwidth_bytes_per_cycle
+        static: Optional[Dict[int, int]] = None
+        if self.routing in STATIC_ROUTINGS:
+            static = self.route([job.source for job in jobs])
 
+        #: Admission frontier: a min-heap of (consider_cycles, arrival,
+        #: job_id, attempt, job).  Deferred arrivals re-enter with a
+        #: later consideration time and a bumped attempt count.
+        ordered = sorted(jobs, key=lambda j: (j.arrival_cycles, j.job_id))
         frontier: List[Tuple[float, float, int, int, Job]] = []
         if admission is None:
             pending: deque = deque(ordered)
@@ -2076,10 +1622,7 @@ class ClusterScheduler:
 
         # Fresh ids for merged proxies and later-stage slices, above every
         # offered id so they can never collide with a request.
-        next_id = 1 + max(
-            max(m.task_id for job in jobs for m in job.requests),
-            max(job.job_id for job in jobs),
-        )
+        next_id = 1 + max(max(seen), max(job.job_id for job in jobs))
 
         coalesce = (
             batching is not None
@@ -2091,8 +1634,11 @@ class ClusterScheduler:
         flush_heap: List[Tuple[float, int, Tuple]] = []
         flush_seq = 0
 
+        #: Live slice id -> (its gang, stage index).
         slice_map: Dict[int, Tuple[_GangRun, int]] = {}
         batch_records: List[BatchRecord] = []
+        rejected_jobs: List[Job] = []
+        lost_jobs: List[Job] = []
         total_jobs = len(jobs)
         settled = 0
         arrival_rank = int(_EventKind.ARRIVAL)
@@ -2110,9 +1656,9 @@ class ClusterScheduler:
             churn_rt.profiler = self.profiler
 
         def route_stage(now: float, used: set) -> int:
-            """Least-backlog device for one gang stage, avoiding devices
-            already reserved by this gang while the fleet allows.  Doomed
-            and down devices (churn) never take a stage while any
+            """Least-backlog device for a later gang stage, avoiding
+            devices already reserved by this gang while the fleet allows.
+            Doomed and down devices (churn) never take a stage while any
             accepting device exists."""
             candidates = [
                 d
@@ -2145,82 +1691,85 @@ class ClusterScheduler:
         ) -> None:
             nonlocal next_id
             if churn_rt is not None and not churn_rt.any_accepting():
-                # Zero surviving capacity (e.g. a batch window flushing
-                # mid-outage): park the members for the next restore.
+                # Zero surviving capacity (an arrival, an orphan or a
+                # batch window flushing mid-outage): park the members for
+                # the next restore (or account them lost at quiesce).
                 churn_rt.parked.extend(members)
                 return
             owner: Optional[Job] = None
-            if len(members) == 1 and members[0].num_stages > 1:
-                owner = members[0]
-                proxy = owner.source
-                plans: List[StagePlan] = [s.stage for s in owner.slices]
+            if len(members) == 1:
+                proxy = members[0].source
+                if members[0].num_stages > 1:
+                    owner = members[0]  # a pre-cut gang: fill its slices
             else:
-                if len(members) == 1:
-                    proxy = members[0].source
-                else:
-                    assert batching is not None
-                    proxy = merge_runtimes(
-                        [job.source for job in members],
-                        task_id=next_id,
-                        now=now,
-                        marginal_fraction=batching.marginal_fraction,
-                        tracer=tracer,
-                    )
-                    next_id += 1
-                shard = 1
-                if batching is not None and batching.shard_stages > 1:
-                    # Scheduler-visible decision: shard when the dispatch
-                    # *looks* big enough to amortize the boundary DMAs.
-                    if (
-                        proxy.context.estimated_cycles
-                        >= batching.min_shard_cycles
-                    ):
-                        shard = min(batching.shard_stages, self.num_devices)
-                if shard > 1:
-                    plans = partition_runtime(proxy, shard)
-                else:
-                    plans = [
-                        StagePlan(
-                            index=0,
-                            profile=proxy.profile,
-                            estimated_cycles=max(
-                                proxy.context.estimated_cycles, 1e-9
-                            ),
-                            activation_bytes=0.0,
-                        )
-                    ]
-            slice_ids = [proxy.task_id]
-            for _ in plans[1:]:
-                slice_ids.append(next_id)
+                assert batching is not None
+                proxy = merge_runtimes(
+                    [job.source for job in members],
+                    task_id=next_id,
+                    now=now,
+                    marginal_fraction=batching.marginal_fraction,
+                    tracer=tracer,
+                )
                 next_id += 1
-            reserved: List[int] = []
-            used: set = set()
-            for stage in range(len(plans)):
-                if stage == 0 and preferred is not None:
-                    device = preferred
-                else:
-                    device = route_stage(now, used)
-                used.add(device)
-                reserved.append(device)
-            gang = _GangRun(members, owner, proxy, plans, slice_ids, reserved)
-            if len(plans) == 1:
-                stage0: TaskRuntime = proxy
+            shard = 1
+            # Scheduler-visible decision: shard when the dispatch *looks*
+            # big enough to amortize the boundary DMAs (a pre-cut gang
+            # keeps its own stages).
+            if (
+                owner is None
+                and batching is not None
+                and batching.shard_stages > 1
+                and proxy.context.estimated_cycles >= batching.min_shard_cycles
+            ):
+                shard = min(batching.shard_stages, self.num_devices)
+            plans: List[StagePlan]
+            if shard > 1:
+                plans = partition_runtime(proxy, shard)
+            elif len(members) == 1:
+                # A solo dispatch runs its job's own stage plans (a
+                # single-stage gang executes the proxy runtime itself).
+                plans = [s.stage for s in members[0].slices]
             else:
+                plans = [
+                    StagePlan(
+                        index=0,
+                        profile=proxy.profile,
+                        estimated_cycles=max(
+                            proxy.context.estimated_cycles, 1e-9
+                        ),
+                        activation_bytes=0.0,
+                    )
+                ]
+            # Stage 0 lands where admission placed it (or the static
+            # route), else on the least live backlog -- through the
+            # backlog index and the rack router when present.
+            if preferred is None:
+                preferred = self._route_online(devices, now, inflight, indexes)
+            slice_ids = [proxy.task_id]
+            reserved = [preferred]
+            stage0: TaskRuntime = proxy
+            if len(plans) > 1:
+                for _ in plans[1:]:
+                    slice_ids.append(next_id)
+                    next_id += 1
+                    reserved.append(route_stage(now, set(reserved)))
                 stage0 = stage_runtime(proxy, plans[0], slice_ids[0], now)
-                if owner is not None:
-                    owner.slices[0].runtime = stage0
+            gang = _GangRun(members, owner, proxy, plans, slice_ids, reserved)
             gang.runtimes[0] = stage0
             if owner is not None:
-                owner.slices[0].device_id = reserved[0]
-            devices[reserved[0]].inject(stage0, arrival=now)
+                owner.slices[0].runtime = stage0
+                owner.slices[0].device_id = preferred
+            devices[preferred].inject(stage0, arrival=now)
             if indexes is not None:
-                indexes.refresh(devices[reserved[0]])
-            assignments[slice_ids[0]] = reserved[0]
-            slice_map[slice_ids[0]] = (gang, 0)
-            member_ids = []
+                indexes.refresh(devices[preferred])
+            assignments[proxy.task_id] = preferred
+            slice_map[proxy.task_id] = (gang, 0)
             for job in members:
                 job.state = JobState.DISPATCHED
-                job.dispatch_time = now
+            if plain:
+                return  # a task dispatch: no batch record to keep
+            member_ids = []
+            for job in members:
                 for member in job.requests:
                     member_ids.append(member.task_id)
                     assignments.setdefault(member.task_id, reserved[0])
@@ -2318,15 +1867,18 @@ class ClusterScheduler:
             assignments[slice_id] = dst
             slice_map[slice_id] = (gang, nxt)
 
-        def settle_gang(gang: "_GangRun", now: float) -> int:
-            first = gang.runtimes[0]
-            first_dispatch = (
-                first.first_dispatch_time if first is not None else now
-            )
-            count = 0
+        def settle_gang(gang: "_GangRun", now: float) -> None:
+            """The final stage completed: settle every member job."""
+            nonlocal settled
+            final = gang.runtimes[-1]
+            first_dispatch = gang.runtimes[0].first_dispatch_time
+            device = assignments[gang.slice_ids[-1]]
             for job in gang.jobs:
                 for member in job.requests:
-                    if not member.is_done:
+                    if member is not final:
+                        # Batched or sharded: the member never ran under
+                        # its own id, so its accounting settles from the
+                        # proxy.  A solo task completed on its device.
                         settle_member(member, now, first_dispatch)
                     if admission is not None:
                         admission.on_complete(member)
@@ -2336,52 +1888,81 @@ class ClusterScheduler:
                     if sampler is not None:
                         sampler.task_completed(member)
                 job.state = JobState.DONE
+                job.dispatch_time = first_dispatch
                 job.completion_time = now
-                count += 1
-            return count
+                if gang.owner is None:
+                    job.slices[0].device_id = device
+                settled += 1
+
+        def lose_job(job: Job) -> None:
+            """Account one job as LOST (no capacity will ever serve it)."""
+            nonlocal settled
+            job.state = JobState.LOST
+            lost_jobs.append(job)
+            settled += 1
+            if admission is not None:
+                for member in job.requests:
+                    admission.on_lost(member)
 
         def lose_gang(gang: "_GangRun") -> None:
             """Account every unfinished job of a destroyed gang as LOST."""
-            nonlocal settled
             if gang.lost:
                 return
             gang.lost = True
             for job in gang.jobs:
-                if job.state in (
+                if job.state not in (
                     JobState.DONE, JobState.REJECTED, JobState.LOST
                 ):
-                    continue
-                job.state = JobState.LOST
-                settled += 1
-                if admission is not None:
-                    for member in job.requests:
-                        admission.on_lost(member)
+                    lose_job(job)
 
         if churn_rt is not None:
 
-            def _gang_orphans(
+            def _orphans(
                 orphans: Sequence[TaskRuntime], when: float
             ) -> None:
-                # A gang has exactly one live slice at a time (stages are
-                # sequential, and an in-flight successor counts as the
-                # live one); losing it loses the gang -- pipeline restart
-                # from a mid-gang failure is out of scope (documented in
-                # docs/failures.md).
                 for runtime in orphans:
                     entry = slice_map.get(runtime.task_id)
-                    if entry is not None:
+                    if entry is None:
+                        continue
+                    if plain:
+                        # A task restarts from scratch on a live device
+                        # (or parks until a restore).
+                        dispatch_gang(entry[0].jobs, when)
+                    else:
+                        # A gang has exactly one live slice at a time
+                        # (stages are sequential, and an in-flight
+                        # successor counts as the live one); losing it
+                        # loses the gang -- pipeline restart from a
+                        # mid-gang failure is out of scope (documented in
+                        # docs/failures.md).
                         lose_gang(entry[0])
 
-            def _gang_restore(when: float) -> None:
+            def _restore(when: float) -> None:
                 assert churn_rt is not None
                 parked, churn_rt.parked = churn_rt.parked, []
                 for job in parked:
                     enqueue_job(job, when)
 
-            churn_rt.on_orphans = _gang_orphans
-            churn_rt.on_restore = _gang_restore
+            churn_rt.on_orphans = _orphans
+            churn_rt.on_restore = _restore
+
+        if static is not None and churn_rt is None:
+            # Static strategies know every placement up front, so inject
+            # all arrivals immediately (in workload order, like the
+            # single-NPU batch run).  Each device then sees the exact
+            # event sequence of simulating its partition in isolation --
+            # in particular its scheduling-period clock stays anchored at
+            # its first arrival even if the device drains between two
+            # assigned arrivals.
+            for job in jobs:
+                dispatch_gang(
+                    [job], job.arrival_cycles, static[job.source.task_id]
+                )
+            pending.clear()
 
         while True:
+            # Earliest device event by (time, kind); ties break to the
+            # lowest device index.
             device_index: Optional[int] = None
             device_key: Optional[Tuple[float, int]] = None
             if indexes is not None:
@@ -2414,6 +1995,10 @@ class ClusterScheduler:
                 flush_at, flush_key = at, key
                 break
 
+            # Availability transitions rank between same-time completions
+            # (which fire first: a task finishing at the failure instant
+            # finished) and same-time flushes and arrivals (which see the
+            # post-transition fleet).
             if churn_rt is not None:
                 churn_time = churn_rt.peek_time()
                 if churn_time is not None and (
@@ -2424,25 +2009,26 @@ class ClusterScheduler:
                     churn_rt.process_next()
                     continue
 
-            flush_due = flush_at is not None and (
-                device_key is None
-                or device_key >= (flush_at, arrival_rank)
-            )
             if (
-                flush_due
-                and next_arrival is not None
-                and flush_at is not None
-                and next_arrival < flush_at
+                flush_at is not None
+                and (device_key is None or device_key >= (flush_at, arrival_rank))
+                # An earlier router arrival goes first.
+                and (next_arrival is None or next_arrival >= flush_at)
             ):
-                flush_due = False  # an earlier router arrival goes first
-            if flush_due:
-                assert flush_at is not None and flush_key is not None
+                assert flush_key is not None
                 heapq.heappop(flush_heap)
                 members = open_batches.pop(flush_key)
                 del open_deadline[flush_key]
                 dispatch_gang(members, flush_at)
                 continue
 
+            # Route the next arrival only once every device event that
+            # logically precedes it has fired: earlier timestamps, plus
+            # same-time completions and previously admitted same-time
+            # arrivals (kind rank <= ARRIVAL).  Routing then sees exactly
+            # the device state a real node agent would see at that
+            # instant -- including the effects of simultaneous-burst
+            # predecessors admitted moments before.
             arrival_due = next_arrival is not None and (
                 device_key is None
                 or device_key > (next_arrival, arrival_rank)
@@ -2450,14 +2036,24 @@ class ClusterScheduler:
             if arrival_due:
                 if admission is None:
                     job = pending.popleft()
-                    enqueue_job(job, job.arrival_cycles)
+                    preferred = None
+                    if static is not None:
+                        # Churn: honor the static placement unless its
+                        # device stopped accepting work.
+                        preferred = static[job.source.task_id]
+                        if not devices[preferred].accepts_work:
+                            preferred = None
+                    enqueue_job(job, job.arrival_cycles, preferred)
                     continue
                 consider, _, _, attempt, job = heapq.heappop(frontier)
                 if churn_rt is not None and not churn_rt.any_accepting():
+                    # Nothing survives to predict against.  Re-consider
+                    # at the next availability transition (no attempt
+                    # burned -- the defer budget is for backlog, not
+                    # outages); with no transition left the job is lost.
                     next_change = churn_rt.peek_time()
                     if next_change is None:
-                        job.state = JobState.LOST
-                        settled += 1
+                        lose_job(job)
                     else:
                         heapq.heappush(
                             frontier,
@@ -2465,6 +2061,16 @@ class ClusterScheduler:
                              job.job_id, attempt, job),
                         )
                     continue
+                # Admission-aware placement + prediction: the decision is
+                # scored against (and the job placed on) the device with
+                # the least *class-aware* backlog -- under a preemptive
+                # priority policy the arrival will not wait behind queued
+                # lower-priority work nor behind same-priority rows a
+                # shortest-first rule would serve after it, and counting
+                # either would over-reject the very class admission
+                # protects.  The filters follow the configured policy
+                # (see admission_prediction_filters); under FCFS/RRB the
+                # prediction is the plain total backlog.
                 task = job.source
                 min_priority, sjf_within = admission.placement_query(
                     task, use_priority, use_sjf
@@ -2505,6 +2111,9 @@ class ClusterScheduler:
                 if sampler is not None:
                     sampler.inc("admission." + record.decision.value)
                 if record.decision is AdmissionDecision.ACCEPT:
+                    # admit() rewrites the context estimate to the
+                    # feedback-corrected value first, so routing and
+                    # per-device scheduling see the corrected number.
                     admission.admit(task)
                     enqueue_job(job, consider, preferred=target)
                 elif record.decision is AdmissionDecision.DEFER:
@@ -2515,20 +2124,20 @@ class ClusterScheduler:
                     )
                 else:
                     job.state = JobState.REJECTED
+                    rejected_jobs.append(job)
                     settled += 1
                 continue
 
             if device_index is None or device_key is None:
-                # Quiesced with no restore coming: parked jobs are lost.
+                # Quiesced: no events, arrivals, flushes or transitions
+                # left (transitions always process above when any
+                # remain).  Whatever is still parked has no restore
+                # coming: lost.
                 if churn_rt is not None and churn_rt.parked:
                     parked, churn_rt.parked = churn_rt.parked, []
                     for job in parked:
-                        job.state = JobState.LOST
-                        settled += 1
-                        if admission is not None:
-                            for member in job.requests:
-                                admission.on_lost(member)
-                break  # no events, no arrivals, no open windows
+                        lose_job(job)
+                break
             stepped = devices[device_index]
             now = stepped.step()
             if indexes is not None:
@@ -2541,7 +2150,9 @@ class ClusterScheduler:
 
             completed = stepped.last_completed
             if completed is not None:
-                entry = slice_map.get(completed.task_id)
+                # A finished slice leaves the map, so a settled gang is
+                # freed right away.
+                entry = slice_map.pop(completed.task_id, None)
                 if entry is not None:
                     gang, stage = entry
                     if gang.lost:
@@ -2549,8 +2160,12 @@ class ClusterScheduler:
                     elif stage + 1 < len(gang.plans):
                         advance_gang(gang, stage, now)
                     else:
-                        settled += settle_gang(gang, now)
+                        settle_gang(gang, now)
 
+            # Steal opportunities only appear when a device goes idle
+            # (COMPLETE) or stealable work lands on a busy device
+            # (ARRIVAL); period ticks and reserved dispatches change
+            # neither, so skip the scan for them.
             if self.routing == RoutingPolicy.WORK_STEALING and (
                 stepped.last_event_kind
                 in (_EventKind.COMPLETE, _EventKind.ARRIVAL)
@@ -2559,6 +2174,12 @@ class ClusterScheduler:
                     self._steal(devices, now, assignments, indexes)
                 )
             elif self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
+                # Migration opportunities additionally appear when a
+                # preemption commits (PERIOD/DISPATCH wakes) and when a
+                # checkpoint becomes durable (the reserved DISPATCH at
+                # trap end), so check after every event; with the indexes
+                # that check is an O(1) idle-candidate peek, and only
+                # actually-idle devices trigger a candidate walk.
                 assert fabric is not None
                 migrations.extend(
                     self._migrate(
@@ -2568,6 +2189,8 @@ class ClusterScheduler:
                 )
 
             if churn_rt is not None:
+                # A doomed device's own event may have freed the array or
+                # the link; revisit its evacuation plan.
                 churn_rt.after_step(stepped, now)
 
             if sampler is not None and now >= sampler.next_due:
@@ -2576,48 +2199,41 @@ class ClusterScheduler:
             if settled >= total_jobs:
                 break
 
-        if settled < total_jobs:
-            unsettled = [
-                job.job_id for job in jobs if job.state
-                in (JobState.PENDING, JobState.DISPATCHED)
-            ]
+        # Every request neither rejected nor lost must have finished,
+        # however the loop ended (its last settlement or quiesce).
+        unsettled = [
+            member.task_id
+            for job in jobs
+            if job.state not in (JobState.REJECTED, JobState.LOST)
+            for member in job.requests
+            if not member.is_done
+        ]
+        if unsettled:
             raise RuntimeError(
-                f"gang loop quiesced with unsettled jobs: {unsettled}"
+                f"cluster loop ended with unsettled tasks: {unsettled}"
             )
-
         device_results = tuple(device.result() for device in devices)
         transfers = fabric.transfers if fabric is not None else ()
         timeline = ClusterTimeline(
             {
                 index: device.timeline
                 for index, device in enumerate(devices)
+                # A device whose every task migrated away still executed
+                # cycles; its trace must survive for conservation checks.
                 if device.num_tasks > 0 or len(device.timeline) > 0
             },
             transfers=transfers,
-        )
-        executed = tuple(
-            member
-            for job in jobs
-            if job.state is JobState.DONE
-            for member in job.requests
-        )
-        rejected = tuple(
-            member
-            for job in jobs
-            if job.state is JobState.REJECTED
-            for member in job.requests
-        )
-        lost_members = tuple(
-            member
-            for job in jobs
-            if job.state is JobState.LOST
-            for member in job.requests
         )
         records: Tuple[AdmissionRecord, ...] = ()
         if admission is not None:
             records = admission.records[records_start:]
         return ClusterResult(
-            tasks=executed,
+            tasks=tuple(
+                member
+                for job in jobs
+                if job.state is JobState.DONE
+                for member in job.requests
+            ),
             device_results=device_results,
             assignments=assignments,
             routing=self.routing.value,
@@ -2625,13 +2241,17 @@ class ClusterScheduler:
             timeline=timeline,
             transfers=transfers,
             admission_records=records,
-            rejected_tasks=rejected,
+            rejected_tasks=tuple(
+                member for job in rejected_jobs for member in job.requests
+            ),
             events_processed=sum(
                 device.events_processed for device in devices
             ),
             jobs=tuple(jobs),
             batches=tuple(batch_records),
-            lost_tasks=lost_members,
+            lost_tasks=tuple(
+                member for job in lost_jobs for member in job.requests
+            ),
             rack_of=self.rack_of,
         )
 

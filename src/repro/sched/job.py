@@ -10,9 +10,9 @@ drives the lifecycle.
 Design invariants:
 
 - **Single-slice jobs are tasks.**  ``Job.single(runtime)`` wraps a task
-  runtime without copying it; the slice runtime *is* the source runtime,
-  so a cluster running only single-slice jobs replays the legacy task
-  path bit-for-bit (the golden suites pin this).
+  runtime without copying it; the slice runtime *is* the source runtime.
+  ``ClusterScheduler.run(tasks)`` serves every task this way, so the
+  golden suites pin the single-slice path bit-for-bit.
 - **Slices are ordinary tasks on their device.**  A stage slice is a
   :class:`~repro.sched.task.TaskRuntime` over a stage-cut
   :class:`~repro.npu.engine.ExecutionProfile`; per-device preemption,
@@ -92,6 +92,8 @@ class DeviceSlice:
     may land elsewhere afterwards -- work stealing and checkpoint
     migration move slices like any other task, and the cluster reads the
     authoritative placement from its assignment map at stage handoff.
+    A single-slice job's slice gets the device that finished its work
+    when the job settles.
     """
 
     stage: StagePlan
@@ -118,6 +120,10 @@ class Job:
     requests: Tuple[TaskRuntime, ...]
     slices: List[DeviceSlice]
     state: JobState = JobState.PENDING
+    #: When the job's work first ran on an NPU: the first device dispatch
+    #: of its stage-0 runtime (the merged proxy, for a batch member).  The
+    #: router's flush instant is ``BatchRecord.dispatch_cycles``.  Set at
+    #: settlement, with ``completion_time``.
     dispatch_time: Optional[float] = None
     completion_time: Optional[float] = None
 
@@ -132,8 +138,8 @@ class Job:
         """Wrap one task runtime as a single-slice job -- zero-copy.
 
         The slice runtime *is* ``runtime``; running the job through the
-        cluster is indistinguishable from running the task (the legacy
-        compatibility contract).
+        cluster is indistinguishable from running the task (this is how
+        ``ClusterScheduler.run`` serves tasks).
         """
         plan = StagePlan(
             index=0,

@@ -11,7 +11,7 @@ process will retroactively perturb.
 Why this is exact, not approximate
 ----------------------------------
 
-The serial loop (:meth:`ClusterScheduler._run_tasks`) interleaves two
+The serial loop (:meth:`ClusterScheduler._run_gangs`) interleaves two
 kinds of work:
 
 - **device events** -- completions, arrivals, period ticks, reserved
@@ -142,7 +142,7 @@ def supported_reason(sched) -> Optional[str]:
     if sched.admission is not None:
         return "admission control predicts against fleet-global backlog"
     if sched.batching is not None:
-        return "router batching runs the gang loop"
+        return "router batching holds arrivals in cluster-wide windows"
     if sched.sampler is not None:
         return "metrics sampling reads fleet-global gauges"
     if sched.verify_indexes:
@@ -503,8 +503,8 @@ def _worker_config(sched):
 
 def run_parallel(sched, tasks: Sequence[TaskRuntime]):
     """Run ``sched``'s workload across worker processes; bit-for-bit
-    equal to :meth:`ClusterScheduler._run_tasks`.  Only call when
-    :func:`supported_reason` returned None."""
+    equal to the serial :meth:`ClusterScheduler._run_gangs`.  Only call
+    when :func:`supported_reason` returned None."""
     from repro.sched.cluster import STATIC_ROUTINGS
 
     if not tasks:

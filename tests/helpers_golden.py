@@ -36,7 +36,7 @@ import pathlib
 from typing import Dict, Iterator, Tuple
 
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.interconnect import InterconnectConfig
 from repro.sched.policies import POLICY_NAMES
 from repro.sched.prepare import TaskFactory
@@ -199,9 +199,11 @@ def cluster_runs(factory: TaskFactory) -> Iterator[Tuple[str, object]]:
             scheduler = ClusterScheduler(
                 num_devices=CLUSTER_DEVICES,
                 simulation_config=config,
-                policy_name=policy_name,
-                routing=routing,
-                seed=index,
+                config=ClusterConfig(
+                    policy_name=policy_name,
+                    routing=routing,
+                    seed=index,
+                ),
             )
             tasks = factory.build_workload(workload)
             result = scheduler.run(tasks)
@@ -297,11 +299,13 @@ def cluster_suite_runs(
                 scheduler = ClusterScheduler(
                     num_devices=num_devices,
                     simulation_config=config,
-                    policy_name=policy_name,
-                    routing=routing,
-                    seed=index,
-                    interconnect=interconnect,
-                    global_tokens=global_tokens,
+                    config=ClusterConfig(
+                        policy_name=policy_name,
+                        routing=routing,
+                        seed=index,
+                        interconnect=interconnect,
+                        global_tokens=global_tokens,
+                    ),
                 )
                 tasks = factory.build_workload(workload)
                 result = scheduler.run(tasks)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.metrics import compute_metrics
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.workloads.generator import WorkloadGenerator
@@ -20,8 +20,10 @@ def make_cluster(config, num_devices, routing, policy="PREMA",
     return ClusterScheduler(
         num_devices=num_devices,
         simulation_config=SimulationConfig(npu=config, mode=mode),
-        policy_name=policy,
-        routing=routing,
+        config=ClusterConfig(
+            policy_name=policy,
+            routing=routing,
+        ),
     )
 
 

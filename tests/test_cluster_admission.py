@@ -12,7 +12,7 @@ import copy
 import pytest
 
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.serving.admission import (
@@ -59,9 +59,11 @@ def run_cluster(trace, admission=None, devices=2,
     scheduler = ClusterScheduler(
         num_devices=devices,
         simulation_config=_CONFIG,
-        policy_name=policy,
-        routing=routing,
-        admission=admission,
+        config=ClusterConfig(
+            policy_name=policy,
+            routing=routing,
+            admission=admission,
+        ),
     )
     return scheduler.run([copy.deepcopy(task) for task in trace])
 
@@ -74,8 +76,10 @@ class TestConstruction:
                 ClusterScheduler(
                     num_devices=2,
                     simulation_config=_CONFIG,
-                    routing=routing,
-                    admission=AdmissionController(),
+                    config=ClusterConfig(
+                        routing=routing,
+                        admission=AdmissionController(),
+                    ),
                 )
 
     def test_online_routings_accepted(self):
@@ -85,8 +89,10 @@ class TestConstruction:
             ClusterScheduler(
                 num_devices=2,
                 simulation_config=_CONFIG,
-                routing=routing,
-                admission=AdmissionController(),
+                config=ClusterConfig(
+                    routing=routing,
+                    admission=AdmissionController(),
+                ),
             )
 
 
@@ -208,9 +214,11 @@ class TestPredictionFilters:
         return ClusterScheduler(
             num_devices=2,
             simulation_config=SimulationConfig(npu=NPUConfig(), mode=mode),
-            policy_name=policy,
-            routing=RoutingPolicy.ONLINE_PREDICTED,
-            admission=AdmissionController(),
+            config=ClusterConfig(
+                policy_name=policy,
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                admission=AdmissionController(),
+            ),
         )
 
     def test_filters_follow_the_policy(self):
@@ -242,9 +250,11 @@ class TestPredictionFilters:
             simulation_config=SimulationConfig(
                 npu=NPUConfig(), mode=PreemptionMode.NP
             ),
-            policy_name="FCFS",
-            routing=RoutingPolicy.ONLINE_PREDICTED,
-            admission=controller,
+            config=ClusterConfig(
+                policy_name="FCFS",
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                admission=controller,
+            ),
         )
         trace = overloaded_trace(num_tasks=40, seed=3, overload=2.5)
         result = scheduler.run([copy.deepcopy(t) for t in trace])
@@ -284,9 +294,11 @@ class TestSchedulerReuse:
         scheduler = ClusterScheduler(
             num_devices=2,
             simulation_config=_CONFIG,
-            policy_name="PREMA",
-            routing=RoutingPolicy.ONLINE_PREDICTED,
-            admission=controller,
+            config=ClusterConfig(
+                policy_name="PREMA",
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                admission=controller,
+            ),
         )
         trace = overloaded_trace(num_tasks=30, seed=8, overload=2.5)
         first = scheduler.run([copy.deepcopy(t) for t in trace])

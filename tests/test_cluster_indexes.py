@@ -23,6 +23,7 @@ import pytest
 import helpers_golden
 from repro.npu.config import NPUConfig
 from repro.sched.cluster import (
+    ClusterConfig,
     ClusterScheduler,
     ONLINE_ROUTINGS,
     RoutingPolicy,
@@ -79,12 +80,14 @@ def _run_synthetic(
     scheduler = ClusterScheduler(
         num_devices=num_devices,
         simulation_config=_synthetic_config(),
-        policy_name=policy,
-        routing=routing,
-        seed=seed,
-        admission=controller,
-        use_indexes=use_indexes,
-        verify_indexes=verify,
+        config=ClusterConfig(
+            policy_name=policy,
+            routing=routing,
+            seed=seed,
+            admission=controller,
+            use_indexes=use_indexes,
+            verify_indexes=verify,
+        ),
     )
     return scheduler.run(runtimes)
 
@@ -127,10 +130,12 @@ def test_indexed_matches_reference_every_routing(factory, num_devices):
                 scheduler = ClusterScheduler(
                     num_devices=num_devices,
                     simulation_config=config,
-                    policy_name=policy,
-                    routing=routing,
-                    seed=index,
-                    use_indexes=use_indexes,
+                    config=ClusterConfig(
+                        policy_name=policy,
+                        routing=routing,
+                        seed=index,
+                        use_indexes=use_indexes,
+                    ),
                 )
                 results[use_indexes] = scheduler.run(
                     factory.build_workload(workload)
@@ -226,7 +231,9 @@ def test_duplicate_task_id_rejected():
     scheduler = ClusterScheduler(
         num_devices=2,
         simulation_config=_synthetic_config(),
-        routing=RoutingPolicy.ONLINE_PREDICTED,
+        config=ClusterConfig(
+            routing=RoutingPolicy.ONLINE_PREDICTED,
+        ),
     )
     duplicated = runtimes + [runtimes[1]]
     with pytest.raises(ValueError, match="duplicate task id 1"):

@@ -3,10 +3,10 @@
 The PR-6 compatibility contract and the new mechanics, end to end:
 
 1. *Equivalence*: a stream of single-slice jobs with batching disabled
-   replays the legacy task path bit-for-bit across every routing policy
-   (same encoder the golden suites use); with a degenerate batching
-   config (no window, no sharding) the gang event loop itself reproduces
-   the legacy online-routing decisions exactly.
+   makes exactly the decisions of ``run(tasks)`` across every routing
+   policy (same encoder the golden suites use); a degenerate batching
+   config (no window, no sharding) makes exactly the decisions of an
+   unbatched run, on flat and racked fleets.
 2. *Pipeline sharding*: stage cutting over real devices -- activation
    transfers on the fabric, DMA-in restores, distinct device
    reservations, slice-level preemption, and checkpoint migration of
@@ -37,6 +37,7 @@ from repro.sched.job import (
     partition_runtime,
 )
 from repro.sched.metrics import compute_cluster_metrics
+from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.serving.admission import (
     AdmissionController,
@@ -44,7 +45,11 @@ from repro.serving.admission import (
     AdmissionRecord,
 )
 from repro.workloads.specs import TaskSpec
-from repro.workloads.trace import synthetic_runtime, synthetic_trace_runtimes
+from repro.workloads.trace import (
+    DEFAULT_MEAN_INTERARRIVAL_CYCLES,
+    synthetic_runtime,
+    synthetic_trace_runtimes,
+)
 
 _CONFIG = NPUConfig()
 
@@ -78,6 +83,24 @@ def trace(num_tasks=16, seed=21, **kwargs):
     return synthetic_trace_runtimes(num_tasks, seed=seed, **kwargs)
 
 
+#: Fleet shapes of the degenerate-batching equivalence: (devices, rack
+#: topology, trace keywords).  16 flat devices run on the backlog index;
+#: the racked fleet routes arrivals through the two-tier rack router.
+DEGENERATE_SHAPES = {
+    "flat3": (3, None, {}),
+    "flat16": (
+        16, None,
+        {"num_tasks": 64,
+         "mean_interarrival_cycles": DEFAULT_MEAN_INTERARRIVAL_CYCLES / 16},
+    ),
+    "racks2x4": (
+        8, RackTopology.uniform(2, 4),
+        {"num_tasks": 48,
+         "mean_interarrival_cycles": DEFAULT_MEAN_INTERARRIVAL_CYCLES / 8},
+    ),
+}
+
+
 # ----------------------------------------------------------------------
 # 1. Equivalence
 # ----------------------------------------------------------------------
@@ -104,6 +127,7 @@ class TestLegacyEquivalence:
                 == job.slices[0].device_id
             )
 
+    @pytest.mark.parametrize("shape", sorted(DEGENERATE_SHAPES))
     @pytest.mark.parametrize(
         "routing",
         [
@@ -112,21 +136,25 @@ class TestLegacyEquivalence:
             RoutingPolicy.PREEMPTIVE_MIGRATION,
         ],
     )
-    def test_gang_loop_degenerate_batching_is_bit_exact(self, routing):
-        """With window=0 and shard_stages=1 the gang loop itself makes
-        the same decisions as the legacy loop -- same routing calls at
-        the same instants, so the encodings match exactly."""
+    def test_gang_loop_degenerate_batching_is_bit_exact(self, routing, shape):
+        """With window=0 and shard_stages=1 the batching router makes
+        the same decisions as a plain task run -- same routing calls at
+        the same instants (through the backlog index on a large flat
+        fleet, through the two-tier rack router on a racked one), so the
+        encodings match exactly."""
+        num_devices, racks, trace_kwargs = DEGENERATE_SHAPES[shape]
         config = sim_config()
         baseline = ClusterScheduler(
-            3, config, config=ClusterConfig(routing=routing, seed=2)
-        ).run(trace(seed=33))
+            num_devices, config,
+            config=ClusterConfig(routing=routing, seed=2, racks=racks),
+        ).run(trace(seed=33, **trace_kwargs))
         degenerate = BatchConfig(window_cycles=0.0, max_batch=1)
         gang = ClusterScheduler(
-            3, config,
+            num_devices, config,
             config=ClusterConfig(
-                routing=routing, seed=2, batching=degenerate
+                routing=routing, seed=2, racks=racks, batching=degenerate
             ),
-        ).run(trace(seed=33))
+        ).run(trace(seed=33, **trace_kwargs))
         assert _encode_cluster_v2(gang) == _encode_cluster_v2(baseline)
         # The gang run carries the job surface on top.
         assert len(gang.jobs) == len(gang.tasks)
@@ -384,6 +412,38 @@ class TestRouterBatching:
         assert not rejected_job.source.is_done
         assert {t.task_id for t in result.tasks} == {0, 2}
         assert all(t.is_done for t in result.tasks)
+
+    def test_job_dispatch_time_is_first_device_dispatch(self):
+        """``Job.dispatch_time`` is when the job's work first ran on an
+        NPU -- not the router flush, which ``BatchRecord`` records."""
+        hog = Job.single(
+            compat_task(0, 0.0, 500_000.0, priority=Priority.HIGH)
+        )
+        pair = [
+            Job.single(compat_task(task_id, 10.0 * task_id, 50_000.0))
+            for task_id in (1, 2)
+        ]
+        scheduler = ClusterScheduler(
+            1, sim_config(mode=PreemptionMode.NP),
+            config=ClusterConfig(
+                policy_name="FCFS",
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                batching=BatchConfig(window_cycles=1_000.0, max_batch=2),
+            ),
+        )
+        result = scheduler.run_jobs([hog] + pair)
+        flushes = {
+            batch.member_task_ids: batch.dispatch_cycles
+            for batch in result.batches
+        }
+        # The hog's window flushes at 1,000; the pair fills max_batch at
+        # 20 and runs first, for 50k + 0.75 * 50k cycles.
+        assert flushes == {(0,): 1_000.0, (1, 2): 20.0}
+        assert hog.dispatch_time == hog.source.first_dispatch_time
+        assert hog.dispatch_time == 20.0 + 87_500.0
+        for job in pair:
+            assert job.dispatch_time == 20.0
+            assert job.dispatch_time == job.source.first_dispatch_time
 
     def test_admission_settles_batched_members(self):
         # Every admitted member's budget charge is released at the

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core.context import ContextTable, TaskContext, TaskState
 from repro.core.tokens import ClusterTokenLedger, Priority
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.interconnect import CONTEXT_ROW_BYTES, InterconnectConfig
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.policies import PremaPolicy, make_policy
@@ -229,9 +229,11 @@ def run_migration_cluster(tasks, **kwargs):
         simulation_config=SimulationConfig(
             npu=_CONFIG, mode=PreemptionMode.DYNAMIC
         ),
-        policy_name=kwargs.pop("policy", "PREMA"),
-        routing=RoutingPolicy.PREEMPTIVE_MIGRATION,
-        **kwargs,
+        config=ClusterConfig(
+            policy_name=kwargs.pop("policy", "PREMA"),
+            routing=RoutingPolicy.PREEMPTIVE_MIGRATION,
+            **kwargs,
+        ),
     )
     return scheduler.run([copy.deepcopy(t) for t in tasks])
 

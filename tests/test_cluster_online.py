@@ -20,7 +20,7 @@ from repro.core.context import TaskContext
 from repro.core.tokens import Priority
 from repro.models.layers import LayerKind
 from repro.npu.engine import ExecutionProfile, LayerTiming
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.policies import make_policy
 from repro.sched.simulator import (
     NPUSimulator,
@@ -87,8 +87,10 @@ def run_cluster(tasks, routing, num_devices=2, policy="FCFS",
     cluster = ClusterScheduler(
         num_devices=num_devices,
         simulation_config=SimulationConfig(npu=config or NPUConfig(), mode=mode),
-        policy_name=policy,
-        routing=routing,
+        config=ClusterConfig(
+            policy_name=policy,
+            routing=routing,
+        ),
     )
     return cluster.run(tasks)
 
@@ -217,7 +219,10 @@ class TestMigrationCorrectness:
         ).generate(num_tasks=10)
         sim_config = SimulationConfig(npu=config, mode=PreemptionMode.DYNAMIC)
         cluster = ClusterScheduler(
-            3, sim_config, "PREMA", RoutingPolicy.LEAST_LOADED
+            3, sim_config,
+            config=ClusterConfig(
+                policy_name="PREMA", routing=RoutingPolicy.LEAST_LOADED
+            ),
         )
         cluster_result = cluster.run(factory.build_workload(workload))
         assignments = cluster.route(factory.build_workload(workload))
@@ -266,7 +271,10 @@ class TestMigrationCorrectness:
         sim_config = SimulationConfig(npu=config, mode=PreemptionMode.DYNAMIC)
         isolated = NPUSimulator(sim_config, make_policy("PREMA")).run(build())
         cluster = ClusterScheduler(
-            1, sim_config, "PREMA", RoutingPolicy.ROUND_ROBIN
+            1, sim_config,
+            config=ClusterConfig(
+                policy_name="PREMA", routing=RoutingPolicy.ROUND_ROBIN
+            ),
         ).run(build())
         assert {t.task_id: t.completion_time for t in isolated.tasks} == \
             {t.task_id: t.completion_time for t in cluster.tasks}
@@ -307,7 +315,7 @@ class TestEdgeCases:
 
         cluster = ClusterScheduler(
             2, SimulationConfig(npu=NPUConfig()),
-            routing=RoutingPolicy.ONLINE_PREDICTED,
+            config=ClusterConfig(routing=RoutingPolicy.ONLINE_PREDICTED),
         )
         with pytest.raises(ValueError):
             cluster.route([synthetic_task(0, 0.0, 1.0, 1.0)])
@@ -319,7 +327,6 @@ class TestEdgeCases:
         """A task whose COMPLETE is swallowed must fail the run by name,
         not come back unfinished inside ``ClusterResult.tasks``."""
         from repro.npu.config import NPUConfig
-        from repro.sched.cluster import ClusterConfig
 
         complete = TaskRuntime.complete
 

@@ -18,7 +18,7 @@ without tuning anything.
 import time
 
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.workloads.trace import (
     DEFAULT_MEAN_INTERARRIVAL_CYCLES,
@@ -54,9 +54,11 @@ def _us_per_event(num_devices: int, seed: int = 31) -> float:
         scheduler = ClusterScheduler(
             num_devices=num_devices,
             simulation_config=_config(),
-            policy_name="PREMA",
-            routing=RoutingPolicy.WORK_STEALING,
-            seed=seed,
+            config=ClusterConfig(
+                policy_name="PREMA",
+                routing=RoutingPolicy.WORK_STEALING,
+                seed=seed,
+            ),
         )
         start = time.perf_counter()
         result = scheduler.run(runtimes)

@@ -33,7 +33,7 @@ from repro.sched.cluster import (
     ClusterScheduler,
     RoutingPolicy,
 )
-from repro.sched.interconnect import CONTEXT_ROW_BYTES, InterconnectConfig
+from repro.sched.interconnect import CONTEXT_ROW_BYTES
 from repro.sched.job import (
     BatchConfig,
     Job,
@@ -367,42 +367,13 @@ class TestBatching:
 
 
 # ----------------------------------------------------------------------
-# ClusterConfig and the deprecated kwargs path
+# ClusterConfig
 # ----------------------------------------------------------------------
 def _sim_config():
     return SimulationConfig(npu=_CONFIG, mode=PreemptionMode.DYNAMIC)
 
 
 class TestClusterConfig:
-    def test_config_and_kwargs_resolve_identically(self):
-        fabric = InterconnectConfig.nvlink()
-        via_config = ClusterScheduler(
-            4, _sim_config(),
-            config=ClusterConfig(
-                policy_name="SJF",
-                routing=RoutingPolicy.ONLINE_PREDICTED,
-                seed=3,
-                interconnect=fabric,
-                global_tokens=True,
-            ),
-        )
-        via_kwargs = ClusterScheduler(
-            4, _sim_config(), "SJF", RoutingPolicy.ONLINE_PREDICTED,
-            seed=3, interconnect=fabric, global_tokens=True,
-        )
-        for attr in (
-            "policy_name", "routing", "interconnect", "global_tokens",
-            "use_indexes", "verify_indexes", "batching",
-        ):
-            assert getattr(via_config, attr) == getattr(via_kwargs, attr)
-
-    def test_mixing_config_and_kwargs_rejected(self):
-        with pytest.raises(ValueError, match="policy_name"):
-            ClusterScheduler(
-                2, _sim_config(), policy_name="SJF",
-                config=ClusterConfig(),
-            )
-
     def test_defaults_match_legacy_defaults(self):
         scheduler = ClusterScheduler(2, _sim_config())
         assert scheduler.policy_name == "PREMA"
