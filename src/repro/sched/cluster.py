@@ -2007,6 +2007,17 @@ class ClusterScheduler:
                     next_arrival is None or churn_time <= next_arrival
                 ) and (flush_at is None or churn_time <= flush_at):
                     churn_rt.process_next()
+                    if self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
+                        # A restore adds a thief and a fault cancels the
+                        # transfers into the dead device, freeing links:
+                        # poll for migrations at the transition instant.
+                        assert fabric is not None
+                        migrations.extend(
+                            self._migrate(
+                                devices, churn_time, assignments, fabric,
+                                inflight, ledger, indexes,
+                            )
+                        )
                     continue
 
             if (

@@ -155,8 +155,8 @@ PINNED = {
     'churn/least-loaded/reactive': 'bb7ac25de8866c97',  # 48/0/0, 0 moves
     'churn/online-predicted/proactive': '9eb45a570d4c30d8',  # 48/0/0, 7 moves
     'churn/online-predicted/reactive': 'ab652fb3cb91da3a',  # 48/0/0, 0 moves
-    'churn/preemptive-migration/proactive': 'baad40ca254cb305',  # 48/0/0, 17 moves
-    'churn/preemptive-migration/reactive': '1cbf1598de1fa4ac',  # 48/0/0, 14 moves
+    'churn/preemptive-migration/proactive': '6fd8d407661a6f63',  # 48/0/0, 19 moves
+    'churn/preemptive-migration/reactive': '933678d8452c183c',  # 48/0/0, 15 moves
     'churn/random/proactive': '78dbf4803d713aae',  # 48/0/0, 15 moves
     'churn/random/reactive': 'cbd5e56ab0082556',  # 48/0/0, 0 moves
     'churn/round-robin/proactive': '4a16021441e5c6d0',  # 48/0/0, 12 moves
@@ -169,8 +169,8 @@ PINNED = {
     'outage/least-loaded/reactive': '73eb9c32636ed6a6',  # 18/0/30, 0 moves
     'outage/online-predicted/proactive': '692c0eae33b961c4',  # 19/0/29, 16 moves
     'outage/online-predicted/reactive': '73eb9c32636ed6a6',  # 18/0/30, 0 moves
-    'outage/preemptive-migration/proactive': '608503c31f5391b0',  # 19/0/29, 16 moves
-    'outage/preemptive-migration/reactive': 'aa81ffb1d1144c44',  # 18/0/30, 2 moves
+    'outage/preemptive-migration/proactive': 'c9c9b4a3a481c1f4',  # 19/0/29, 16 moves
+    'outage/preemptive-migration/reactive': '97d59edf6e0412b5',  # 18/0/30, 2 moves
     'outage/random/proactive': 'a1b0d9926ce88bd5',  # 19/0/29, 15 moves
     'outage/random/reactive': '57d9ca015c33b223',  # 19/0/29, 0 moves
     'outage/round-robin/proactive': '692c0eae33b961c4',  # 19/0/29, 16 moves
