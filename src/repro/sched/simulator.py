@@ -869,7 +869,8 @@ class DeviceSim:
         start = task.dispatch_time
         if start is None:
             return
-        restore_end = start + task.dispatch_restore
+        # A device failure can end the dispatch inside its restore phase.
+        restore_end = min(start + task.dispatch_restore, end)
         self.timeline.record(task.task_id, SegmentKind.RESTORE, start, restore_end)
         self.timeline.record(task.task_id, SegmentKind.RUN, restore_end, end)
         if self.tracer.enabled:

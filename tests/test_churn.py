@@ -44,6 +44,7 @@ from repro.sched.simulator import (
     PreemptionMode,
     SimulationConfig,
 )
+from repro.sched.timeline import SegmentKind
 from repro.serving import AdmissionController, PredictionFeedback
 from repro.workloads.specs import TaskSpec
 from repro.workloads.trace import (
@@ -437,6 +438,26 @@ class TestDeviceFail:
         assert orphans == []
         result = device.result()
         assert [task.task_id for task in result.tasks] == [0]
+
+    def test_fail_mid_restore_ends_the_restore_span(self):
+        """A device can die while a re-dispatched task is still restoring
+        its checkpoint; the timeline keeps the restore up to the failure
+        instant instead of rejecting a run span that ends before it
+        starts."""
+        device = make_device()
+        task = make_task(0, 0.0, 500_000.0, Priority.LOW)
+        device.inject(task)
+        device.step()  # dispatch
+        device.force_checkpoint(150_000.0)
+        while task.dispatch_time is None:
+            device.step()  # the trap lands, then the task re-dispatches
+        assert task.dispatch_restore > 0.0
+        start = task.dispatch_time
+        now = start + task.dispatch_restore / 2
+        assert device.fail(now) == [task]
+        restore = device.timeline.segments[-1]
+        assert restore.kind is SegmentKind.RESTORE
+        assert (restore.start_cycles, restore.end_cycles) == (start, now)
 
     def test_recovery_delay_recorded_on_redispatch(self):
         device = make_device()
