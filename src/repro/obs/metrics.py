@@ -3,9 +3,9 @@
 A :class:`MetricsSampler` owns a registry of named counters, gauges,
 and histograms.  Emission sites in the cluster bump counters as events
 happen (admission decisions, completions, SLA outcomes); on every
-sampling tick -- the cluster loop calls :meth:`MetricsSampler.sample`
-whenever simulated time crosses ``interval_cycles`` -- the current
-value of every instrument is appended to that instrument's
+sampling tick -- the cluster loop wakes at each ``next_due``, every
+``interval_cycles`` from time 0, and calls :meth:`MetricsSampler.sample`
+-- the current value of every instrument is appended to that instrument's
 :class:`RingBuffer`, so a run of any length holds at most
 ``capacity`` points per series.
 

@@ -996,7 +996,7 @@ class _ChurnRuntime:
             if transition.event is not None:
                 self._active_event[index] = transition.event
             if self.proactive:
-                device.accepts_work = False
+                device.stop_accepting(now)
                 self._refresh(device)
                 self._evacuate(index, now)
         elif transition.phase == "down":
@@ -1496,7 +1496,8 @@ class ClusterScheduler:
         and router arrivals interleave in timestamp order (ties:
         completions, then transitions, then flushes, then arrivals), so
         every router decision reads the live device state of its
-        instant.  A plain task stream -- single-slice jobs, no batching
+        instant.  A metrics sample due wakes after everything else at
+        its instant.  A plain task stream -- single-slice jobs, no batching
         -- is the degenerate case: one dispatch per task, on one device.
 
         - **Placement**: a static routing precomputes each job's device
@@ -1995,6 +1996,25 @@ class ClusterScheduler:
                 flush_at, flush_key = at, key
                 break
 
+            if sampler is not None:
+                # Sample due: a wake of its own, ranked after every
+                # same-time event, that fires only while work remains.
+                pending_times = [
+                    at
+                    for at in (
+                        device_key[0] if device_key is not None else None,
+                        next_arrival,
+                        flush_at,
+                        churn_rt.peek_time() if churn_rt is not None else None,
+                    )
+                    if at is not None
+                ]
+                if pending_times and sampler.next_due < min(pending_times):
+                    self._sample_obs(
+                        sampler, sampler.next_due, devices, fabric, migrations
+                    )
+                    continue
+
             # Availability transitions rank between same-time completions
             # (which fire first: a task finishing at the failure instant
             # finished) and same-time flushes and arrivals (which see the
@@ -2203,9 +2223,6 @@ class ClusterScheduler:
                 # A doomed device's own event may have freed the array or
                 # the link; revisit its evacuation plan.
                 churn_rt.after_step(stepped, now)
-
-            if sampler is not None and now >= sampler.next_due:
-                self._sample_obs(sampler, now, devices, fabric, migrations)
 
             if settled >= total_jobs:
                 break

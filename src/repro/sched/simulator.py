@@ -29,7 +29,26 @@ per device, :mod:`repro.workloads.trace`) tractable:
   the ready queue at every wake;
 - ready-queue selection goes through the policies' incremental priority
   structures (:mod:`repro.sched.policies`) and the context table's
-  incremental ready index.
+  incremental ready index;
+- the scheduling-period clock runs only while rows are ready (below).
+
+The period clock is a float chain: anchored one period after the first
+admitted arrival, then ``tick + period_cycles`` repeated.  Algorithm 2
+grants tokens only to READY rows, so a tick over an empty ready queue
+changes nothing, and the chain *sleeps* instead of firing it.  When an
+event leaves a row READY on a sleeping chain (an arrival the scheduler
+could not dispatch on the spot, a forced checkpoint) the device walks the
+chain forward to the first tick at or after that instant and arms it --
+never ``anchor + k * period``, which rounds differently -- so every tick
+that can grant tokens fires at exactly the timestamp of an every-period
+clock.  Two rules of that clock are kept exactly:
+
+- a sleeping device that drains (every injected task done) arms one real
+  tick at its next chain instant; that tick decides, as before, whether
+  the chain lives on or the next arrival re-anchors it;
+- a device that stopped accepting work (a churn warning window) keeps
+  ticking every period: the cluster re-plans its evacuation on the
+  device's own events, so those ticks are its polls.
 
 Preemption modes:
 
@@ -160,8 +179,10 @@ class DeviceSim:
     Holds the per-run mutable state the old monolithic ``run()`` kept in
     locals -- event heap, context table, runtimes, reservation bookkeeping
     -- and exposes it one event at a time.  Tasks may be injected before
-    or during the run; the scheduling-period clock arms itself lazily at
-    the first processed arrival, so an initially idle device costs nothing.
+    or during the run; the scheduling-period clock anchors itself at the
+    first processed arrival and fires only while a row is READY (or the
+    device is doomed), so an idle or purely busy device costs no ticks.
+    The module docstring has the chain rules.
     """
 
     def __init__(
@@ -193,6 +214,11 @@ class DeviceSim:
         self._npu_reserved_until = 0.0
         #: Task with an in-flight DISPATCH reservation (post-preemption).
         self._reserved_task_id: Optional[int] = None
+        #: Next instant of the period chain (None: no chain; the next
+        #: admitted arrival anchors one).  ``_period_armed`` says whether
+        #: a PERIOD event for it is queued; a live chain that is not
+        #: armed is sleeping.
+        self._next_tick: Optional[float] = None
         self._period_armed = False
         self._preemption_count = 0
         self._drain_decisions = 0
@@ -241,7 +267,9 @@ class DeviceSim:
         #: mode) while a revocation/drain warning window is open.  The
         #: cluster layer's routing, stealing, and idle indexes all treat
         #: a non-accepting device as invisible; churn-free runs never
-        #: clear it, so every historical code path is unchanged.
+        #: clear it, so every historical code path is unchanged.  A
+        #: warning closes it through :meth:`stop_accepting`, which also
+        #: keeps the period clock ticking.
         self.accepts_work = True
 
     def _notify_event_change(self) -> None:
@@ -591,6 +619,18 @@ class DeviceSim:
         self.policy.on_remove(task.context, now)
         return task
 
+    def stop_accepting(self, now: float) -> None:
+        """Close the churn gate at cycle ``now`` (a warning window opened).
+
+        The doomed device keeps its period clock ticking every period
+        from here on, ready rows or not: the cluster re-plans its
+        evacuation only on the device's own events, so its ticks are the
+        evacuation's polls.
+        """
+        self.accepts_work = False
+        self._arm_period(now)
+        self._notify_event_change()
+
     def fail(self, now: float) -> List[TaskRuntime]:
         """Fail-stop this device at cycle ``now``.
 
@@ -634,6 +674,7 @@ class DeviceSim:
         self._running_id = None
         self._reserved_task_id = None
         self._npu_reserved_until = now
+        self._next_tick = None
         self._period_armed = False
         self.accepts_work = False
         self._notify_event_change()
@@ -722,6 +763,7 @@ class DeviceSim:
         self._preemption_count += 1
         self._running_id = None
         self._push(free_at, _EventKind.DISPATCH, None)
+        self._arm_period(now)  # the victim's row is READY again
         self._notify_event_change()
         return free_at, outcome.checkpoint_bytes
 
@@ -764,16 +806,15 @@ class DeviceSim:
             # state, so it joins the preempted (not the stealable) set.
             self._preempted[task_id] = task
         self.policy.on_admit(task.context, now)
-        if not self._period_armed:
+        if self._next_tick is None:
             # Lazy period clock: first tick one period after the first
             # admitted arrival (matches the monolithic run()'s anchor).
-            self._period_armed = True
-            self._push(
-                now + self.config.scheduler.period_cycles,
-                _EventKind.PERIOD,
-                None,
-            )
+            self._next_tick = now + self.config.scheduler.period_cycles
         self._wake(now)
+        if self._tick_can_matter():
+            # Still ready after the wake (an arrival dispatched on the
+            # spot leaves nothing for a tick to grant).
+            self._arm_period(now)
 
     def _on_complete(self, now: float, payload: object) -> None:
         task_id, epoch = payload  # type: ignore[misc]
@@ -802,22 +843,28 @@ class DeviceSim:
         if task_id == self._running_id:
             self._running_id = None
         self._wake(now)
+        if self._completed == len(self._runtimes):
+            # Drained: a sleeping chain still owes its next tick, which
+            # decides whether the next arrival re-anchors the chain.
+            self._arm_period(now)
 
     def _on_period(self, now: float) -> None:
         self._period_armed = False
-        if self._completed < len(self._runtimes):
-            self._period_armed = True
-            self._push(
-                now + self.config.scheduler.period_cycles,
-                _EventKind.PERIOD,
-                None,
-            )
+        # The chain lives while any injected task is unfinished; once the
+        # device drains, the next admitted arrival re-anchors it.
+        self._next_tick = (
+            now + self.config.scheduler.period_cycles
+            if self._completed < len(self._runtimes)
+            else None
+        )
         # Lazy settlement: period ticks are the one wake that *reads*
         # waiting time (token grants), so they settle the ready queue.
         self._accrue_ready(now)
         if self.policy.uses_tokens:
             self.policy.on_period(self._table)
         self._wake(now)
+        if self._tick_can_matter():
+            self._arm_period(now)
 
     def _on_dispatch(self, now: float, task_id: Optional[int]) -> None:
         self._reserved_task_id = None
@@ -837,6 +884,30 @@ class DeviceSim:
     # ------------------------------------------------------------------
     # Scheduler core
     # ------------------------------------------------------------------
+    def _tick_can_matter(self) -> bool:
+        """Whether the chain's next tick must fire rather than sleep: a
+        row is READY (token grants), or the device is doomed (its ticks
+        poll the evacuation)."""
+        return self._table.has_ready or not self.accepts_work
+
+    def _arm_period(self, now: float) -> None:
+        """Arm a sleeping chain at its first tick at or after ``now``.
+
+        Walks the chain with the every-period clock's own float steps
+        (``tick + period_cycles``, repeated), so the armed tick lands on
+        exactly the timestamp that clock would have fired at.  A no-op
+        when the chain is already armed or does not exist.
+        """
+        if self._period_armed or self._next_tick is None:
+            return
+        period = self.config.scheduler.period_cycles
+        tick = self._next_tick
+        while tick < now:
+            tick += period
+        self._next_tick = tick
+        self._period_armed = True
+        self._push(tick, _EventKind.PERIOD, None)
+
     def _accrue_ready(self, now: float) -> None:
         """Settle waiting time for every ready row up to ``now``.
 

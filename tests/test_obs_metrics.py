@@ -18,6 +18,10 @@ from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.serving.slo import DEFAULT_SLOS
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.trace import (
+    DEFAULT_MEAN_INTERARRIVAL_CYCLES,
+    synthetic_trace_runtimes,
+)
 
 
 class TestRingBuffer:
@@ -186,6 +190,32 @@ class TestClusterSampling:
         assert sampler._series["cluster.utilization"].total_appended > capacity
         for name in sampler.series_names():
             assert len(sampler.series(name)) <= capacity
+
+    def test_samples_keep_their_cadence(self, config):
+        """Sample-due is a wake of its own, not a ride on the next device
+        event: however sparse the events, consecutive samples are never
+        more than one interval apart."""
+        interval = DEFAULT_MEAN_INTERARRIVAL_CYCLES / 5
+        sampler = MetricsSampler(interval_cycles=interval, capacity=4096)
+        trace = synthetic_trace_runtimes(
+            500,
+            seed=35,
+            mean_interarrival_cycles=DEFAULT_MEAN_INTERARRIVAL_CYCLES / 4,
+        )
+        ClusterScheduler(
+            4,
+            SimulationConfig(npu=config, mode=PreemptionMode.DYNAMIC),
+            config=ClusterConfig(
+                policy_name="PREMA",
+                routing=RoutingPolicy.PREEMPTIVE_MIGRATION,
+                seed=35,
+                metrics_sampler=sampler,
+            ),
+        ).run(trace)
+        times = [at for at, _ in sampler.series("cluster.utilization")]
+        assert len(times) > 500
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert max(gaps) <= interval * (1 + 1e-12)
 
     def test_rack_series_recorded(self, factory, config):
         sampler = self.run_sampled(

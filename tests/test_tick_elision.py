@@ -1,0 +1,259 @@
+"""Idle-tick elision is decision-neutral: elided runs equal a ticking oracle.
+
+``DeviceSim`` lets its scheduling-period chain sleep while no row is
+READY and walks the chain forward when one becomes ready (see the
+:mod:`repro.sched.simulator` docstring).  :class:`TickingDeviceSim`
+restores the every-period clock -- a live chain always re-arms -- and is
+patched into the cluster and single-NPU layers as the oracle.  Every
+drawn configuration must reproduce the oracle's decisions bit for bit:
+the golden encoder's view of the run, plus the preemption and drain
+counters.
+
+The draws cover routing x device policy x NP / STATIC-CHECKPOINT /
+STATIC-KILL / DYNAMIC x churn (none / proactive / reactive) x fabric
+(PCIe gen3 / a slow shared bus) x racks x metrics sampler, on traces of
+at most 64 tasks.  Each of these breaks the suite: re-arming a woken
+chain at ``now + period`` instead of walking it, dropping the tick a
+sleeping device arms when it drains, and letting a doomed device's
+clock sleep.
+"""
+
+import contextlib
+import copy
+import hashlib
+import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers_golden import _encode_cluster_v2, _encode_result
+from repro.analysis.runner import FIG13_SETUPS
+from repro.npu.config import NPUConfig
+from repro.obs import MetricsSampler
+from repro.sched import cluster as cluster_module
+from repro.sched import simulator as simulator_module
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
+from repro.sched.faults import ChurnEvent, ChurnSchedule
+from repro.sched.interconnect import InterconnectConfig
+from repro.sched.policies import POLICY_NAMES, make_policy
+from repro.sched.rack import RackTopology
+from repro.sched.simulator import DeviceSim, PreemptionMode, SimulationConfig
+from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.trace import (
+    DEFAULT_MEAN_INTERARRIVAL_CYCLES,
+    synthetic_trace_runtimes,
+)
+
+_NPU = NPUConfig()
+_NUM_DEVICES = 4
+_MODES = (
+    (PreemptionMode.NP, "CHECKPOINT"),
+    (PreemptionMode.STATIC, "CHECKPOINT"),
+    (PreemptionMode.STATIC, "KILL"),
+    (PreemptionMode.DYNAMIC, "CHECKPOINT"),
+)
+_FABRICS = {
+    "pcie_gen3": InterconnectConfig.pcie_gen3(),
+    # Slow enough that checkpoint shipments queue on the shared medium.
+    "slow_bus": InterconnectConfig.from_bytes_per_sec(
+        0.5e9, 5.0, topology="bus", name="slow-bus"
+    ),
+}
+_QOS_MIX = {"interactive": 0.3, "standard": 0.4, "batch": 0.3}
+
+
+class TickingDeviceSim(DeviceSim):
+    """The every-period clock: a live chain re-arms at every tick."""
+
+    def _tick_can_matter(self) -> bool:
+        return True
+
+
+@contextlib.contextmanager
+def ticking():
+    """Build every device from :class:`TickingDeviceSim` inside."""
+    saved = cluster_module.DeviceSim, simulator_module.DeviceSim
+    cluster_module.DeviceSim = simulator_module.DeviceSim = TickingDeviceSim
+    try:
+        yield
+    finally:
+        cluster_module.DeviceSim, simulator_module.DeviceSim = saved
+
+
+def _cluster_run(case):
+    """Run one drawn cluster configuration; returns its decision record."""
+    trace = synthetic_trace_runtimes(
+        case["num_tasks"],
+        seed=case["seed"],
+        mean_interarrival_cycles=(
+            DEFAULT_MEAN_INTERARRIVAL_CYCLES / (_NUM_DEVICES * case["load"])
+        ),
+        estimate_error=0.5,
+        bursty=case["bursty"],
+        qos_mix=_QOS_MIX,
+    )
+    churn = None
+    if case["churn"] != "none":
+        horizon = max(task.spec.arrival_cycles for task in trace)
+        churn = ChurnSchedule.generate(
+            _NUM_DEVICES,
+            horizon_cycles=horizon,
+            seed=case["seed"],
+            fault_rate=1.5 / horizon,
+            revocation_rate=1.5 / horizon,
+            drain_rate=0.75 / horizon,
+            mean_outage_cycles=horizon / 5.0,
+            mean_warning_cycles=horizon / 60.0,
+            never_restore_probability=0.25,
+        )
+    fabric = _FABRICS[case["fabric"]]
+    racks = None
+    if case["racks"]:
+        racks = RackTopology.uniform(2, _NUM_DEVICES // 2)
+        fabric = fabric.oversubscribed(4.0)
+    sampler = None
+    if case["sampler"]:
+        sampler = MetricsSampler(
+            interval_cycles=DEFAULT_MEAN_INTERARRIVAL_CYCLES / 2
+        )
+    mode, mechanism = case["mode"]
+    scheduler = ClusterScheduler(
+        _NUM_DEVICES,
+        SimulationConfig(npu=_NPU, mode=mode, mechanism=mechanism),
+        config=ClusterConfig(
+            policy_name=case["policy"],
+            routing=case["routing"],
+            seed=case["seed"],
+            interconnect=fabric,
+            churn=churn,
+            proactive_migration=case["churn"] == "proactive",
+            racks=racks,
+            metrics_sampler=sampler,
+        ),
+    )
+    result = scheduler.run(trace)
+    devices = [r for r in result.device_results if r is not None]
+    payload = {
+        "encoded": _encode_cluster_v2(result),
+        "tasks": [task.task_id for task in result.tasks],
+        "rejected": [task.task_id for task in result.rejected_tasks],
+        "lost": [task.task_id for task in result.lost_tasks],
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return {
+        "digest": hashlib.sha256(blob).hexdigest(),
+        "preemptions": sum(r.preemption_count for r in devices),
+        "drains": sum(r.drain_decisions for r in devices),
+        "events": result.events_processed,
+    }
+
+
+_cases = st.fixed_dictionaries(
+    {
+        "routing": st.sampled_from(tuple(RoutingPolicy)),
+        "policy": st.sampled_from(POLICY_NAMES),
+        "mode": st.sampled_from(_MODES),
+        "churn": st.sampled_from(("none", "proactive", "reactive")),
+        "fabric": st.sampled_from(tuple(_FABRICS)),
+        "racks": st.booleans(),
+        "sampler": st.booleans(),
+        "num_tasks": st.integers(min_value=8, max_value=64),
+        "seed": st.integers(min_value=0, max_value=10_000),
+        # Below 1 devices drain and idle between arrivals; above 1 ready
+        # queues build up.
+        "load": st.sampled_from((0.3, 0.8, 1.5)),
+        "bursty": st.booleans(),
+    }
+)
+
+
+@given(case=_cases)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cluster_run_matches_ticking_oracle(case):
+    elided = _cluster_run(case)
+    with ticking():
+        oracle = _cluster_run(case)
+    assert elided["digest"] == oracle["digest"]
+    assert elided["preemptions"] == oracle["preemptions"]
+    assert elided["drains"] == oracle["drains"]
+    assert elided["events"] <= oracle["events"]
+
+
+def test_fig13_setups_match_ticking_oracle(factory):
+    workloads = WorkloadGenerator(
+        seed=13, arrival_window_cycles=_NPU.ms_to_cycles(8.0)
+    ).generate_many(3, num_tasks=8)
+    for setup in FIG13_SETUPS:
+        for workload in workloads:
+            elided = setup.build_simulator(_NPU).run(
+                factory.build_workload(workload)
+            )
+            with ticking():
+                oracle = setup.build_simulator(_NPU).run(
+                    factory.build_workload(workload)
+                )
+            assert _encode_result(elided) == _encode_result(oracle), setup.label
+            assert elided.preemption_count == oracle.preemption_count
+            assert elided.drain_decisions == oracle.drain_decisions
+
+
+def test_doomed_device_polls_its_evacuation_at_its_ticks():
+    """A doomed device keeps its clock even with nothing ready.
+
+    Device 0 runs one long task and is warned while device 1 is down, so
+    the evacuation finds no target.  Device 1 restores inside the
+    warning window; only device 0's own ticks re-plan the evacuation, and
+    the first one after the restore checkpoint-migrates the task out
+    before the revocation.
+    """
+    def run():
+        (task,) = synthetic_trace_runtimes(1, seed=1, mean_service_cycles=20e6)
+        start, span = task.spec.arrival_cycles, task.profile.total_cycles
+
+        def at(fraction):
+            return start + fraction * span
+
+        schedule = ChurnSchedule(
+            (
+                ChurnEvent(1, "fault", at(0.1), at(0.1), at(0.4)),
+                ChurnEvent(0, "revocation", at(0.2), at(0.9), math.inf),
+            )
+        )
+        scheduler = ClusterScheduler(
+            2,
+            SimulationConfig(npu=_NPU, mode=PreemptionMode.DYNAMIC),
+            config=ClusterConfig(
+                policy_name="PREMA",
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                churn=schedule,
+                proactive_migration=True,
+            ),
+        )
+        result = scheduler.run([task])
+        return result, at(0.4), at(0.9)
+
+    elided, restore, deadline = run()
+    with ticking():
+        oracle, _, _ = run()
+    assert _encode_cluster_v2(elided) == _encode_cluster_v2(oracle)
+    (move,) = elided.migrations
+    assert move.kind == "checkpoint"
+    assert restore <= move.time_cycles < deadline
+    assert elided.events_processed < oracle.events_processed
+
+
+def test_oracle_ticks_more():
+    """The elision is real: a busy device's idle ticks disappear."""
+    trace = synthetic_trace_runtimes(48, seed=3)
+    config = SimulationConfig(npu=_NPU, mode=PreemptionMode.DYNAMIC)
+
+    def events(cls):
+        sim = cls(config, make_policy("PREMA"))
+        for task in copy.deepcopy(trace):
+            sim.inject(task)
+        while sim.has_live_tasks and sim.next_event_time() is not None:
+            sim.step()
+        return sim.events_processed
+
+    assert events(DeviceSim) < events(TickingDeviceSim)
