@@ -16,8 +16,6 @@ The PR-6 compatibility contract and the new mechanics, end to end:
    rejects a would-be member.
 """
 
-import dataclasses
-
 import pytest
 
 from helpers_golden import _encode_cluster_v2
