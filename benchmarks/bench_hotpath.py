@@ -22,7 +22,8 @@ reported *normalized* against a small pure-Python calibration loop
 (heap + dict churn) timed in the same process, which makes numbers
 roughly comparable across machines; ``--check`` compares normalized
 tasks/second against a committed baseline and fails the run when any tier
-regresses by more than 30% (override with ``--tolerance``).
+regresses by more than 30% (override with ``--tolerance``) or a baseline
+tier was not measured.
 ``--update-baseline`` rewrites the baseline from the current run.
 """
 
@@ -32,7 +33,6 @@ import argparse
 import heapq
 import json
 import math
-import os
 import pathlib
 import platform
 import sys
@@ -171,7 +171,6 @@ def measure_cluster(
     tracer: Optional[Tracer] = None,
     metrics_sampler: Optional[MetricsSampler] = None,
     profiler: Optional[HotPathProfiler] = None,
-    workers: Optional[int] = None,
     cross_rack_threshold_cycles: Optional[float] = None,
 ) -> Dict[str, float]:
     """Wall time of a cluster run over an aggregate open-arrival trace.
@@ -223,7 +222,6 @@ def measure_cluster(
             tracer=tracer,
             metrics_sampler=metrics_sampler,
             profiler=profiler,
-            workers=workers,
         ),
     )
     start = time.perf_counter()
@@ -365,21 +363,6 @@ def run(tier: str = "full") -> Dict[str, object]:
     )
     record["normalized"] = record["tasks_per_sec"] / calibration_ops
     results["rack_32x32_inf"] = record
-    # The parallel backend on the same rack shape scaled to 4x64: the
-    # conservative-PDES protocol (per-arrival barriers, rack-key
-    # exchange, event-log merge) under the regression gate.  Worker
-    # count matches available cores (capped at 4) so the floor tracks
-    # the protocol's overhead, not the host's core count.
-    record = measure_cluster(
-        1000,
-        num_devices=256,
-        seed=39,
-        racks=RackTopology.uniform(4, 64),
-        workers=min(4, max(2, os.cpu_count() or 2)),
-        cross_rack_threshold_cycles=math.inf,
-    )
-    record["normalized"] = record["tasks_per_sec"] / calibration_ops
-    results["parallel_rack_4x64"] = record
     if tier == "full":
         record = measure_single_device(FULL_TIERS[-1], bursty=True)
         record["normalized"] = record["tasks_per_sec"] / calibration_ops
@@ -427,13 +410,21 @@ def check_baseline(
     baseline_path: pathlib.Path,
     tolerance: float,
 ) -> int:
-    """Return non-zero when any tier regressed beyond ``tolerance``."""
+    """Return non-zero when any baseline tier regressed beyond
+    ``tolerance`` or was not measured by this run.
+
+    An unmeasured tier fails by name: skipping it would let a deleted or
+    renamed tier silently drop its floor.
+    """
     baseline = json.loads(baseline_path.read_text())
     failures = []
+    checked = 0
     for name, reference in baseline["normalized"].items():
         record = payload["tiers"].get(name)
         if record is None or "normalized" not in record:
+            failures.append(f"{name}: not measured by this run")
             continue
+        checked += 1
         floor = reference * (1.0 - tolerance)
         if record["normalized"] < floor:
             failures.append(
@@ -445,7 +436,7 @@ def check_baseline(
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"baseline check OK ({len(baseline['normalized'])} tiers)")
+    print(f"baseline check OK ({checked} tiers)")
     return 0
 
 
@@ -520,6 +511,38 @@ def test_hotpath_smoke(emit):
     RESULTS_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
+
+
+def _baseline_file(tmp_path: pathlib.Path) -> pathlib.Path:
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({"normalized": {"fast": 1.0, "slow": 2.0}}))
+    return path
+
+
+def test_check_baseline_all_tiers_above_floor(tmp_path, capsys):
+    payload = {"tiers": {"fast": {"normalized": 0.9}, "slow": {"normalized": 2.5}}}
+    assert check_baseline(payload, _baseline_file(tmp_path), 0.30) == 0
+    assert "baseline check OK (2 tiers)" in capsys.readouterr().out
+
+
+def test_check_baseline_tier_below_floor(tmp_path, capsys):
+    payload = {"tiers": {"fast": {"normalized": 0.9}, "slow": {"normalized": 1.3}}}
+    assert check_baseline(payload, _baseline_file(tmp_path), 0.30) == 1
+    err = capsys.readouterr().err
+    assert "slow: normalized 1.3000 < 1.4000" in err
+    assert "fast" not in err
+
+
+def test_check_baseline_unmeasured_tier(tmp_path, capsys):
+    baseline = _baseline_file(tmp_path)
+    for tiers in (
+        {"fast": {"normalized": 0.9}},
+        {"fast": {"normalized": 0.9}, "slow": {"tasks_per_sec": 5.0}},
+    ):
+        assert check_baseline({"tiers": tiers}, baseline, 0.30) == 1
+        captured = capsys.readouterr()
+        assert "slow: not measured by this run" in captured.err
+        assert "baseline check OK" not in captured.out
 
 
 if __name__ == "__main__":

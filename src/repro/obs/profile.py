@@ -47,12 +47,6 @@ class HotPathProfiler:
         finally:
             self.add(name, time.perf_counter_ns() - start)
 
-    def merge(self, other: "HotPathProfiler") -> None:
-        for section, nanos in other.nanos.items():
-            self.nanos[section] = self.nanos.get(section, 0) + nanos
-        for section, count in other.counts.items():
-            self.counts[section] = self.counts.get(section, 0) + count
-
     def report(self) -> Dict[str, Dict[str, float]]:
         """Per-section totals: calls, total ms, mean microseconds."""
         out: Dict[str, Dict[str, float]] = {}

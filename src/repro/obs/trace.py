@@ -207,37 +207,6 @@ class Tracer:
         return len(self.events)
 
     # ------------------------------------------------------------------
-    # Shard merge
-    # ------------------------------------------------------------------
-    def merge_shards(self, shards: List[List[tuple]]) -> None:
-        """Fold per-worker event shards into this tracer, in order.
-
-        The parallel backend hands each worker its own buffer; merging
-        renumbers emission deterministically by sorting the union on
-        ``(ts, shard, local emission index)``, with this tracer's own
-        events (the coordinator's shard) ordered first at equal
-        timestamps.  The ``max_events`` cap is re-applied after the
-        sort, so a merged trace drops exactly the events a capped
-        serial run would have dropped last, and the drop count stays
-        self-describing in the export.
-        """
-        tagged: List[Tuple[float, int, int, tuple]] = [
-            (event[3], 0, local, event)
-            for local, event in enumerate(self.events)
-        ]
-        for shard_idx, shard in enumerate(shards, start=1):
-            tagged.extend(
-                (event[3], shard_idx, local, event)
-                for local, event in enumerate(shard)
-            )
-        tagged.sort(key=lambda entry: entry[:3])
-        merged = [entry[3] for entry in tagged]
-        if len(merged) > self.max_events:
-            self.dropped += len(merged) - self.max_events
-            merged = merged[: self.max_events]
-        self.events = merged
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def chrome_trace(self) -> Dict[str, object]:

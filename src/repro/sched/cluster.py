@@ -249,16 +249,6 @@ class ClusterConfig:
     #: attributing control-plane wall time per event kind (route, steal,
     #: migrate, admission, index maintenance, churn handling).
     profiler: Optional[object] = None
-    #: Parallel backend (repro.sched.parallel): shard the fleet by rack
-    #: across this many worker processes under conservative PDES
-    #: synchronization.  ``None`` or ``1`` runs today's serial loop
-    #: untouched; ``N >= 2`` engages the parallel backend for supported
-    #: configurations (static routings without churn; ONLINE_PREDICTED /
-    #: WORK_STEALING over multi-rack fleets -- see
-    #: ``repro.sched.parallel.supported_reason``) and transparently
-    #: falls back to the serial loop otherwise.  Results are bit-for-bit
-    #: identical either way.
-    workers: Optional[int] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1387,15 +1377,6 @@ class ClusterScheduler:
         if self.sampler is not None and getattr(self.sampler, "tracer", None) is None:
             self.sampler.tracer = self.tracer
         self.profiler = config.profiler
-        if config.workers is not None and config.workers < 1:
-            raise ValueError("workers must be a positive worker count")
-        self.workers = config.workers
-        #: Whether the most recent run actually took the parallel fast
-        #: path (vs the serial loop or a transparent fallback).
-        self.last_run_parallel = False
-        #: Phase/worker timing dict from the most recent parallel run
-        #: (None after a serial run); see ``run_parallel``.
-        self.last_parallel_stats: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Static routing (the up-front pass)
@@ -1451,15 +1432,8 @@ class ClusterScheduler:
         zero-copy) and served by the cluster event loop; with
         ``ClusterConfig.batching`` set the router may coalesce and shard
         those dispatches.  Without batching the wrappers are internal:
-        the result carries no ``jobs`` and no ``batches``.  ``workers >=
-        2`` takes the rack-sharded parallel backend when it supports the
-        configuration (bit-for-bit the same result).
+        the result carries no ``jobs`` and no ``batches``.
         """
-        if self.workers is not None and self.workers >= 2:
-            from repro.sched.parallel import run_parallel, supported_reason
-
-            if supported_reason(self) is None:
-                return run_parallel(self, tasks)
         if not tasks:
             raise ValueError("need at least one task")
         result = self._run_gangs([Job.single(task) for task in tasks])
@@ -1534,8 +1508,6 @@ class ClusterScheduler:
                 if member.task_id in seen:
                     raise ValueError(f"duplicate task id {member.task_id}")
                 seen.add(member.task_id)
-        self.last_run_parallel = False
-        self.last_parallel_stats = None
         batching = self.batching
         #: A plain task stream keeps the per-task semantics: no batch
         #: records, and churn orphans restart instead of losing a gang.

@@ -30,11 +30,10 @@ being a device for :meth:`~ChurnSchedule.generate` and a rack for
 arrival or runtime streams, so a churn-enabled run sees bit-identical
 task traces to a churn-free one.  Substreams additionally make the
 schedule *partition-stable*: unit ``u``'s outage windows are a pure
-function of ``(seed, u, rates)`` alone, so a rack-sharded fleet (the
-parallel backend) regenerating only its own racks' schedules reproduces
-exactly the events the global draw assigned them, and growing the fleet
-never reshuffles the outages of the units that were already there
-(``tests/test_churn.py`` pins both properties).  Only the global
+function of ``(seed, u, rates)`` alone, so growing the fleet never
+reshuffles the outages of the units that were already there, and
+drawing only racks ``0..k`` reproduces exactly the events the global
+draw assigned them (``tests/test_churn.py`` pins both).  Only the global
 ``max_concurrent_down`` cap couples units, and it does so through a
 deterministic post-pass arbitration over the independently drawn
 windows (earliest warning wins), not through the RNG streams.

@@ -198,17 +198,6 @@ class InterconnectConfig:
         )
         return self.latency_cycles + self.uplink_latency + num_bytes / bottleneck
 
-    def lookahead_cycles(self) -> float:
-        """Conservative-PDES lookahead bound for the parallel backend.
-
-        No cross-rack effect decided at cycle ``t`` can land on another
-        rack before ``t + lookahead_cycles()``: even a zero-byte payload
-        pays the rack-local hop plus the uplink hop on a path-aware
-        fabric.  Shards may therefore simulate ``[t, t + lookahead)``
-        without hearing from their peers.
-        """
-        return self.latency_cycles + self.uplink_latency
-
 
 @dataclasses.dataclass(frozen=True)
 class TransferRecord:

@@ -37,24 +37,7 @@ import heapq
 import math
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["RackTopology", "RackRouter", "pick_rack_from_keys"]
-
-
-def pick_rack_from_keys(keys: Sequence[Tuple[float, int]]) -> Optional[int]:
-    """Global rack pick from exchanged ``(key, rack)`` aggregates.
-
-    The parallel coordinator collects each shard's owned-rack keys
-    (:meth:`RackRouter.rack_keys`) and replays the serial tie-break:
-    least key wins, ties to the lowest rack id, ``None`` when every
-    rack keys to ``inf`` (no accepting capacity anywhere).
-    """
-    best: Optional[Tuple[float, int]] = None
-    for key, rack in keys:
-        if math.isinf(key):
-            continue
-        if best is None or (key, rack) < best:
-            best = (key, rack)
-    return None if best is None else best[1]
+__all__ = ["RackTopology", "RackRouter"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,17 +207,6 @@ class RackRouter:
                 for index in self.topology.devices_in(rack)
             ]
             heapq.heapify(self._device_heaps[rack])
-
-    def rack_keys(self, racks: Sequence[int]) -> Tuple[float, ...]:
-        """Snapshot the named racks' routing keys for aggregate exchange.
-
-        The parallel backend ships each shard's owned-rack keys to the
-        coordinator, which re-derives the global pick via
-        :func:`pick_rack_from_keys`; because every key is the shard's
-        own incremental sum, the mirrored pick is float-identical to
-        what a single-process :meth:`pick_rack` would have chosen.
-        """
-        return tuple(self._key[rack] for rack in racks)
 
     def pick_rack(self) -> Optional[int]:
         """Least aggregate-backlog rack (ties to the lowest rack id);

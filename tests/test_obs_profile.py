@@ -34,15 +34,6 @@ class TestHotPathProfiler:
         assert profiler.counts["index"] == 1
         assert profiler.nanos["index"] > 0
 
-    def test_merge(self):
-        left, right = HotPathProfiler(), HotPathProfiler()
-        left.add("route", 10)
-        right.add("route", 5)
-        right.add("churn", 7)
-        left.merge(right)
-        assert left.nanos == {"route": 15, "churn": 7}
-        assert left.counts == {"route": 2, "churn": 1}
-
     def test_render_sorted_by_cost(self):
         profiler = HotPathProfiler()
         profiler.add("cheap", 10)
