@@ -289,10 +289,8 @@ class ChurnSchedule:
 
         Device ``d``'s candidate windows come from ``random.Random(seed
         ^ CHURN_STREAM_SALT ^ d)`` alone, so they are a pure function of
-        ``(seed, d, rates)``: a rack-sharded worker regenerating only
-        its own devices' schedules reproduces exactly the events the
-        global draw assigned them, and growing the fleet never
-        reshuffles the outages of existing devices.
+        ``(seed, d, rates)``: growing the fleet never reshuffles the
+        outages of existing devices.
         """
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")

@@ -61,6 +61,19 @@ class TestClusterExecution:
         assert all(task.is_done for task in result.tasks)
         assert result.num_devices == 3
 
+    def test_result_tasks_are_the_callers_runtimes(self, config, factory,
+                                                  workload):
+        """``run`` wraps each task zero-copy: ``result.tasks`` are the
+        caller's runtimes, completed in place."""
+        cluster = make_cluster(config, 3, RoutingPolicy.ONLINE_PREDICTED)
+        runtimes = factory.build_workload(workload)
+        result = cluster.run(runtimes)
+        by_id = {task.task_id: task for task in runtimes}
+        assert sorted(task.task_id for task in result.tasks) == sorted(by_id)
+        for task in result.tasks:
+            assert task is by_id[task.task_id]
+            assert task.is_done
+
     def test_assignments_cover_all_tasks(self, config, factory, workload):
         cluster = make_cluster(config, 2, RoutingPolicy.ROUND_ROBIN)
         result = cluster.run(factory.build_workload(workload))

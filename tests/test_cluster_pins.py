@@ -12,7 +12,13 @@ unnoticed:
   and then for good (arrivals and orphans park, restores re-place them,
   the rest is lost);
 - ONLINE_PREDICTED behind admission control at 2x overload, rejecting;
-- WORK_STEALING on a 2x4 rack topology.
+- WORK_STEALING on a 2x4 rack topology;
+- rack topologies: all seven routings on 4 racks of 2; WORK_STEALING
+  with a rack-local (infinite) and a 3e6-cycle cross-rack threshold,
+  on one rack of 8 and on 8 racks of 1; ONLINE_PREDICTED on uneven racks,
+  under each device policy, and composed with admission control,
+  batching and the cluster-wide token ledger; and three routings under
+  rack-correlated churn.
 
 Each digest hashes the golden encoder's view of the run
 (``_encode_cluster_v2``) plus the id order of ``tasks``,
@@ -23,8 +29,10 @@ alongside an intentional behavioural change::
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -32,6 +40,7 @@ from helpers_golden import _encode_cluster_v2
 from repro.npu.config import NPUConfig
 from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.faults import ChurnSchedule
+from repro.sched.job import BatchConfig
 from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.serving import AdmissionController, PredictionFeedback
@@ -114,6 +123,98 @@ def rack_case():
     return racks.num_devices, config, trace
 
 
+def racked_case(racks, routing, *, seed=17, num_tasks=64,
+                policy_name="PREMA", **config_kwargs):
+    trace = synthetic_trace_runtimes(
+        num_tasks,
+        seed=seed,
+        mean_interarrival_cycles=(
+            DEFAULT_MEAN_INTERARRIVAL_CYCLES / racks.num_devices
+        ),
+    )
+    config = ClusterConfig(
+        policy_name=policy_name,
+        routing=routing,
+        seed=seed,
+        racks=racks,
+        **config_kwargs,
+    )
+    return racks.num_devices, config, trace
+
+
+def rack_churn_case(routing):
+    """Outages that take whole racks down, at most two racks at once."""
+    racks = RackTopology.uniform(4, 2)
+    num_devices, config, trace = racked_case(racks, routing)
+    horizon = max(task.spec.arrival_cycles for task in trace)
+    schedule = ChurnSchedule.generate_rack_correlated(
+        racks.rack_of,
+        horizon_cycles=horizon,
+        seed=6,
+        fault_rate=1.0 / horizon,
+        revocation_rate=1.0 / horizon,
+        mean_outage_cycles=horizon / 5.0,
+        mean_warning_cycles=horizon / 60.0,
+        max_concurrent_down_racks=2,
+    )
+    assert len(schedule) > 0
+    return num_devices, dataclasses.replace(config, churn=schedule), trace
+
+
+_UNIFORM_4X2 = RackTopology.uniform(4, 2)
+_ONLINE = RoutingPolicy.ONLINE_PREDICTED
+_STEALING = RoutingPolicy.WORK_STEALING
+
+RACK_CASES = {
+    **{
+        f"rack/{routing.value}/4x2":
+        (lambda routing=routing: racked_case(_UNIFORM_4X2, routing))
+        for routing in RoutingPolicy
+    },
+    "rack/work-stealing/4x2/rack-local": lambda: racked_case(
+        _UNIFORM_4X2, _STEALING, cross_rack_threshold_cycles=math.inf
+    ),
+    "rack/work-stealing/4x2/threshold-3e6": lambda: racked_case(
+        _UNIFORM_4X2, _STEALING, cross_rack_threshold_cycles=3e6
+    ),
+    "rack/work-stealing/1x8": lambda: racked_case(
+        RackTopology.uniform(1, 8), _STEALING
+    ),
+    "rack/work-stealing/8x1": lambda: racked_case(
+        RackTopology.uniform(8, 1), _STEALING
+    ),
+    "rack/online-predicted/1+2+5": lambda: racked_case(
+        RackTopology.from_sizes([1, 2, 5]), _ONLINE, seed=23
+    ),
+    **{
+        f"rack/online-predicted/2x3/{policy_name.lower()}":
+        (lambda index=index, policy_name=policy_name: racked_case(
+            RackTopology.uniform(2, 3), _ONLINE, seed=30 + index,
+            num_tasks=32, policy_name=policy_name,
+        ))
+        for index, policy_name in enumerate(("FCFS", "RRB", "SJF", "PREMA"))
+    },
+    "rack/online-predicted/4x2/admission": lambda: racked_case(
+        _UNIFORM_4X2, _ONLINE,
+        admission=AdmissionController(feedback=PredictionFeedback()),
+    ),
+    "rack/online-predicted/4x2/batching": lambda: racked_case(
+        _UNIFORM_4X2, _ONLINE,
+        batching=BatchConfig(window_cycles=1000.0, max_batch=2),
+    ),
+    "rack/online-predicted/4x2/global-tokens": lambda: racked_case(
+        _UNIFORM_4X2, _ONLINE, global_tokens=True
+    ),
+    **{
+        f"rack/{routing.value}/4x2/rack-churn":
+        (lambda routing=routing: rack_churn_case(routing))
+        for routing in (
+            _ONLINE, _STEALING, RoutingPolicy.PREEMPTIVE_MIGRATION
+        )
+    },
+}
+
+
 CASES = {
     **{
         f"{schedule}/{routing.value}/"
@@ -126,6 +227,7 @@ CASES = {
     },
     "admission/online-predicted/2x": admission_case,
     "rack/work-stealing/2x4": rack_case,
+    **RACK_CASES,
 }
 
 
@@ -179,7 +281,29 @@ PINNED = {
     'outage/static/reactive': '73eb9c32636ed6a6',  # 18/0/30, 0 moves
     'outage/work-stealing/proactive': '692c0eae33b961c4',  # 19/0/29, 16 moves
     'outage/work-stealing/reactive': '0ebf2c9c6c197f99',  # 18/0/30, 1 moves
+    'rack/least-loaded/4x2': '5871567c584b3765',  # 64/0/0, 0 moves
+    'rack/online-predicted/1+2+5': 'cd973ba3679753ed',  # 64/0/0, 0 moves
+    'rack/online-predicted/2x3/fcfs': 'eab0469765345f8b',  # 32/0/0, 0 moves
+    'rack/online-predicted/2x3/prema': '02fd86f36d624451',  # 32/0/0, 0 moves
+    'rack/online-predicted/2x3/rrb': 'd72d92c4bee80ee8',  # 32/0/0, 0 moves
+    'rack/online-predicted/2x3/sjf': '0dca51d8ad79a815',  # 32/0/0, 0 moves
+    'rack/online-predicted/4x2': 'cbad03d09e38ee40',  # 64/0/0, 0 moves
+    'rack/online-predicted/4x2/admission': '8bb4eac053230d1e',  # 61/3/0, 0 moves
+    'rack/online-predicted/4x2/batching': '2c054c5c08bdf3a6',  # 64/0/0, 0 moves
+    'rack/online-predicted/4x2/global-tokens': 'f329fd761295c3f0',  # 64/0/0, 0 moves
+    'rack/online-predicted/4x2/rack-churn': '957558e155741669',  # 64/0/0, 6 moves
+    'rack/preemptive-migration/4x2': 'c9245a8a707566c9',  # 64/0/0, 24 moves
+    'rack/preemptive-migration/4x2/rack-churn': 'd77845bbcf59eb2a',  # 64/0/0, 33 moves
+    'rack/random/4x2': '42ba139518c531da',  # 64/0/0, 0 moves
+    'rack/round-robin/4x2': '3236f058f36738e2',  # 64/0/0, 0 moves
+    'rack/static/4x2': '5871567c584b3765',  # 64/0/0, 0 moves
+    'rack/work-stealing/1x8': '4a7ad9f53a33962e',  # 64/0/0, 5 moves
     'rack/work-stealing/2x4': '11c06d417b45d3df',  # 64/0/0, 10 moves
+    'rack/work-stealing/4x2': '2e40a3a6b66d55b2',  # 64/0/0, 18 moves
+    'rack/work-stealing/4x2/rack-churn': '745bddc52feb6ba6',  # 64/0/0, 20 moves
+    'rack/work-stealing/4x2/rack-local': 'd37724af674f3a52',  # 64/0/0, 1 moves
+    'rack/work-stealing/4x2/threshold-3e6': 'b80a7ebe5a5c85f8',  # 64/0/0, 9 moves
+    'rack/work-stealing/8x1': '94726265512453fe',  # 64/0/0, 27 moves
 }
 
 

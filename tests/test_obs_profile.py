@@ -8,6 +8,7 @@ from repro.sched.cluster import (
     RoutingPolicy,
 )
 from repro.sched.faults import ChurnSchedule
+from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.workloads.generator import WorkloadGenerator
 
@@ -72,6 +73,17 @@ class TestClusterProfiling:
         )
         assert profiler.counts["steal"] > 0
         assert "migrate" not in profiler.counts
+
+    def test_racked_stealing_run_times_steal_and_index(self, factory,
+                                                        config):
+        profiler = self.run_profiled(
+            factory, config, routing=RoutingPolicy.WORK_STEALING,
+            racks=RackTopology.uniform(2, 2),
+        )
+        assert set(profiler.counts) <= KNOWN_SECTIONS
+        assert profiler.counts["route"] > 0
+        assert profiler.counts["steal"] > 0
+        assert profiler.counts["index"] > 0
 
     def test_indexed_fleet_times_index_maintenance(self, factory, config):
         profiler = self.run_profiled(factory, config, num_devices=8)

@@ -168,20 +168,36 @@ class TestClusterTraceRoundTrip:
 
 
 class TestNoopEquivalence:
-    @pytest.mark.parametrize("routing", tuple(RoutingPolicy))
-    def test_observed_run_is_bit_for_bit(self, factory, config, routing):
-        """Full observability on must not move a single decision."""
-        plain = _encode_cluster_v2(run_cluster(factory, config, routing))
+    @staticmethod
+    def assert_observation_moves_nothing(factory, config, routing, **extra):
+        plain = _encode_cluster_v2(
+            run_cluster(factory, config, routing, **extra)
+        )
         observed = _encode_cluster_v2(
             run_cluster(
                 factory, config, routing,
                 tracer=Tracer(audit_routing=True),
                 metrics_sampler=MetricsSampler(interval_cycles=50_000.0),
                 profiler=HotPathProfiler(),
+                **extra,
             )
         )
         assert json.dumps(plain, sort_keys=True) == json.dumps(
             observed, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("routing", tuple(RoutingPolicy))
+    def test_observed_run_is_bit_for_bit(self, factory, config, routing):
+        """Full observability on must not move a single decision."""
+        self.assert_observation_moves_nothing(factory, config, routing)
+
+    @pytest.mark.parametrize("routing", tuple(RoutingPolicy))
+    def test_observed_racked_run_is_bit_for_bit(self, factory, config,
+                                                routing):
+        """Nor on a rack topology, where the tracer also binds rack
+        tracks and records the two-tier frontend's rack choices."""
+        self.assert_observation_moves_nothing(
+            factory, config, routing, racks=RackTopology.uniform(2, 2)
         )
 
 
