@@ -393,9 +393,11 @@ class RoundRobinPolicy(Policy):
     Run-to-completion round-robin over tasks degenerates to FCFS, so the
     rotation is over benchmark names: each pick serves the next model in
     alphabetical rotation that has a ready task (FCFS within a model).
-    The ready queue is at most the live task set, so the per-pick scan
-    stays O(live); no incremental structure is needed for a policy whose
-    cursor state changes at every pick.
+    ``select`` is pure; the rotation cursor moves only when a task is
+    dispatched (:meth:`on_dispatch`), so a preemptive scheduler that
+    consults the policy at every wake without dispatching leaves the
+    rotation where it was.  The ready queue is at most the live task
+    set, so the per-pick scan stays O(live).
     """
 
     name = "RRB"
@@ -410,11 +412,13 @@ class RoundRobinPolicy(Policy):
         chosen_model = next(
             (m for m in models if m > self._last_model), models[0]
         )
-        self._last_model = chosen_model
         return min(
             (row for row in ready if row.benchmark == chosen_model),
             key=lambda row: row.task_id,
         )
+
+    def on_dispatch(self, context: TaskContext) -> None:
+        self._last_model = context.benchmark
 
     def reset(self) -> None:
         self._last_model = ""

@@ -73,16 +73,25 @@ class TestRoundRobin:
         ]
         first = policy.select(ready)
         assert first.benchmark == "CNN-AN"
+        policy.on_dispatch(first)
         remaining = [r for r in ready if r.task_id != first.task_id]
         second = policy.select(remaining)
         assert second.benchmark == "CNN-VN"
+        policy.on_dispatch(second)
         third = policy.select([r for r in remaining if r.task_id != second.task_id])
         assert third.benchmark == "CNN-AN"
+
+    def test_select_does_not_advance_rotation(self):
+        policy = RoundRobinPolicy()
+        ready = [make_row(0, benchmark="A"), make_row(1, benchmark="B")]
+        assert policy.select(ready).benchmark == "A"
+        assert policy.select(ready).benchmark == "A"
 
     def test_reset_restarts_rotation(self):
         policy = RoundRobinPolicy()
         ready = [make_row(0, benchmark="A"), make_row(1, benchmark="B")]
-        policy.select(ready)
+        policy.on_dispatch(policy.select(ready))
+        assert policy.select(ready).benchmark == "B"
         policy.reset()
         assert policy.select(ready).benchmark == "A"
 
