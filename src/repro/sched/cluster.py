@@ -1542,6 +1542,11 @@ class ClusterScheduler:
             )
             for index in range(self.num_devices)
         ]
+        # The token ledger reads every device's grants, and preemptive
+        # migration polls after every device event: keep every tick.
+        if ledger is not None or self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
+            for device in devices:
+                device.ticks_read = True
         # The O(log d) control plane.  Built before any injection so the
         # event-change hook sees every arrival; None runs the reference
         # linear-scan loop (decision-identical).

@@ -31,6 +31,8 @@ Two selection surfaces exist:
   lifecycle hooks (``on_admit``/``on_dispatch``/``on_requeue``/
   ``on_remove``) and rebuilt wholesale at each period re-rank
   (``on_period``), when every ready row's token count moves at once.
+  ``grant_tokens`` grants one tick's tokens without the rebuild, for the
+  simulator's replay of skipped ticks.
   Every selection rule ranks by a strict total order (ties break on task
   id), so the structures return exactly the row the reference scan
   returns -- they change the cost of a wake from O(ready) to O(log
@@ -73,6 +75,15 @@ class Policy:
 
     def on_period(self, table: ContextTable) -> None:
         """Hook invoked at each scheduling-period tick."""
+
+    def grant_tokens(self, table: ContextTable) -> None:
+        """One tick's token grants (Algorithm 2 lines 5-8), without
+        resyncing the selection structures.
+
+        The simulator replays skipped ticks with this while no row
+        crosses a token level; the last replayed tick calls
+        :meth:`on_period`, which grants and resyncs.
+        """
 
     def on_admit(self, context: TaskContext, now: float) -> None:
         """Hook: ``context`` joined this device's table (READY).
@@ -220,8 +231,13 @@ class _TokenBuckets:
     one lazy max-heap on token count.  The candidate group ("tokens above
     the dynamic threshold") is then exactly the union of the buckets at
     or above the maximum row's bucket, so selection inspects at most
-    ``NUM_CANDIDATE_BUCKETS`` heap tops.  Token counts only move at
-    period re-ranks, which rebuild the structure wholesale.
+    ``NUM_CANDIDATE_BUCKETS`` heap tops.  Token counts move at every
+    period tick.  A fired tick rebuilds the structure wholesale; ticks
+    the simulator replays grant without rebuilding (:meth:`Policy.
+    grant_tokens`) and only while no row crosses a level, so every row
+    stays in its bucket, and the max-heap's possibly stale top still lies
+    in the maximum's bucket, which is all the threshold reads.  The last
+    replayed tick rebuilds.
     """
 
     __slots__ = ("_select_key", "_buckets", "_max_heap", "_bucket_of")
@@ -485,8 +501,11 @@ class TokenPolicy(_IncrementalReadyPolicy):
     def _structure(self):
         return self._buckets
 
-    def on_period(self, table: ContextTable) -> None:
+    def grant_tokens(self, table: ContextTable) -> None:
         self._core.grant_periodic_tokens(table)
+
+    def on_period(self, table: ContextTable) -> None:
+        self.grant_tokens(table)
         # Every ready row's tokens may have moved: period re-ranks
         # invalidate the buckets wholesale -- and are the settlement
         # point where the cluster ledger learns the new counts.
@@ -619,8 +638,11 @@ class PremaPolicy(_IncrementalReadyPolicy):
     def _structure(self):
         return self._buckets
 
-    def on_period(self, table: ContextTable) -> None:
+    def grant_tokens(self, table: ContextTable) -> None:
         self.core.grant_periodic_tokens(table)
+
+    def on_period(self, table: ContextTable) -> None:
+        self.grant_tokens(table)
         ready = table.ready()
         self._buckets.rebuild(ready)
         if self._ledger is not None:

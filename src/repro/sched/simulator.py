@@ -30,25 +30,55 @@ per device, :mod:`repro.workloads.trace`) tractable:
 - ready-queue selection goes through the policies' incremental priority
   structures (:mod:`repro.sched.policies`) and the context table's
   incremental ready index;
-- the scheduling-period clock runs only while rows are ready (below).
+- the scheduling-period clock fires only the ticks that can change a
+  decision and replays the rest (below).
 
 The period clock is a float chain: anchored one period after the first
-admitted arrival, then ``tick + period_cycles`` repeated.  Algorithm 2
-grants tokens only to READY rows, so a tick over an empty ready queue
-changes nothing, and the chain *sleeps* instead of firing it.  When an
-event leaves a row READY on a sleeping chain (an arrival the scheduler
-could not dispatch on the spot, a forced checkpoint) the device walks the
-chain forward to the first tick at or after that instant and arms it --
-never ``anchor + k * period``, which rounds differently -- so every tick
-that can grant tokens fires at exactly the timestamp of an every-period
-clock.  Two rules of that clock are kept exactly:
+admitted arrival, then ``tick + period_cycles`` repeated.  An
+every-period clock fires each instant of it; this one *arms* only the
+next instant at which a tick can change a decision and lets the chain
+sleep through the others.  ``_next_tick`` is the first instant not yet
+processed.  At the next read of waits or tokens -- every device event,
+before its handler; :meth:`DeviceSim.remove_task`; :meth:`DeviceSim.fail`
+-- the device *replays* each skipped instant in chain order, with the
+chain's own float steps (never ``anchor + k * period``, which rounds
+differently): settle waits to the instant, grant Algorithm 2's tokens,
+and re-run that tick's decision against the span's fixed candidate,
+which refreshes the running task's ``executed_cycles`` and counts a DRAIN
+re-decision.  Waits, tokens, progress, preemptions and the DRAIN count
+therefore stay bit-identical to the every-period clock.  A skipped tick
+sits between two events, so its PERIOD rank matters only against a
+same-instant DISPATCH, which it precedes.  A replayed tick that would
+dispatch or preempt is a planning bug and raises.
 
-- a sleeping device that drains (every injected task done) arms one real
-  tick at its next chain instant; that tick decides, as before, whether
-  the chain lives on or the next arrival re-anchors it;
-- a device that stopped accepting work (a churn warning window) keeps
-  ticking every period: the cluster re-plans its evacuation on the
-  device's own events, so those ticks are its polls.
+Which ticks fire (:meth:`DeviceSim._next_decision_tick`):
+
+- none while no row is READY: a tick grants tokens only to READY rows,
+  so an idle or purely busy chain sleeps;
+- every tick while the device is doomed (a churn warning window: the
+  cluster re-plans its evacuation on the device's own events, so its
+  ticks are the evacuation's polls) or while another component reads its
+  ticks (:attr:`DeviceSim.ticks_read`: the cluster token ledger, and the
+  preemptive-migration routing that polls after every device event);
+- the next tick after a change no wake looked at: a reserved DISPATCH
+  (it runs no wake), :meth:`DeviceSim.remove_task` and
+  :meth:`DeviceSim.force_checkpoint`;
+- under STATIC or DYNAMIC with a token policy: the first tick past the
+  running task's time quota, and the first tick at which a READY row's
+  tokens may cross a ``TOKEN_LEVELS`` value -- the threshold and the
+  candidate group are step functions of the token buckets, so between
+  crossings the decision cannot move.  The crossing instant is a lower
+  bound from the row's linear token growth: arming early is safe, arming
+  late is not;
+- a device that drains (every injected task done) arms one real tick at
+  its next chain instant; that tick decides, as before, whether the
+  chain lives on or the next arrival re-anchors it.
+
+Nothing else fires.  In NP mode a busy tick decides nothing, and under
+FCFS/RRB/HPF/SJF it only settles waits and, under DYNAMIC, re-counts
+DRAIN: for a fixed candidate the outrank test can only turn false and a
+DRAIN choice stays DRAIN, because the running task's remaining time only
+shrinks (Algorithm 3).
 
 Preemption modes:
 
@@ -68,11 +98,13 @@ import dataclasses
 import enum
 import heapq
 import itertools
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.context import ContextTable, TaskState
+from repro.core.context import ContextTable, TaskContext, TaskState
 from repro.core.mechanism import MechanismChoice, select_mechanism
 from repro.core.scheduler import SchedulerConfig
+from repro.core.tokens import PRIORITY_TOKENS, TOKEN_LEVELS
 from repro.npu.config import NPUConfig
 from repro.npu.preemption import (
     CheckpointMechanism,
@@ -180,9 +212,10 @@ class DeviceSim:
     locals -- event heap, context table, runtimes, reservation bookkeeping
     -- and exposes it one event at a time.  Tasks may be injected before
     or during the run; the scheduling-period clock anchors itself at the
-    first processed arrival and fires only while a row is READY (or the
-    device is doomed), so an idle or purely busy device costs no ticks.
-    The module docstring has the chain rules.
+    first processed arrival and fires only the ticks that can change a
+    decision, replaying the others at the next read, so an idle or purely
+    busy device costs no ticks and a busy one few.  The module docstring
+    has the chain rules.
     """
 
     def __init__(
@@ -214,12 +247,16 @@ class DeviceSim:
         self._npu_reserved_until = 0.0
         #: Task with an in-flight DISPATCH reservation (post-preemption).
         self._reserved_task_id: Optional[int] = None
-        #: Next instant of the period chain (None: no chain; the next
-        #: admitted arrival anchors one).  ``_period_armed`` says whether
-        #: a PERIOD event for it is queued; a live chain that is not
-        #: armed is sleeping.
+        #: First instant of the period chain not yet fired or replayed
+        #: (None: no chain; the next admitted arrival anchors one).
         self._next_tick: Optional[float] = None
-        self._period_armed = False
+        #: Instant of the armed PERIOD event (None: the chain sleeps) and
+        #: its tag.  An arm superseded by an earlier one stays queued with
+        #: a stale tag and is dropped when it reaches the queue head;
+        #: ``_stale_arms`` counts those still queued.
+        self._armed_at: Optional[float] = None
+        self._arm_tag = 0
+        self._stale_arms = 0
         self._preemption_count = 0
         self._drain_decisions = 0
         self._completed = 0
@@ -271,6 +308,11 @@ class DeviceSim:
         #: warning closes it through :meth:`stop_accepting`, which also
         #: keeps the period clock ticking.
         self.accepts_work = True
+        #: Set by the cluster when another component reads this device's
+        #: ticks -- the cluster token ledger reads its grants, and
+        #: preemptive migration polls after every device event -- so every
+        #: tick of a busy chain must fire.
+        self.ticks_read = False
 
     def _notify_event_change(self) -> None:
         """Fire :attr:`on_next_event_change` if the head key moved.
@@ -327,6 +369,11 @@ class DeviceSim:
         if not self._events:
             raise RuntimeError("no pending events")
         now, _, _, kind, payload = heapq.heappop(self._events)
+        tick = self._next_tick
+        if tick is not None and (
+            tick < now or (tick == now and kind is _EventKind.DISPATCH)
+        ):
+            self._replay(now, kind is _EventKind.DISPATCH)
         self._now = now
         self.last_event_kind = kind
         self.last_completed = None
@@ -339,6 +386,8 @@ class DeviceSim:
             self._on_period(now)
         elif kind == _EventKind.DISPATCH:
             self._on_dispatch(now, payload)  # type: ignore[arg-type]
+        if self._stale_arms:
+            self._drop_stale_arms()
         self._notify_event_change()
         return now
 
@@ -607,6 +656,7 @@ class DeviceSim:
                 f"task {task_id} is {state.value}; only queued or "
                 "(durably checkpointed) preempted tasks can migrate"
             )
+        self._replay(now, False)
         task = self._runtimes[task_id]
         task.context.accrue_wait(now)
         self._table.remove(task_id)
@@ -617,6 +667,10 @@ class DeviceSim:
         del self._live_admitted[task_id]
         self._migrated_out.add(task_id)
         self.policy.on_remove(task.context, now)
+        # The candidate may have left: the next tick decides afresh.
+        if self._tick_can_matter():
+            self._arm_period(now)
+            self._notify_event_change()
         return task
 
     def stop_accepting(self, now: float) -> None:
@@ -644,6 +698,7 @@ class DeviceSim:
         device stops accepting work; completed tasks stay resident so
         :meth:`result` still reports them.
         """
+        self._replay(now, False)
         running = (
             self._runtimes.get(self._running_id)
             if self._running_id is not None
@@ -675,7 +730,8 @@ class DeviceSim:
         self._reserved_task_id = None
         self._npu_reserved_until = now
         self._next_tick = None
-        self._period_armed = False
+        self._armed_at = None
+        self._stale_arms = 0
         self.accepts_work = False
         self._notify_event_change()
         if self.tracer.enabled:
@@ -719,6 +775,7 @@ class DeviceSim:
         """
         if self._running_id is None:
             raise RuntimeError("no running task to checkpoint")
+        self._replay(now, False)
         running = self._runtimes[self._running_id]
         progress = running.progress_at(now)
         outcome = self._checkpoint.preempt(running.profile, progress)
@@ -811,10 +868,7 @@ class DeviceSim:
             # admitted arrival (matches the monolithic run()'s anchor).
             self._next_tick = now + self.config.scheduler.period_cycles
         self._wake(now)
-        if self._tick_can_matter():
-            # Still ready after the wake (an arrival dispatched on the
-            # spot leaves nothing for a tick to grant).
-            self._arm_period(now)
+        self._arm_decision_tick(now)
 
     def _on_complete(self, now: float, payload: object) -> None:
         task_id, epoch = payload  # type: ignore[misc]
@@ -843,13 +897,14 @@ class DeviceSim:
         if task_id == self._running_id:
             self._running_id = None
         self._wake(now)
+        self._arm_decision_tick(now)
         if self._completed == len(self._runtimes):
             # Drained: a sleeping chain still owes its next tick, which
             # decides whether the next arrival re-anchors the chain.
             self._arm_period(now)
 
     def _on_period(self, now: float) -> None:
-        self._period_armed = False
+        self._armed_at = None
         # The chain lives while any injected task is unfinished; once the
         # device drains, the next admitted arrival re-anchors it.
         self._next_tick = (
@@ -863,8 +918,7 @@ class DeviceSim:
         if self.policy.uses_tokens:
             self.policy.on_period(self._table)
         self._wake(now)
-        if self._tick_can_matter():
-            self._arm_period(now)
+        self._arm_decision_tick(now)
 
     def _on_dispatch(self, now: float, task_id: Optional[int]) -> None:
         self._reserved_task_id = None
@@ -872,41 +926,187 @@ class DeviceSim:
             # Forced-checkpoint wake (churn evacuation): the trap DMA just
             # finished with no reserved successor -- run the scheduler.
             self._wake(now)
+            self._arm_decision_tick(now)
             return
         # Reserved candidates are excluded from stealable_tasks(), so the
         # dispatch target is always still resident; a KeyError here means
         # that invariant was violated.
         task = self._runtimes[task_id]
-        if task.is_done or task.context.state == TaskState.RUNNING:
-            return
-        self._running_id = self._dispatch(now, task)
+        if not (task.is_done or task.context.state == TaskState.RUNNING):
+            self._running_id = self._dispatch(now, task)
+        # No wake runs here, so a row that arrived during the trap has not
+        # been ranked against the new runner: the next tick decides.
+        if self._tick_can_matter():
+            self._arm_period(now)
 
     # ------------------------------------------------------------------
     # Scheduler core
     # ------------------------------------------------------------------
     def _tick_can_matter(self) -> bool:
-        """Whether the chain's next tick must fire rather than sleep: a
-        row is READY (token grants), or the device is doomed (its ticks
-        poll the evacuation)."""
+        """Whether the chain's next tick may decide anything: a row is
+        READY, or the device is doomed (its ticks poll the evacuation)."""
         return self._table.has_ready or not self.accepts_work
 
-    def _arm_period(self, now: float) -> None:
-        """Arm a sleeping chain at its first tick at or after ``now``.
+    def _next_decision_tick(self, now: float) -> Optional[float]:
+        """The chain instant to arm after a wake at ``now`` (None: sleep).
 
-        Walks the chain with the every-period clock's own float steps
-        (``tick + period_cycles``, repeated), so the armed tick lands on
-        exactly the timestamp that clock would have fired at.  A no-op
-        when the chain is already armed or does not exist.
+        The first tick that can change a decision, per the module
+        docstring's rules; every earlier one is replayed at the next read.
         """
-        if self._period_armed or self._next_tick is None:
+        if not self.accepts_work:
+            return self._next_tick
+        if not self._table.has_ready:
+            return None
+        if self.ticks_read:
+            return self._next_tick
+        running_id = self._running_id
+        if running_id is None:
+            # A trap is in flight.  Its ticks cannot decide while a
+            # candidate holds the reservation (the DISPATCH that ends it
+            # arms the next tick); after a forced checkpoint the first
+            # tick past the trap would dispatch, so keep ticking.
+            return None if self._reserved_task_id is not None else self._next_tick
+        if self.config.mode is PreemptionMode.NP or not self.policy.uses_tokens:
+            return None
+        return self._token_decision_tick(now, self._runtimes[running_id])
+
+    def _token_decision_tick(
+        self, now: float, running: TaskRuntime
+    ) -> Optional[float]:
+        """Token policies, preemptive modes: the first tick past the
+        running task's time quota (when the wake at ``now`` stopped at
+        it), or the first tick at which a READY row may cross a token
+        level, whichever comes first (None: neither ever comes)."""
+        period = self.config.scheduler.period_cycles
+        dispatched = running.dispatch_time
+        quota_open = dispatched is not None and now - dispatched < period
+        # Row tokens after the grant at tick t: tokens + rate * (wsg +
+        # max(0, t - last_update)).  A row on a level crosses at its
+        # first positive grant.
+        crossing = math.inf
+        for row in self._table.ready():
+            tokens = row.tokens
+            if tokens > TOKEN_LEVELS[-1] or row.estimated_cycles <= 0:
+                continue
+            level = next(level for level in TOKEN_LEVELS if level >= tokens)
+            rate = PRIORITY_TOKENS[row.priority] / row.estimated_cycles
+            gap = (level - tokens) / rate - row.waited_since_grant
+            if gap <= 0:
+                crossing = -math.inf
+                break
+            crossing = min(crossing, row.last_update_cycles + gap)
+        tick = self._next_tick
+        if crossing == math.inf and not quota_open:
+            return None
+        # Float rounding in the grants may cross a little early: arm
+        # early by a margin far above it.
+        limit = crossing - 1e-6 * (period + abs(crossing - now))
+        while tick < limit and not (quota_open and tick - dispatched >= period):
+            tick += period
+        return tick
+
+    def _arm_decision_tick(self, now: float) -> None:
+        tick = self._next_decision_tick(now)
+        if tick is not None:
+            self._arm(tick)
+
+    def _arm(self, tick: float) -> None:
+        """Arm the chain instant ``tick``, superseding a later arm."""
+        armed = self._armed_at
+        if armed is not None:
+            if armed <= tick:
+                return
+            self._stale_arms += 1
+        self._arm_tag += 1
+        self._armed_at = tick
+        self._push(tick, _EventKind.PERIOD, self._arm_tag)
+
+    def _drop_stale_arms(self) -> None:
+        """Pop superseded arms off the queue head, so the head key the
+        cluster reads is always a live event."""
+        events = self._events
+        while (
+            events
+            and events[0][3] is _EventKind.PERIOD
+            and events[0][4] != self._arm_tag
+        ):
+            heapq.heappop(events)
+            self._stale_arms -= 1
+
+    def _arm_period(self, now: float) -> None:
+        """Arm the chain's first tick at or after ``now``.
+
+        Replays the skipped ticks before ``now`` first, so the armed tick
+        is the chain's own next instant.  A no-op when an arm at or
+        before that instant is queued or no chain exists.
+        """
+        if self._next_tick is None:
+            return
+        self._replay(now, False)
+        self._arm(self._next_tick)
+
+    def _replay(self, until: float, inclusive: bool) -> None:
+        """Process the skipped chain ticks before ``until`` (and at it,
+        when ``inclusive``), as the every-period clock would have.
+
+        The ready set, the running task and the candidate are those of
+        the whole span (any change is an event, and events replay first),
+        so the candidate is selected once.  Grants leave the policy's
+        structures stale until the last replayed tick, whose
+        ``on_period`` rebuilds them.
+        """
+        tick = self._next_tick
+        if tick is None or tick > until or (tick == until and not inclusive):
             return
         period = self.config.scheduler.period_cycles
-        tick = self._next_tick
-        while tick < now:
-            tick += period
+        table = self._table
+        if not table.has_ready:
+            # Nothing waits: a skipped tick changes nothing.
+            while tick < until or (inclusive and tick == until):
+                tick += period
+            self._next_tick = tick
+            return
+        ready = table.ready()
+        policy = self.policy
+        grants = policy.uses_tokens
+        running = (
+            self._runtimes[self._running_id]
+            if self._running_id is not None
+            else None
+        )
+        candidate = None
+        if running is not None and self.config.mode is not PreemptionMode.NP:
+            candidate = policy.select_ready(table)
+        while True:
+            for row in ready:
+                row.accrue_wait(tick)
+            following = tick + period
+            last = following > until or (following == until and not inclusive)
+            if grants:
+                if last:
+                    policy.on_period(table)
+                else:
+                    policy.grant_tokens(table)
+            if running is None:
+                if (
+                    self._reserved_task_id is None
+                    and tick >= self._npu_reserved_until
+                ):
+                    raise RuntimeError(
+                        f"device {self.device_id}: skipped tick at {tick} "
+                        "would dispatch"
+                    )
+            elif candidate is not None and not self._keeps_running(
+                tick, running, candidate
+            ):
+                raise RuntimeError(
+                    f"device {self.device_id}: skipped tick at {tick} "
+                    "would preempt"
+                )
+            tick = following
+            if last:
+                break
         self._next_tick = tick
-        self._period_armed = True
-        self._push(tick, _EventKind.PERIOD, None)
 
     def _accrue_ready(self, now: float) -> None:
         """Settle waiting time for every ready row up to ``now``.
@@ -964,6 +1164,31 @@ class DeviceSim:
                 args={"task": task.task_id},
             )
 
+    def _keeps_running(
+        self, now: float, running: TaskRuntime, candidate: TaskContext
+    ) -> bool:
+        """The preemption check of a wake at ``now``: whether ``running``
+        keeps the array against ``candidate`` (a DYNAMIC DRAIN choice is
+        counted here)."""
+        # Token-driven policies re-rank on every period tick as waiting
+        # tasks earn tokens; the scheduling-period time-quota (Table II)
+        # guarantees the running task at least one quota of service so
+        # token drift cannot ping-pong the NPU between two tasks.
+        if self.policy.uses_tokens and running.dispatch_time is not None:
+            if now - running.dispatch_time < self.config.scheduler.period_cycles:
+                return True
+        # Refresh the running task's accounted progress for ranking.
+        running.context.executed_cycles = running.progress_at(now)
+        if not self.policy.outranks_running(
+            candidate, running.context, self._table
+        ):
+            return True
+        if self.config.mode == PreemptionMode.DYNAMIC:
+            if select_mechanism(running.context, candidate) == MechanismChoice.DRAIN:
+                self._drain_decisions += 1
+                return True
+        return False
+
     def _wake(self, now: float) -> None:
         """Run the scheduler at a wake condition."""
         if self._running_id is None:
@@ -989,18 +1214,7 @@ class DeviceSim:
         if candidate_ctx is None:
             return
         running = self._runtimes[self._running_id]
-        # Token-driven policies re-rank on every period tick as waiting
-        # tasks earn tokens; the scheduling-period time-quota (Table II)
-        # guarantees the running task at least one quota of service so
-        # token drift cannot ping-pong the NPU between two tasks.
-        if self.policy.uses_tokens and running.dispatch_time is not None:
-            if now - running.dispatch_time < self.config.scheduler.period_cycles:
-                return
-        # Refresh the running task's accounted progress for ranking.
-        running.context.executed_cycles = running.progress_at(now)
-        if not self.policy.outranks_running(
-            candidate_ctx, running.context, self._table
-        ):
+        if self._keeps_running(now, running, candidate_ctx):
             return
 
         mechanism: PreemptionMechanism = (
@@ -1008,12 +1222,6 @@ class DeviceSim:
             if self.config.mechanism.upper() == "KILL"
             else self._checkpoint
         )
-        if self.config.mode == PreemptionMode.DYNAMIC:
-            choice = select_mechanism(running.context, candidate_ctx)
-            if choice == MechanismChoice.DRAIN:
-                self._drain_decisions += 1
-                return
-
         # Apply the mechanism at the running task's current progress.
         progress = running.progress_at(now)
         outcome = mechanism.preempt(running.profile, progress)

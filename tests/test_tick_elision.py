@@ -1,21 +1,27 @@
-"""Idle-tick elision is decision-neutral: elided runs equal a ticking oracle.
+"""The sleeping period clock is decision-neutral: runs equal a ticking oracle.
 
-``DeviceSim`` lets its scheduling-period chain sleep while no row is
-READY and walks the chain forward when one becomes ready (see the
+``DeviceSim`` fires only the period ticks that can change a decision --
+none while nothing is READY, few while a task runs -- and replays the
+skipped ones at the next read of waits or tokens (see the
 :mod:`repro.sched.simulator` docstring).  :class:`TickingDeviceSim`
 restores the every-period clock -- a live chain always re-arms -- and is
 patched into the cluster and single-NPU layers as the oracle.  Every
 drawn configuration must reproduce the oracle's decisions bit for bit:
-the golden encoder's view of the run, plus the preemption and drain
-counters.
+the golden encoder's view of the run (waits and tokens included, as
+exact floats), plus the preemption and drain counters.
 
 The draws cover routing x device policy x NP / STATIC-CHECKPOINT /
 STATIC-KILL / DYNAMIC x churn (none / proactive / reactive) x fabric
-(PCIe gen3 / a slow shared bus) x racks x metrics sampler, on traces of
-at most 64 tasks.  Each of these breaks the suite: re-arming a woken
-chain at ``now + period`` instead of walking it, dropping the tick a
-sleeping device arms when it drains, and letting a doomed device's
-clock sleep.
+(PCIe gen3 / a slow shared bus) x racks x indexed (verified) or linear
+control plane x metrics sampler x router
+batching and 2-stage sharding (online routings), on traces of at most
+64 tasks.  Each of these breaks the suite: re-arming a woken chain at
+``now + period`` instead of walking it, dropping the tick a sleeping
+device arms when it drains, letting a doomed device's clock sleep,
+skipping the token-bucket rebuild after a replay, dropping the tick
+armed after ``remove_task`` (or its event-change notification), dropping
+the tick after a reserved DISPATCH, and arming a token-level crossing
+one tick late.
 """
 
 import contextlib
@@ -24,7 +30,8 @@ import hashlib
 import json
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers_golden import _encode_cluster_v2, _encode_result
@@ -33,13 +40,26 @@ from repro.npu.config import NPUConfig
 from repro.obs import MetricsSampler
 from repro.sched import cluster as cluster_module
 from repro.sched import simulator as simulator_module
-from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
+from repro.core.tokens import Priority
+from repro.sched.cluster import (
+    ONLINE_ROUTINGS,
+    ClusterConfig,
+    ClusterScheduler,
+    RoutingPolicy,
+)
 from repro.sched.faults import ChurnEvent, ChurnSchedule
 from repro.sched.interconnect import InterconnectConfig
+from repro.sched.job import BatchConfig
 from repro.sched.policies import POLICY_NAMES, make_policy
 from repro.sched.rack import RackTopology
-from repro.sched.simulator import DeviceSim, PreemptionMode, SimulationConfig
+from repro.sched.simulator import (
+    DeviceSim,
+    NPUSimulator,
+    PreemptionMode,
+    SimulationConfig,
+)
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.specs import TaskSpec
 from repro.workloads.trace import (
     DEFAULT_MEAN_INTERARRIVAL_CYCLES,
     synthetic_trace_runtimes,
@@ -63,22 +83,53 @@ _FABRICS = {
 _QOS_MIX = {"interactive": 0.3, "standard": 0.4, "batch": 0.3}
 
 
+_BATCHING = {
+    "none": None,
+    "batching": BatchConfig(window_cycles=_NPU.ms_to_cycles(1.0), max_batch=4),
+    "sharding": BatchConfig(
+        window_cycles=0.0, shard_stages=2, min_shard_cycles=_NPU.ms_to_cycles(3.0)
+    ),
+    "both": BatchConfig(
+        window_cycles=_NPU.ms_to_cycles(1.0),
+        max_batch=4,
+        marginal_fraction=0.6,
+        shard_stages=2,
+        min_shard_cycles=_NPU.ms_to_cycles(3.0),
+    ),
+}
+
+
 class TickingDeviceSim(DeviceSim):
     """The every-period clock: a live chain re-arms at every tick."""
 
-    def _tick_can_matter(self) -> bool:
-        return True
+    def _next_decision_tick(self, now):
+        return self._next_tick
+
+
+class TwiceWakingDeviceSim(DeviceSim):
+    """Runs every wake twice at the same instant.  The second run may
+    only repeat a DRAIN choice, whose count is restored."""
+
+    def _wake(self, now):
+        super()._wake(now)
+        drains = self._drain_decisions
+        super()._wake(now)
+        self._drain_decisions = drains
 
 
 @contextlib.contextmanager
-def ticking():
-    """Build every device from :class:`TickingDeviceSim` inside."""
+def devices_built_from(cls):
+    """Build every cluster and single-NPU device from ``cls`` inside."""
     saved = cluster_module.DeviceSim, simulator_module.DeviceSim
-    cluster_module.DeviceSim = simulator_module.DeviceSim = TickingDeviceSim
+    cluster_module.DeviceSim = simulator_module.DeviceSim = cls
     try:
         yield
     finally:
         cluster_module.DeviceSim, simulator_module.DeviceSim = saved
+
+
+def ticking():
+    return devices_built_from(TickingDeviceSim)
 
 
 def _cluster_run(case):
@@ -112,6 +163,9 @@ def _cluster_run(case):
     if case["racks"]:
         racks = RackTopology.uniform(2, _NUM_DEVICES // 2)
         fabric = fabric.oversubscribed(4.0)
+    batching = None
+    if case["routing"] in ONLINE_ROUTINGS:
+        batching = _BATCHING[case["batching"]]
     sampler = None
     if case["sampler"]:
         sampler = MetricsSampler(
@@ -130,6 +184,11 @@ def _cluster_run(case):
             proactive_migration=case["churn"] == "proactive",
             racks=racks,
             metrics_sampler=sampler,
+            batching=batching,
+            # The indexed control plane learns each device's head event
+            # from its change notifications; verifying checks every peek
+            # against a scan of the devices.  Racks always index.
+            verify_indexes=case["indexes"],
         ),
     )
     result = scheduler.run(trace)
@@ -157,7 +216,10 @@ _cases = st.fixed_dictionaries(
         "churn": st.sampled_from(("none", "proactive", "reactive")),
         "fabric": st.sampled_from(tuple(_FABRICS)),
         "racks": st.booleans(),
+        "indexes": st.booleans(),
         "sampler": st.booleans(),
+        # Applies to the online routings only.
+        "batching": st.sampled_from(tuple(_BATCHING)),
         "num_tasks": st.integers(min_value=8, max_value=64),
         "seed": st.integers(min_value=0, max_value=10_000),
         # Below 1 devices drain and idle between arrivals; above 1 ready
@@ -168,7 +230,50 @@ _cases = st.fixed_dictionaries(
 )
 
 
+def _case(routing, policy, mode, churn, racks, seed, load, bursty, **rest):
+    return {
+        "routing": routing,
+        "policy": policy,
+        "mode": mode,
+        "churn": churn,
+        "fabric": rest.get("fabric", "pcie_gen3"),
+        "racks": racks,
+        "indexes": rest.get("indexes", False),
+        "sampler": rest.get("sampler", False),
+        "batching": rest.get("batching", "none"),
+        "num_tasks": rest.get("num_tasks", 8),
+        "seed": seed,
+        "load": load,
+        "bursty": bursty,
+    }
+
+
 @given(case=_cases)
+@example(
+    # NP-TOKEN with churn orphans re-injected: replayed grants move rows
+    # across bucket edges, so the buckets must be rebuilt after a replay.
+    case=_case(
+        RoutingPolicy.ROUND_ROBIN, "TOKEN", _MODES[0], "proactive",
+        racks=False, seed=30, load=0.8, bursty=False,
+    )
+)
+@example(
+    # A steal from a sleeping victim: remove_task arms the next tick and
+    # must notify the cluster's device-event heap.
+    case=_case(
+        RoutingPolicy.WORK_STEALING, "HPF", _MODES[3], "none",
+        racks=True, seed=60, load=0.3, bursty=True, indexes=True,
+    )
+)
+@example(
+    # A steal leaves a victim whose new candidate preempts at the next
+    # tick, which only the tick remove_task arms decides.
+    case=_case(
+        RoutingPolicy.WORK_STEALING, "PREMA", _MODES[1], "proactive",
+        racks=True, seed=5809, load=0.8, bursty=True, fabric="slow_bus",
+        num_tasks=42,
+    )
+)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_cluster_run_matches_ticking_oracle(case):
     elided = _cluster_run(case)
@@ -257,3 +362,56 @@ def test_oracle_ticks_more():
         return sim.events_processed
 
     assert events(DeviceSim) < events(TickingDeviceSim)
+
+
+def test_reserved_dispatch_is_followed_by_a_deciding_tick(factory):
+    """A reserved DISPATCH runs no wake, so its next tick must fire.
+
+    Under STATIC HPF a MEDIUM task preempts a LOW one; a HIGH task
+    arrives during the checkpoint trap, while the array is promised to
+    the MEDIUM one.  Only the first tick after the DISPATCH ranks the
+    HIGH task against the new runner and preempts it.
+    """
+    low_iso = factory.execution_profile("CNN-VN", 16).total_cycles
+    specs = [
+        TaskSpec(0, "CNN-VN", 16, Priority.LOW, 0.0),
+        TaskSpec(1, "CNN-GN", 1, Priority.MEDIUM, 0.3 * low_iso),
+        TaskSpec(2, "CNN-AN", 1, Priority.HIGH,
+                 0.3 * low_iso + _NPU.us_to_cycles(1.0)),
+    ]
+    config = SimulationConfig(npu=_NPU, mode=PreemptionMode.STATIC)
+
+    def run():
+        return NPUSimulator(config, make_policy("HPF")).run(
+            [factory.build_task(spec) for spec in specs]
+        )
+
+    result = run()
+    with ticking():
+        oracle = run()
+    assert _encode_result(result) == _encode_result(oracle)
+    medium, high = result.task_by_id(1), result.task_by_id(2)
+    assert high.spec.arrival_cycles < medium.first_dispatch_time
+    assert medium.preemption_count == 1
+    assert high.first_dispatch_time < medium.completion_time
+
+
+@pytest.mark.parametrize("mode", list(PreemptionMode), ids=lambda m: m.value)
+def test_same_instant_wake_is_idempotent(factory, mode):
+    """A second wake at the same instant changes nothing but the DRAIN
+    counter.  The sleeping clock relies on this: a replayed tick re-runs
+    a decision that an event at the start of its span already made."""
+    workloads = WorkloadGenerator(seed=11).generate_many(20, num_tasks=8)
+    config = SimulationConfig(npu=_NPU, mode=mode)
+    for policy in POLICY_NAMES:
+        for index, workload in enumerate(workloads):
+            once = NPUSimulator(config, make_policy(policy)).run(
+                factory.build_workload(workload)
+            )
+            with devices_built_from(TwiceWakingDeviceSim):
+                twice = NPUSimulator(config, make_policy(policy)).run(
+                    factory.build_workload(workload)
+                )
+            assert _encode_result(twice) == _encode_result(once), (
+                policy, index
+            )
