@@ -984,11 +984,14 @@ class DeviceSim:
         # max(0, t - last_update)).  A row on a level crosses at its
         # first positive grant.
         crossing = math.inf
+        top = TOKEN_LEVELS[-1]
         for row in self._table.ready():
             tokens = row.tokens
-            if tokens > TOKEN_LEVELS[-1] or row.estimated_cycles <= 0:
+            if tokens > top or row.estimated_cycles <= 0:
                 continue
-            level = next(level for level in TOKEN_LEVELS if level >= tokens)
+            for level in TOKEN_LEVELS:
+                if level >= tokens:
+                    break
             rate = PRIORITY_TOKENS[row.priority] / row.estimated_cycles
             gap = (level - tokens) / rate - row.waited_since_grant
             if gap <= 0:
@@ -1006,6 +1009,9 @@ class DeviceSim:
         return tick
 
     def _arm_decision_tick(self, now: float) -> None:
+        armed = self._armed_at
+        if armed is not None and armed <= self._next_tick:
+            return  # the chain's next instant is armed already
         tick = self._next_decision_tick(now)
         if tick is not None:
             self._arm(tick)
