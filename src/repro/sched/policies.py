@@ -80,9 +80,9 @@ class Policy:
         """One tick's token grants (Algorithm 2 lines 5-8), without
         resyncing the selection structures.
 
-        The simulator replays skipped ticks with this while no row
-        crosses a token level; the last replayed tick calls
-        :meth:`on_period`, which grants and resyncs.
+        The simulator replays skipped ticks with this; a replay in
+        which a row may cross a token level ends with :meth:`on_period`,
+        which grants and resyncs.
         """
 
     def on_admit(self, context: TaskContext, now: float) -> None:
@@ -232,12 +232,14 @@ class _TokenBuckets:
     the dynamic threshold") is then exactly the union of the buckets at
     or above the maximum row's bucket, so selection inspects at most
     ``NUM_CANDIDATE_BUCKETS`` heap tops.  Token counts move at every
-    period tick.  A fired tick rebuilds the structure wholesale; ticks
+    period tick.  A fired tick rebuilds the structure wholesale.  Ticks
     the simulator replays grant without rebuilding (:meth:`Policy.
-    grant_tokens`) and only while no row crosses a level, so every row
-    stays in its bucket, and the max-heap's possibly stale top still lies
-    in the maximum's bucket, which is all the threshold reads.  The last
-    replayed tick rebuilds.
+    grant_tokens`); while a task runs under a preemptive mode they are
+    planned so that no row crosses a level, so every row stays in its
+    bucket and the max-heap's top -- its key possibly stale, but never
+    above the row's count -- still lies in the maximum's bucket, which
+    is all the threshold reads.  A replay that may cross (NP mode, a
+    checkpoint trap) rebuilds at its last tick.
     """
 
     __slots__ = ("_select_key", "_buckets", "_max_heap", "_bucket_of")

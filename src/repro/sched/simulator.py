@@ -47,9 +47,9 @@ and re-run that tick's decision against the span's fixed candidate,
 which refreshes the running task's ``executed_cycles`` and counts a DRAIN
 re-decision.  Waits, tokens, progress, preemptions and the DRAIN count
 therefore stay bit-identical to the every-period clock.  A skipped tick
-sits between two events, so its PERIOD rank matters only against a
-same-instant DISPATCH, which it precedes.  A replayed tick that would
-dispatch or preempt is a planning bug and raises.
+at the reading event's own instant replays first only when that event
+is a DISPATCH, the one kind that ranks after PERIOD.  A replayed tick
+that would dispatch or preempt is a planning bug and raises.
 
 Which ticks fire (:meth:`DeviceSim._next_decision_tick`):
 
@@ -1058,8 +1058,7 @@ class DeviceSim:
         The ready set, the running task and the candidate are those of
         the whole span (any change is an event, and events replay first),
         so the candidate is selected once.  Grants leave the policy's
-        structures stale until the last replayed tick, whose
-        ``on_period`` rebuilds them.
+        structures as they were; see ``rebuild`` below.
         """
         tick = self._next_tick
         if tick is None or tick > until or (tick == until and not inclusive):
@@ -1083,13 +1082,18 @@ class DeviceSim:
         candidate = None
         if running is not None and self.config.mode is not PreemptionMode.NP:
             candidate = policy.select_ready(table)
+        # With a candidate the span was planned around every token-level
+        # crossing, so each row is still in its bucket; otherwise (NP
+        # mode, a trap in flight) replayed grants may cross, and the last
+        # replayed tick must rebuild the buckets.
+        rebuild = grants and candidate is None
         while True:
             for row in ready:
                 row.accrue_wait(tick)
             following = tick + period
             last = following > until or (following == until and not inclusive)
             if grants:
-                if last:
+                if last and rebuild:
                     policy.on_period(table)
                 else:
                     policy.grant_tokens(table)

@@ -81,8 +81,6 @@ _FABRICS = {
     ),
 }
 _QOS_MIX = {"interactive": 0.3, "standard": 0.4, "batch": 0.3}
-
-
 _BATCHING = {
     "none": None,
     "batching": BatchConfig(window_cycles=_NPU.ms_to_cycles(1.0), max_batch=4),
