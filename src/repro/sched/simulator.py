@@ -998,12 +998,15 @@ class DeviceSim:
                 crossing = -math.inf
                 break
             crossing = min(crossing, row.last_update_cycles + gap)
+        if crossing == math.inf:
+            if not quota_open:
+                return None
+            limit = math.inf
+        else:
+            # Float rounding in the grants may cross a little early: arm
+            # early by a margin far above it.
+            limit = crossing - 1e-6 * (period + abs(crossing - now))
         tick = self._next_tick
-        if crossing == math.inf and not quota_open:
-            return None
-        # Float rounding in the grants may cross a little early: arm
-        # early by a margin far above it.
-        limit = crossing - 1e-6 * (period + abs(crossing - now))
         while tick < limit and not (quota_open and tick - dispatched >= period):
             tick += period
         return tick
