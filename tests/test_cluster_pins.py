@@ -12,6 +12,8 @@ unnoticed:
   and then for good (arrivals and orphans park, restores re-place them,
   the rest is lost);
 - ONLINE_PREDICTED behind admission control at 2x overload, rejecting;
+- PREEMPTIVE_MIGRATION behind admission control with batching and
+  2-stage sharding, while a 2-device fleet goes fully out twice;
 - WORK_STEALING on a 2x4 rack topology;
 - rack topologies: all seven routings on 4 racks of 2; WORK_STEALING
   with a rack-local (infinite) and a 3e6-cycle cross-rack threshold,
@@ -22,8 +24,9 @@ unnoticed:
 
 Each digest hashes the golden encoder's view of the run
 (``_encode_cluster_v2``) plus the id order of ``tasks``,
-``rejected_tasks`` and ``lost_tasks``.  Regenerate a digest only
-alongside an intentional behavioural change::
+``rejected_tasks`` and ``lost_tasks``.  A reuse check runs one
+scheduler twice per routing and surface and requires equal digests.
+Regenerate a digest only alongside an intentional behavioural change::
 
     PYTHONPATH=src:tests python tests/test_cluster_pins.py
 """
@@ -38,7 +41,12 @@ import pytest
 
 from helpers_golden import _encode_cluster_v2
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import (
+    ONLINE_ROUTINGS,
+    ClusterConfig,
+    ClusterScheduler,
+    RoutingPolicy,
+)
 from repro.sched.faults import ChurnSchedule
 from repro.sched.job import BatchConfig
 from repro.sched.rack import RackTopology
@@ -161,6 +169,48 @@ def rack_churn_case(routing):
     return num_devices, dataclasses.replace(config, churn=schedule), trace
 
 
+def fleet_outage_case():
+    """Both devices out at once under admission and 2-stage sharding.
+
+    An admission arrival finds no accepting device and waits for the
+    next transition, a sharded gang loses its next stage's device while
+    no device accepts, and each lost job releases its admission budget.
+    """
+    trace = synthetic_trace_runtimes(
+        16,
+        seed=18,
+        mean_interarrival_cycles=DEFAULT_MEAN_INTERARRIVAL_CYCLES / 4,
+        qos_mix=_QOS_MIX,
+    )
+    horizon = max(task.spec.arrival_cycles for task in trace)
+    millisecond = 1e-3 * _SIM.npu.frequency_hz
+    schedule = ChurnSchedule.generate(
+        2,
+        horizon_cycles=horizon,
+        seed=18,
+        fault_rate=2.0 / horizon,
+        revocation_rate=4.0 / horizon,
+        mean_outage_cycles=horizon / 3.0,
+        mean_warning_cycles=0.5 * millisecond,
+        max_concurrent_down=2,
+    )
+    config = ClusterConfig(
+        policy_name="SJF",
+        routing=RoutingPolicy.PREEMPTIVE_MIGRATION,
+        admission=AdmissionController(feedback=PredictionFeedback()),
+        batching=BatchConfig(
+            window_cycles=millisecond,
+            max_batch=4,
+            marginal_fraction=0.6,
+            shard_stages=2,
+            min_shard_cycles=millisecond,
+        ),
+        churn=schedule,
+        proactive_migration=True,
+    )
+    return 2, config, trace
+
+
 _UNIFORM_4X2 = RackTopology.uniform(4, 2)
 _ONLINE = RoutingPolicy.ONLINE_PREDICTED
 _STEALING = RoutingPolicy.WORK_STEALING
@@ -226,6 +276,7 @@ CASES = {
         for proactive in (True, False)
     },
     "admission/online-predicted/2x": admission_case,
+    "outage/preemptive-migration/admission-sharded": fleet_outage_case,
     "rack/work-stealing/2x4": rack_case,
     **RACK_CASES,
 }
@@ -271,6 +322,7 @@ PINNED = {
     'outage/least-loaded/reactive': '73eb9c32636ed6a6',  # 18/0/30, 0 moves
     'outage/online-predicted/proactive': '692c0eae33b961c4',  # 19/0/29, 16 moves
     'outage/online-predicted/reactive': '73eb9c32636ed6a6',  # 18/0/30, 0 moves
+    'outage/preemptive-migration/admission-sharded': '7e5b79569300fc71',  # 5/5/6, 3 moves
     'outage/preemptive-migration/proactive': 'c9c9b4a3a481c1f4',  # 19/0/29, 16 moves
     'outage/preemptive-migration/reactive': '97d59edf6e0412b5',  # 18/0/30, 2 moves
     'outage/random/proactive': 'a1b0d9926ce88bd5',  # 19/0/29, 15 moves
@@ -310,6 +362,88 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_decisions_match_pinned_digest(name):
     assert digest(run_case(name)) == PINNED[name]
+
+
+def test_fleet_outage_case_reaches_its_branches():
+    """The whole-fleet outage pin loses a sharded gang and re-considers
+    an arrival that found no accepting device at the next transition."""
+    result = run_case("outage/preemptive-migration/admission-sharded")
+    lost = {task.task_id for task in result.lost_tasks}
+    assert any(
+        batch.num_stages > 1 and set(batch.member_task_ids) <= lost
+        for batch in result.batches
+    )
+    # A first consideration normally happens at the arrival itself; one
+    # decided later waited out an outage without burning an attempt.
+    arrival = {
+        task.task_id: task.spec.arrival_cycles
+        for task in result.offered_tasks
+    }
+    assert any(
+        record.attempt == 0 and record.time_cycles > arrival[record.task_id]
+        for record in result.admission_records
+    )
+
+
+def reuse_case(surface, routing):
+    """One small draw per run-state surface a reused scheduler could
+    carry over: the plain loop, batching with 2-stage sharding, churn,
+    and a 2x2 rack topology."""
+    trace = synthetic_trace_runtimes(
+        24,
+        seed=41,
+        mean_interarrival_cycles=DEFAULT_MEAN_INTERARRIVAL_CYCLES / 4,
+        qos_mix=_QOS_MIX,
+    )
+    extra = {}
+    if surface == "batching":
+        extra["batching"] = BatchConfig(
+            window_cycles=0.7e6, max_batch=4, shard_stages=2,
+            min_shard_cycles=0.7e6,
+        )
+    elif surface == "churn":
+        horizon = max(task.spec.arrival_cycles for task in trace)
+        extra["churn"] = ChurnSchedule.generate(
+            4,
+            horizon_cycles=horizon,
+            seed=5,
+            fault_rate=1.0 / horizon,
+            revocation_rate=2.0 / horizon,
+            mean_outage_cycles=horizon / 5.0,
+            mean_warning_cycles=horizon / 40.0,
+        )
+        assert len(extra["churn"]) > 0
+    elif surface == "racks":
+        extra["racks"] = RackTopology.uniform(2, 2)
+    config = ClusterConfig(
+        policy_name="PREMA", routing=routing, seed=3, **extra
+    )
+    return 4, config, trace
+
+
+#: Admission is left out: its feedback keeps learning across runs by
+#: design, so a reused controller legitimately decides differently.
+REUSE_CASES = [
+    (surface, routing)
+    for surface in ("plain", "batching", "churn", "racks")
+    for routing in RoutingPolicy
+    if surface != "batching" or routing in ONLINE_ROUTINGS
+]
+
+
+@pytest.mark.parametrize(
+    "surface,routing",
+    REUSE_CASES,
+    ids=[f"{surface}/{routing.value}" for surface, routing in REUSE_CASES],
+)
+def test_reused_scheduler_repeats_its_run(surface, routing):
+    """Run state lives on the run, not on the scheduler: a second run()
+    on fresh runtimes repeats the first bit for bit."""
+    num_devices, config, trace = reuse_case(surface, routing)
+    scheduler = ClusterScheduler(num_devices, _SIM, config=config)
+    first = scheduler.run([copy.deepcopy(task) for task in trace])
+    second = scheduler.run([copy.deepcopy(task) for task in trace])
+    assert digest(second) == digest(first)
 
 
 if __name__ == "__main__":

@@ -21,9 +21,15 @@ from repro.sched.cluster import (
     ClusterScheduler,
     RoutingPolicy,
 )
+from repro.sched.faults import ChurnSchedule
+from repro.sched.job import BatchConfig
 from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
-from repro.workloads.generator import WorkloadGenerator
+from repro.serving import AdmissionController, PredictionFeedback
+from repro.workloads.generator import (
+    DEFAULT_ARRIVAL_WINDOW_CYCLES,
+    WorkloadGenerator,
+)
 
 from helpers_golden import _encode_cluster_v2
 
@@ -167,11 +173,47 @@ class TestClusterTraceRoundTrip:
         assert not any(e[1] == "route_audit" for e in tracer.events)
 
 
+#: Decision surfaces the default draw never reaches, each as a factory
+#: of extra ``ClusterConfig`` fields: an admission controller keeps
+#: learning across runs, so each run of a plain/observed pair needs a
+#: fresh one.
+_SURFACES = {
+    "admission": lambda: {
+        "admission": AdmissionController(feedback=PredictionFeedback())
+    },
+    "sharded-batching": lambda: {
+        "batching": BatchConfig(
+            window_cycles=1.4e6, max_batch=4, shard_stages=2,
+            min_shard_cycles=0.7e6,
+        )
+    },
+    "proactive-churn": lambda: {
+        "churn": ChurnSchedule.generate(
+            4,
+            horizon_cycles=DEFAULT_ARRIVAL_WINDOW_CYCLES,
+            seed=2,
+            fault_rate=1.0 / DEFAULT_ARRIVAL_WINDOW_CYCLES,
+            revocation_rate=3.0 / DEFAULT_ARRIVAL_WINDOW_CYCLES,
+            mean_outage_cycles=DEFAULT_ARRIVAL_WINDOW_CYCLES / 6.0,
+            mean_warning_cycles=0.35e6,
+        ),
+        "proactive_migration": True,
+    },
+}
+
+_ONLINE = (
+    RoutingPolicy.ONLINE_PREDICTED,
+    RoutingPolicy.WORK_STEALING,
+    RoutingPolicy.PREEMPTIVE_MIGRATION,
+)
+
+
 class TestNoopEquivalence:
     @staticmethod
-    def assert_observation_moves_nothing(factory, config, routing, **extra):
+    def assert_observation_moves_nothing(factory, config, routing,
+                                         extra=dict):
         plain = _encode_cluster_v2(
-            run_cluster(factory, config, routing, **extra)
+            run_cluster(factory, config, routing, **extra())
         )
         observed = _encode_cluster_v2(
             run_cluster(
@@ -179,7 +221,7 @@ class TestNoopEquivalence:
                 tracer=Tracer(audit_routing=True),
                 metrics_sampler=MetricsSampler(interval_cycles=50_000.0),
                 profiler=HotPathProfiler(),
-                **extra,
+                **extra(),
             )
         )
         assert json.dumps(plain, sort_keys=True) == json.dumps(
@@ -197,8 +239,29 @@ class TestNoopEquivalence:
         """Nor on a rack topology, where the tracer also binds rack
         tracks and records the two-tier frontend's rack choices."""
         self.assert_observation_moves_nothing(
-            factory, config, routing, racks=RackTopology.uniform(2, 2)
+            factory, config, routing,
+            lambda: {"racks": RackTopology.uniform(2, 2)},
         )
+
+    @pytest.mark.parametrize("racks", [None, (2, 2)], ids=["flat", "2x2"])
+    @pytest.mark.parametrize("surface", sorted(_SURFACES))
+    @pytest.mark.parametrize(
+        "routing", _ONLINE, ids=[routing.value for routing in _ONLINE]
+    )
+    def test_observed_surface_is_bit_for_bit(self, factory, config,
+                                             routing, surface, racks):
+        """Nor behind admission, under batching with 2-stage sharding,
+        or under proactive churn, where the admission, batch-flush and
+        evacuation emission sites and the admission and gang-stage
+        profiler sections run."""
+
+        def extra():
+            fields = _SURFACES[surface]()
+            if racks is not None:
+                fields["racks"] = RackTopology.uniform(*racks)
+            return fields
+
+        self.assert_observation_moves_nothing(factory, config, routing, extra)
 
 
 class TestValidation:
