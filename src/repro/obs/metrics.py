@@ -152,7 +152,7 @@ class MetricsSampler:
         slos=None,
         tracer=None,
     ) -> None:
-        if interval_cycles <= 0:
+        if not interval_cycles > 0:
             raise ValueError("interval_cycles must be positive")
         self.interval_cycles = float(interval_cycles)
         self.capacity = capacity

@@ -1354,7 +1354,7 @@ class ClusterScheduler:
                 threshold = self.interconnect.cross_rack_transfer_cycles(
                     CONTEXT_ROW_BYTES
                 )
-            if threshold < 0:
+            if not threshold >= 0:
                 raise ValueError(
                     "cross_rack_threshold_cycles must be non-negative"
                 )

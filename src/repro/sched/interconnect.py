@@ -83,17 +83,17 @@ class InterconnectConfig:
     uplink_latency_cycles: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_cycle <= 0:
+        if not self.bandwidth_bytes_per_cycle > 0:
             raise ValueError("bandwidth_bytes_per_cycle must be positive")
-        if self.latency_cycles < 0:
+        if not self.latency_cycles >= 0:
             raise ValueError("latency_cycles must be >= 0")
         if self.topology not in _TOPOLOGIES:
             raise ValueError(f"topology must be one of {_TOPOLOGIES}")
-        if self.uplink_oversubscription <= 0:
+        if not self.uplink_oversubscription > 0:
             raise ValueError("uplink_oversubscription must be positive")
         if (
             self.uplink_latency_cycles is not None
-            and self.uplink_latency_cycles < 0
+            and not self.uplink_latency_cycles >= 0
         ):
             raise ValueError("uplink_latency_cycles must be >= 0")
 

@@ -198,7 +198,7 @@ class BatchConfig:
     min_shard_cycles: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.window_cycles < 0:
+        if not self.window_cycles >= 0:
             raise ValueError("window_cycles must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -206,7 +206,7 @@ class BatchConfig:
             raise ValueError("marginal_fraction must be in [0, 1]")
         if self.shard_stages < 1:
             raise ValueError("shard_stages must be >= 1")
-        if self.min_shard_cycles < 0:
+        if not self.min_shard_cycles >= 0:
             raise ValueError("min_shard_cycles must be >= 0")
 
 

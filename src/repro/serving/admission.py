@@ -83,9 +83,9 @@ class AdmissionConfig:
     def __post_init__(self) -> None:
         if self.max_defers < 0:
             raise ValueError("max_defers must be >= 0")
-        if self.defer_delay_cycles <= 0:
+        if not self.defer_delay_cycles > 0:
             raise ValueError("defer_delay_cycles must be positive")
-        if self.budget_floor_cycles < 0:
+        if not self.budget_floor_cycles >= 0:
             raise ValueError("budget_floor_cycles must be >= 0")
 
 

@@ -1,10 +1,18 @@
 """Multi-NPU cluster layer (the Sec II-C future-work extension)."""
 
+import math
+
 import pytest
 
+from repro.npu.config import NPUConfig
+from repro.obs import MetricsSampler
 from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
+from repro.sched.interconnect import InterconnectConfig
+from repro.sched.job import BatchConfig
 from repro.sched.metrics import compute_metrics
+from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
+from repro.serving import AdmissionConfig
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -144,3 +152,39 @@ class TestClusterExperiment:
             assert by_key[(2, routing, policy)].antt <= \
                 by_key[(1, routing, policy)].antt * 1.01
         assert "multi-NPU" in format_cluster_scaling(rows)
+
+
+#: One NaN per range-checked knob.  Each check must be written so NaN
+#: fails it (``not x >= 0``): NaN compares false either way, so a check
+#: written as ``x < 0`` lets it through.
+_NAN_KNOBS = {
+    "cross_rack_threshold_cycles": lambda: ClusterScheduler(
+        4,
+        SimulationConfig(npu=NPUConfig()),
+        config=ClusterConfig(
+            racks=RackTopology.uniform(2, 2),
+            cross_rack_threshold_cycles=math.nan,
+        ),
+    ),
+    "bandwidth_bytes_per_cycle": lambda: InterconnectConfig(math.nan),
+    "latency_cycles": lambda: InterconnectConfig(1.0, latency_cycles=math.nan),
+    "uplink_oversubscription": lambda: InterconnectConfig(
+        1.0, uplink_oversubscription=math.nan
+    ),
+    "uplink_latency_cycles": lambda: InterconnectConfig(
+        1.0, uplink_latency_cycles=math.nan
+    ),
+    "window_cycles": lambda: BatchConfig(math.nan),
+    "min_shard_cycles": lambda: BatchConfig(0.0, min_shard_cycles=math.nan),
+    "defer_delay_cycles": lambda: AdmissionConfig(defer_delay_cycles=math.nan),
+    "budget_floor_cycles": lambda: AdmissionConfig(
+        budget_floor_cycles=math.nan
+    ),
+    "interval_cycles": lambda: MetricsSampler(math.nan),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_NAN_KNOBS))
+def test_range_checks_reject_nan(field):
+    with pytest.raises(ValueError, match=field):
+        _NAN_KNOBS[field]()
