@@ -74,7 +74,7 @@ import math
 import random
 import time
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.context import TaskState
 from repro.core.tokens import ClusterTokenLedger
@@ -893,10 +893,11 @@ class _RackIndexes(_ClusterIndexes):
 
 
 class _ChurnRuntime:
-    """Churn mechanics of the cluster event loop.
+    """Churn mechanics of one cluster run.
 
     Owns the :class:`~repro.sched.faults.FleetAvailability` machine and
-    applies its transitions to the live fleet:
+    applies its transitions to the fleet of its :class:`_ClusterRun`,
+    which it reads through its one ``run`` reference:
 
     - **warn** (proactive mode): the device stops accepting new work
       (routing, stealing, admission and idle indexes all exclude it) and
@@ -907,113 +908,101 @@ class _ChurnRuntime:
       (the Parcae-style liveput protection).  Reactive mode records the
       state change and does nothing else.
     - **down**: in-flight transfers to the device are cancelled on their
-      links, its non-durable progress dies (:meth:`DeviceSim.fail`), and
-      the orphans are handed to the loop's ``on_orphans`` callback for
-      re-dispatch (or parking, when no capacity survives).
+      links and its non-durable progress dies (:meth:`DeviceSim.fail`).
+      In a plain task stream each orphan restarts on a live device (or
+      parks, when no capacity survives); otherwise it loses its gang.
     - **restore**: the device re-enters every routing structure and the
-      loop's ``on_restore`` callback re-places parked work.
+      parked work is re-placed.
     - **check**: a self-scheduled revisit (e.g. at a forced checkpoint's
       durability instant) that re-runs evacuation while the device is
       still doomed.
 
-    The loop processes a transition whenever it precedes the next device
+    The run processes a transition whenever it precedes the next device
     event at same-time-completion-first / before-same-time-arrival rank
     (between :data:`_EventKind.COMPLETE` and ``ARRIVAL``).
     """
 
     def __init__(
-        self,
-        schedule: ChurnSchedule,
-        devices: Sequence[DeviceSim],
-        indexes: Optional[_ClusterIndexes],
-        fabric: Optional[Interconnect],
-        inflight: Dict[int, List[Tuple[float, float, int]]],
-        assignments: Dict[int, int],
-        migrations: List[MigrationRecord],
-        ledger: Optional[ClusterTokenLedger],
-        proactive: bool,
+        self, run: "_ClusterRun", schedule: ChurnSchedule, proactive: bool
     ) -> None:
-        self.fleet = FleetAvailability(len(devices), schedule)
-        self.devices = devices
-        self.indexes = indexes
-        self.fabric = fabric
-        self.inflight = inflight
-        self.assignments = assignments
-        self.migrations = migrations
-        self.ledger = ledger
+        self.run = run
+        self.fleet = FleetAvailability(len(run.devices), schedule)
+        #: Transition instants ride on the fleet's tracer.
+        self.fleet.tracer = run.tracer
         self.proactive = proactive
         #: Jobs with nowhere to go while no device accepts (re-placed at
         #: the next restore; lost if the fleet never recovers).
         self.parked: List[Job] = []
-        #: Loop hooks, set by the owning loop before it runs.
-        self.on_orphans: Optional[Callable] = None
-        self.on_restore: Optional[Callable] = None
         #: The churn event whose warning window a device is inside.
         self._active_event: Dict[int, ChurnEvent] = {}
         #: Tasks already force-checkpointed in the current window, per
         #: device -- a failed shipment must not re-trap the same task.
         self._forced: Dict[int, Set[int]] = {}
-        #: Observability (repro.obs): set by the owning loop.  The
-        #: tracer rides on ``fleet.tracer`` (transition instants) and
-        #: this attribute (evacuation migration spans); the profiler
-        #: attributes churn-handling wall time.
-        self.tracer = NULL_TRACER
-        self.profiler = None
 
-    # -- loop-facing surface -------------------------------------------
+    # -- run-facing surface --------------------------------------------
     def peek_time(self) -> Optional[float]:
         return self.fleet.peek_time()
 
     def any_accepting(self) -> bool:
-        return any(device.accepts_work for device in self.devices)
+        return any(device.accepts_work for device in self.run.devices)
 
     def process_next(self) -> None:
-        prof = self.profiler
-        if prof is None:
-            self._process_next()
-            return
-        start_ns = time.perf_counter_ns()
-        self._process_next()
-        prof.add("churn", time.perf_counter_ns() - start_ns)
-
-    def _process_next(self) -> None:
+        run = self.run
+        profiler = run.profiler
+        start_ns = time.perf_counter_ns() if profiler is not None else 0
         transition = self.fleet.pop()
         now = transition.time_cycles
         index = transition.device
-        device = self.devices[index]
+        device = run.devices[index]
         if transition.phase == "warn":
             self.fleet.apply(transition)
             if transition.event is not None:
                 self._active_event[index] = transition.event
             if self.proactive:
                 device.stop_accepting(now)
-                self._refresh(device)
+                run.refresh(device)
                 self._evacuate(index, now)
         elif transition.phase == "down":
             self.fleet.apply(transition)
             self._active_event.pop(index, None)
             self._forced.pop(index, None)
-            if self.fabric is not None:
-                self.fabric.cancel_transfers_to(index, now)
-            self.inflight[index].clear()
+            if run.fabric is not None:
+                run.fabric.cancel_transfers_to(index, now)
+            run.inflight[index].clear()
             orphans = device.fail(now)
-            self._refresh(device)
-            if self.on_orphans is not None:
-                self.on_orphans(orphans, now)
+            run.refresh(device)
+            for runtime in orphans:
+                entry = run.slice_map.get(runtime.task_id)
+                if entry is None:
+                    continue
+                if run.plain:
+                    # A task restarts from scratch on a live device (or
+                    # parks until a restore).
+                    run.dispatch(entry[0].jobs, now)
+                else:
+                    # A gang has exactly one live slice at a time
+                    # (stages are sequential, and an in-flight successor
+                    # counts as the live one); losing it loses the gang
+                    # -- pipeline restart from a mid-gang failure is out
+                    # of scope (documented in docs/failures.md).
+                    run.lose_gang(entry[0])
         elif transition.phase == "restore":
             self.fleet.apply(transition)
             self._active_event.pop(index, None)
             self._forced.pop(index, None)
             device.accepts_work = True
-            self._refresh(device)
-            if self.on_restore is not None:
-                self.on_restore(now)
+            run.refresh(device)
+            parked, self.parked = self.parked, []
+            for job in parked:
+                run.enqueue(job, now)
         else:  # "check": revisit a still-doomed device's evacuation
             if self.proactive and self.fleet.state(index) in (
                 DeviceAvailability.WARNED,
                 DeviceAvailability.DRAINING,
             ):
                 self._evacuate(index, now)
+        if profiler is not None:
+            profiler.add("churn", time.perf_counter_ns() - start_ns)
 
     def after_step(self, device: DeviceSim, now: float) -> None:
         """Opportunistic re-evacuation after a doomed device's own event
@@ -1026,19 +1015,13 @@ class _ChurnRuntime:
             DeviceAvailability.WARNED,
             DeviceAvailability.DRAINING,
         ):
-            prof = self.profiler
-            if prof is None:
-                self._evacuate(index, now)
-                return
-            start_ns = time.perf_counter_ns()
+            profiler = self.run.profiler
+            start_ns = time.perf_counter_ns() if profiler is not None else 0
             self._evacuate(index, now)
-            prof.add("churn", time.perf_counter_ns() - start_ns)
+            if profiler is not None:
+                profiler.add("churn", time.perf_counter_ns() - start_ns)
 
     # -- mechanics ------------------------------------------------------
-    def _refresh(self, device: DeviceSim) -> None:
-        if self.indexes is not None:
-            self.indexes.refresh(device)
-
     def _pick_target(self, src_index: int, now: float) -> Optional[int]:
         """Least-backlog accepting device other than the source.
 
@@ -1047,81 +1030,19 @@ class _ChurnRuntime:
         checkpoints about to ship); cross-rack landing spots are used
         only when the source's whole rack has stopped accepting.
         """
-        rack_of = self.fabric.rack_of if self.fabric is not None else None
-        best: Optional[int] = None
-        best_key: Optional[Tuple[int, float, int]] = None
-        for device in self.devices:
-            index = device.device_id
-            if index == src_index or not device.accepts_work:
-                continue
-            remote = (
-                0
-                if rack_of is None or rack_of[index] == rack_of[src_index]
-                else 1
-            )
-            key = (
-                remote,
-                device.predicted_backlog(now)
-                + ClusterScheduler._inbound_backlog(self.inflight, index, now),
-                index,
-            )
-            if best_key is None or key < best_key:
-                best, best_key = index, key
-        return best
-
-    def _ship(
-        self, src_index: int, dst_index: int, task_id: int, now: float
-    ) -> None:
-        """Move one QUEUED/PREEMPTED task over the fabric (the
-        :meth:`ClusterScheduler._migrate` mechanics, evacuation-driven)."""
-        assert self.fabric is not None
-        src = self.devices[src_index]
-        dst = self.devices[dst_index]
-        task = src.remove_task(task_id, now)
-        ships_checkpoint = task.checkpoint_bytes_resident > 0
-        payload = task.checkpoint_bytes_resident + CONTEXT_ROW_BYTES
-        record = self.fabric.transfer(
-            src_index, dst_index, payload, now, task_id=task.task_id
-        )
-        task.context.state = TaskState.MIGRATING
-        task.context.accrue_wait(record.end_cycles)
-        if self.ledger is not None:
-            self.ledger.activate(task.task_id, task.context.tokens)
-        task.migration_count += 1
-        task.migrated_bytes_total += payload
-        dst.inject(task, arrival=record.end_cycles)
-        self._refresh(src)
-        self._refresh(dst)
-        self.assignments[task.task_id] = dst_index
-        self.inflight[dst_index].append(
-            (record.end_cycles, task.context.estimated_remaining_cycles,
-             int(task.context.priority))
-        )
-        self.migrations.append(
-            MigrationRecord(
-                task_id=task.task_id,
-                from_device=src_index,
-                to_device=dst_index,
-                time_cycles=now,
-                kind="checkpoint" if ships_checkpoint else "steal",
-                bytes_moved=payload,
-                arrival_cycles=record.end_cycles,
-            )
-        )
-        if self.tracer.enabled:
-            self.tracer.span(
-                "migration",
-                f"evacuate t{task.task_id} d{src_index}->d{dst_index}",
-                now,
-                record.end_cycles,
-                args={
-                    "task": task.task_id,
-                    "from": src_index,
-                    "to": dst_index,
-                    "bytes": payload,
-                    "reason": "evacuation",
-                },
-            )
+        run = self.run
+        candidates = [
+            device.device_id
+            for device in run.devices
+            if device.device_id != src_index and device.accepts_work
+        ]
+        rack_of = run.scheduler.rack_of
+        if rack_of is not None:
+            rack = rack_of[src_index]
+            candidates = [
+                index for index in candidates if rack_of[index] == rack
+            ] or candidates
+        return run.least_backlog(candidates, now)
 
     def _evacuate(self, src_index: int, now: float) -> None:
         """Drain a doomed device toward its revocation deadline.
@@ -1134,11 +1055,13 @@ class _ChurnRuntime:
         once (per window) when the trap DMA plus shipment fit, and a
         ``check`` transition revisits at durability to ship it.
         """
+        run = self.run
         event = self._active_event.get(src_index)
-        if event is None or self.fabric is None:
+        fabric = run.fabric
+        if event is None or fabric is None:
             return
         deadline = event.down_cycles
-        src = self.devices[src_index]
+        src = run.devices[src_index]
 
         def value(task: TaskRuntime):
             context = task.context
@@ -1159,12 +1082,15 @@ class _ChurnRuntime:
                 if target is None:
                     return  # nowhere to evacuate to
                 payload = task.checkpoint_bytes_resident + CONTEXT_ROW_BYTES
-                landing = self.fabric.estimate_arrival(
+                landing = fabric.estimate_arrival(
                     src_index, target, payload, now
                 )
                 if landing > deadline:
                     continue  # this payload cannot beat the deadline
-                self._ship(src_index, target, task.task_id, now)
+                run.ship(
+                    src_index, target, task.task_id, now,
+                    "evacuate", "evacuation",
+                )
                 progress = True
                 break
 
@@ -1191,13 +1117,13 @@ class _ChurnRuntime:
         if target is None:
             return
         payload = checkpoint_bytes + CONTEXT_ROW_BYTES
-        if self.fabric.estimate_arrival(
+        if fabric.estimate_arrival(
             src_index, target, payload, free_at
         ) > deadline:
             return  # checkpoint would land dead bytes; ride it out
         src.force_checkpoint(now)
         forced.add(running.task_id)
-        self._refresh(src)
+        run.refresh(src)
         # Revisit at durability: the checkpoint becomes shippable then.
         self.fleet.push_check(free_at, src_index)
 
@@ -1464,60 +1390,124 @@ class ClusterScheduler:
     # Execution: the cluster event loop
     # ------------------------------------------------------------------
     def _run_gangs(self, jobs: Sequence[Job]) -> ClusterResult:
-        """The cluster event loop: place, coalesce, shard, settle.
+        """Serve ``jobs`` through the cluster event loop.
 
-        Device events, availability transitions, batch-window flushes
-        and router arrivals interleave in timestamp order (ties:
-        completions, then transitions, then flushes, then arrivals), so
-        every router decision reads the live device state of its
-        instant.  A metrics sample due wakes after everything else at
-        its instant.  A plain task stream -- single-slice jobs, no batching
-        -- is the degenerate case: one dispatch per task, on one device.
-
-        - **Placement**: a static routing precomputes each job's device
-          (:meth:`route`).  Without churn every job is injected up front
-          at its arrival time, so each device replays its partition in
-          isolation; under churn jobs feed one at a time and divert from
-          a device that stopped accepting work.  Online routings place
-          stage 0 on the device admission control chose, else on the
-          least live backlog (:meth:`_route_online`).
-        - **Coalescing**: the first arrival of a batch key opens a window;
-          compatible arrivals join until the window closes or
-          ``max_batch`` fills, then the members merge into one proxy
-          runtime (:func:`~repro.sched.job.merge_runtimes`).
-        - **Gang dispatch**: a dispatch whose plan has multiple stages
-          reserves one device per stage (least predicted backlog,
-          distinct while the fleet allows) and injects stage 0.  Each
-          stage completion ships the boundary activations to the next
-          stage's device over the contended fabric (DMA-out), charges the
-          landing cost as the successor's dispatch restore (DMA-in), and
-          injects the successor -- the MockSim DMA-in/compute/DMA-out
-          idiom, with slices remaining ordinary preemptible tasks.
-        - **Settlement**: the final stage's completion settles every
-          member request from the proxy (wait accrual, completion time,
-          admission budget release + feedback observation).
-        - **Churn**: in a plain task stream an orphaned task restarts on
-          a live device (or parks until a restore); otherwise an orphan
-          loses its whole gang.
+        Builds one :class:`_ClusterRun`, which holds every piece of this
+        run's state (none stays on the scheduler, so one scheduler can
+        serve many runs), runs its loop to the last settlement, and
+        returns its result.
         """
+        run = _ClusterRun(self, jobs)
+        run.loop()
+        return run.result()
+
+    # ------------------------------------------------------------------
+    # Online decisions
+    # ------------------------------------------------------------------
+    def admission_prediction_filters(self) -> Tuple[bool, bool]:
+        """(priority filter on, SJF-within-class filter on) for admission.
+
+        The class-aware backlog model is only valid when the per-device
+        policy actually serves that way: the priority filter requires a
+        priority-driven policy *with preemption* (under NP even a HIGH
+        arrival waits out the running task), and the shortest-first
+        refinement requires a policy that ranks by estimated remaining
+        time.  FCFS/RRB get the plain total backlog.
+        """
+        name = self.policy_name.upper()
+        preemptive = self.simulation_config.mode is not PreemptionMode.NP
+        return (
+            preemptive and name in PRIORITY_DRIVEN_POLICIES,
+            name in SHORTEST_FIRST_POLICIES,
+        )
+
+
+class _ClusterRun:
+    """One :meth:`ClusterScheduler.run` / ``run_jobs`` call: its state and
+    the cluster event loop over it (place, coalesce, shard, settle).
+
+    Device events, availability transitions, batch-window flushes and
+    router arrivals interleave in timestamp order (ties: completions,
+    then transitions, then flushes, then arrivals), so every router
+    decision reads the live device state of its instant.  A metrics
+    sample due wakes after everything else at its instant.  :meth:`loop`
+    finds the next wake and hands it to its method: :meth:`device_event`,
+    :meth:`churn_transition`, :meth:`batch_flush`, :meth:`arrival`,
+    :meth:`admission_arrival` or :meth:`sample_due`.  A plain task
+    stream -- single-slice jobs, no batching -- is the degenerate case:
+    one dispatch per task, on one device.
+
+    - **Placement**: a static routing precomputes each job's device
+      (:meth:`ClusterScheduler.route`).  Without churn every job is
+      injected up front at its arrival time, so each device replays its
+      partition in isolation; under churn jobs feed one at a time and
+      divert from a device that stopped accepting work.  Online routings
+      place stage 0 on the device admission control chose, else on the
+      least live backlog (:meth:`route_online`).
+    - **Coalescing**: the first arrival of a batch key opens a window;
+      compatible arrivals join until the window closes or ``max_batch``
+      fills, then the members merge into one proxy runtime
+      (:func:`~repro.sched.job.merge_runtimes`).
+    - **Gang dispatch**: a dispatch whose plan has multiple stages
+      reserves one device per stage (least predicted backlog, distinct
+      while the fleet allows) and injects stage 0.  Each stage
+      completion ships the boundary activations to the next stage's
+      device over the contended fabric (DMA-out), charges the landing
+      cost as the successor's dispatch restore (DMA-in), and injects the
+      successor -- the MockSim DMA-in/compute/DMA-out idiom, with slices
+      remaining ordinary preemptible tasks.
+    - **Settlement**: the final stage's completion settles every member
+      request from the proxy (wait accrual, completion time, admission
+      budget release + feedback observation).
+    - **Churn** (:class:`_ChurnRuntime`): in a plain task stream an
+      orphaned task restarts on a live device (or parks until a
+      restore); otherwise an orphan loses its whole gang.
+    """
+
+    __slots__ = (
+        "scheduler", "jobs", "routing", "batching", "plain", "coalesce",
+        "tracer", "sampler", "profiler", "admission", "prediction_filters",
+        "records_start", "static", "ledger", "fabric", "devices", "indexes",
+        "assignments", "migrations", "inflight", "pending", "frontier",
+        "next_id", "open_batches", "open_deadline", "flush_heap",
+        "flush_seq", "slice_map", "batch_records", "rejected_jobs",
+        "lost_jobs", "settled", "churn",
+    )
+
+    def __init__(self, scheduler: ClusterScheduler, jobs: Sequence[Job]) -> None:
         # A duplicate id would overwrite its twin's assignment and slice
         # entry and leave the settlement count short, hanging the loop.
-        seen: set = set()
+        seen: Set[int] = set()
         for job in jobs:
             for member in job.requests:
                 if member.task_id in seen:
                     raise ValueError(f"duplicate task id {member.task_id}")
                 seen.add(member.task_id)
-        batching = self.batching
+        self.scheduler = scheduler
+        self.jobs = jobs
+        self.routing = scheduler.routing
+        batching = self.batching = scheduler.batching
         #: A plain task stream keeps the per-task semantics: no batch
         #: records, and churn orphans restart instead of losing a gang.
-        plain = batching is None and all(job.is_single for job in jobs)
+        self.plain = batching is None and all(job.is_single for job in jobs)
+        self.coalesce = (
+            batching is not None
+            and batching.max_batch > 1
+            and batching.window_cycles > 0
+        )
+        tracer = self.tracer = scheduler.tracer
+        self.sampler = scheduler.sampler
+        self.profiler = scheduler.profiler
+        num_devices = scheduler.num_devices
         # The ledger only exists for policies that read tokens: attaching
         # one to HPF/SJF/FCFS would just accumulate dead entries (their
         # hooks never drain it).
-        ledger: Optional[ClusterTokenLedger] = None
-        if self.global_tokens and make_policy(self.policy_name).uses_tokens:
-            ledger = ClusterTokenLedger()
+        ledger = self.ledger = None
+        if (
+            scheduler.global_tokens
+            and make_policy(scheduler.policy_name).uses_tokens
+        ):
+            ledger = self.ledger = ClusterTokenLedger()
         # The fabric carries checkpoint migrations, inter-stage
         # activations and churn evacuations (churn always builds it:
         # cancel_transfers_to() needs it even in reactive mode).
@@ -1525,406 +1515,108 @@ class ClusterScheduler:
             self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
             or any(job.num_stages > 1 for job in jobs)
             or (batching is not None and batching.shard_stages > 1)
-            or self.churn is not None
+            or scheduler.churn is not None
         )
-        fabric: Optional[Interconnect] = None
+        self.fabric = None
         if needs_fabric:
-            fabric = Interconnect(
-                self.interconnect, self.num_devices, rack_of=self.rack_of
+            self.fabric = Interconnect(
+                scheduler.interconnect, num_devices, rack_of=scheduler.rack_of
             )
-            fabric.tracer = self.tracer
-        devices = [
+            self.fabric.tracer = tracer
+        devices = self.devices = [
             DeviceSim(
-                self.simulation_config,
-                make_policy(self.policy_name, ledger=ledger),
+                scheduler.simulation_config,
+                make_policy(scheduler.policy_name, ledger=ledger),
                 device_id=index,
-                tracer=self.tracer,
+                tracer=tracer,
             )
-            for index in range(self.num_devices)
+            for index in range(num_devices)
         ]
         # The token ledger reads every device's grants, and preemptive
         # migration polls after every device event: keep every tick.
-        if ledger is not None or self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
+        if (
+            ledger is not None
+            or self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
+        ):
             for device in devices:
                 device.ticks_read = True
         # The O(log d) control plane.  Built before any injection so the
         # event-change hook sees every arrival; None runs the reference
         # linear-scan loop (decision-identical).
-        indexes: Optional[_ClusterIndexes] = None
-        if self.use_indexes:
-            if self.racks is not None:
-                indexes = _RackIndexes(
-                    devices, self.racks, verify=self.verify_indexes
+        self.indexes = None
+        if scheduler.use_indexes:
+            if scheduler.racks is not None:
+                self.indexes = _RackIndexes(
+                    devices, scheduler.racks, verify=scheduler.verify_indexes
                 )
             else:
-                indexes = _ClusterIndexes(
-                    devices, verify=self.verify_indexes
+                self.indexes = _ClusterIndexes(
+                    devices, verify=scheduler.verify_indexes
                 )
-            indexes.tracer = self.tracer
-        assignments: Dict[int, int] = {}
-        migrations: List[MigrationRecord] = []
+            self.indexes.tracer = tracer
+        self.assignments: Dict[int, int] = {}
+        self.migrations: List[MigrationRecord] = []
         #: Per-device in-flight deliveries (checkpoints, activations):
         #: (arrival cycle, estimated remaining cycles, task priority).
         #: Routing counts them as backlog and a device with one pending is
         #: not an eligible thief; the admission path filters them by
         #: priority like the rest of its class-aware backlog.
-        inflight: Dict[int, List[Tuple[float, float, int]]] = {
-            index: [] for index in range(self.num_devices)
+        self.inflight: Dict[int, List[Tuple[float, float, int]]] = {
+            index: [] for index in range(num_devices)
         }
-        admission = self.admission
+        admission = self.admission = scheduler.admission
         # Records accumulate for the controller's lifetime (the feedback
         # EWMA deliberately keeps learning across runs); slice off this
         # run's decisions so a reused scheduler reports only its own.
-        records_start = len(admission.records) if admission else 0
-        if admission is not None:
-            use_priority, use_sjf = self.admission_prediction_filters()
-        bandwidth = self.simulation_config.npu.bandwidth_bytes_per_cycle
-        static: Optional[Dict[int, int]] = None
+        self.records_start = len(admission.records) if admission else 0
+        self.prediction_filters = scheduler.admission_prediction_filters()
+        self.static: Optional[Dict[int, int]] = None
         if self.routing in STATIC_ROUTINGS:
-            static = self.route([job.source for job in jobs])
+            self.static = scheduler.route([job.source for job in jobs])
 
         #: Admission frontier: a min-heap of (consider_cycles, arrival,
         #: job_id, attempt, job).  Deferred arrivals re-enter with a
         #: later consideration time and a bumped attempt count.
         ordered = sorted(jobs, key=lambda j: (j.arrival_cycles, j.job_id))
-        frontier: List[Tuple[float, float, int, int, Job]] = []
+        self.frontier: List[Tuple[float, float, int, int, Job]] = []
         if admission is None:
-            pending: deque = deque(ordered)
+            self.pending: deque = deque(ordered)
         else:
-            pending = deque()
+            self.pending = deque()
             # Sorted by (arrival, job_id) => already a valid heap.
-            frontier = [
+            self.frontier = [
                 (job.arrival_cycles, job.arrival_cycles, job.job_id, 0, job)
                 for job in ordered
             ]
 
         # Fresh ids for merged proxies and later-stage slices, above every
         # offered id so they can never collide with a request.
-        next_id = 1 + max(max(seen), max(job.job_id for job in jobs))
-
-        coalesce = (
-            batching is not None
-            and batching.max_batch > 1
-            and batching.window_cycles > 0
-        )
-        open_batches: Dict[Tuple, List[Job]] = {}
-        open_deadline: Dict[Tuple, float] = {}
-        flush_heap: List[Tuple[float, int, Tuple]] = []
-        flush_seq = 0
-
+        self.next_id = 1 + max(max(seen), max(job.job_id for job in jobs))
+        self.open_batches: Dict[Tuple, List[Job]] = {}
+        self.open_deadline: Dict[Tuple, float] = {}
+        self.flush_heap: List[Tuple[float, int, Tuple]] = []
+        self.flush_seq = 0
         #: Live slice id -> (its gang, stage index).
-        slice_map: Dict[int, Tuple[_GangRun, int]] = {}
-        batch_records: List[BatchRecord] = []
-        rejected_jobs: List[Job] = []
-        lost_jobs: List[Job] = []
-        total_jobs = len(jobs)
-        settled = 0
-        arrival_rank = int(_EventKind.ARRIVAL)
-        tracer = self.tracer
-        sampler = self.sampler
-        profiler = self.profiler
-        churn_rt: Optional[_ChurnRuntime] = None
-        if self.churn is not None:
-            churn_rt = _ChurnRuntime(
-                self.churn, devices, indexes, fabric, inflight, assignments,
-                migrations, ledger, self.proactive_migration,
+        self.slice_map: Dict[int, Tuple[_GangRun, int]] = {}
+        self.batch_records: List[BatchRecord] = []
+        self.rejected_jobs: List[Job] = []
+        self.lost_jobs: List[Job] = []
+        self.settled = 0
+        self.churn: Optional[_ChurnRuntime] = None
+        if scheduler.churn is not None:
+            self.churn = _ChurnRuntime(
+                self, scheduler.churn, scheduler.proactive_migration
             )
-            churn_rt.tracer = self.tracer
-            churn_rt.fleet.tracer = self.tracer
-            churn_rt.profiler = self.profiler
 
-        def route_stage(now: float, used: set) -> int:
-            """Least-backlog device for a later gang stage, avoiding
-            devices already reserved by this gang while the fleet allows.
-            Doomed and down devices (churn) never take a stage while any
-            accepting device exists."""
-            candidates = [
-                d
-                for d in range(self.num_devices)
-                if d not in used and devices[d].accepts_work
-            ]
-            if not candidates:
-                candidates = [
-                    d
-                    for d in range(self.num_devices)
-                    if devices[d].accepts_work
-                ] or list(range(self.num_devices))
-            start_ns = time.perf_counter_ns() if profiler is not None else 0
-            choice = min(
-                candidates,
-                key=lambda d: (
-                    devices[d].predicted_backlog(now)
-                    + self._inbound_backlog(inflight, d, now),
-                    d,
-                ),
-            )
-            if profiler is not None:
-                profiler.add("route", time.perf_counter_ns() - start_ns)
-            if tracer.enabled and tracer.audit_routing:
-                self._audit_route(devices, now, inflight, choice, "gang_stage")
-            return choice
-
-        def dispatch_gang(
-            members: List[Job], now: float, preferred: Optional[int] = None
-        ) -> None:
-            nonlocal next_id
-            if churn_rt is not None and not churn_rt.any_accepting():
-                # Zero surviving capacity (an arrival, an orphan or a
-                # batch window flushing mid-outage): park the members for
-                # the next restore (or account them lost at quiesce).
-                churn_rt.parked.extend(members)
-                return
-            owner: Optional[Job] = None
-            if len(members) == 1:
-                proxy = members[0].source
-                if members[0].num_stages > 1:
-                    owner = members[0]  # a pre-cut gang: fill its slices
-            else:
-                assert batching is not None
-                proxy = merge_runtimes(
-                    [job.source for job in members],
-                    task_id=next_id,
-                    now=now,
-                    marginal_fraction=batching.marginal_fraction,
-                    tracer=tracer,
-                )
-                next_id += 1
-            shard = 1
-            # Scheduler-visible decision: shard when the dispatch *looks*
-            # big enough to amortize the boundary DMAs (a pre-cut gang
-            # keeps its own stages).
-            if (
-                owner is None
-                and batching is not None
-                and batching.shard_stages > 1
-                and proxy.context.estimated_cycles >= batching.min_shard_cycles
-            ):
-                shard = min(batching.shard_stages, self.num_devices)
-            plans: List[StagePlan]
-            if shard > 1:
-                plans = partition_runtime(proxy, shard)
-            elif len(members) == 1:
-                # A solo dispatch runs its job's own stage plans (a
-                # single-stage gang executes the proxy runtime itself).
-                plans = [s.stage for s in members[0].slices]
-            else:
-                plans = [
-                    StagePlan(
-                        index=0,
-                        profile=proxy.profile,
-                        estimated_cycles=max(
-                            proxy.context.estimated_cycles, 1e-9
-                        ),
-                        activation_bytes=0.0,
-                    )
-                ]
-            # Stage 0 lands where admission placed it (or the static
-            # route), else on the least live backlog -- through the
-            # backlog index and the rack router when present.
-            if preferred is None:
-                preferred = self._route_online(devices, now, inflight, indexes)
-            slice_ids = [proxy.task_id]
-            reserved = [preferred]
-            stage0: TaskRuntime = proxy
-            if len(plans) > 1:
-                for _ in plans[1:]:
-                    slice_ids.append(next_id)
-                    next_id += 1
-                    reserved.append(route_stage(now, set(reserved)))
-                stage0 = stage_runtime(proxy, plans[0], slice_ids[0], now)
-            gang = _GangRun(members, owner, proxy, plans, slice_ids, reserved)
-            gang.runtimes[0] = stage0
-            if owner is not None:
-                owner.slices[0].runtime = stage0
-                owner.slices[0].device_id = preferred
-            devices[preferred].inject(stage0, arrival=now)
-            if indexes is not None:
-                indexes.refresh(devices[preferred])
-            assignments[proxy.task_id] = preferred
-            slice_map[proxy.task_id] = (gang, 0)
-            for job in members:
-                job.state = JobState.DISPATCHED
-            if plain:
-                return  # a task dispatch: no batch record to keep
-            member_ids = []
-            for job in members:
-                for member in job.requests:
-                    member_ids.append(member.task_id)
-                    assignments.setdefault(member.task_id, reserved[0])
-            batch_records.append(
-                BatchRecord(
-                    proxy_task_id=slice_ids[0],
-                    member_task_ids=tuple(member_ids),
-                    dispatch_cycles=now,
-                    num_stages=len(plans),
-                    devices=tuple(reserved),
-                )
-            )
-            if tracer.enabled:
-                tracer.instant(
-                    "batch_flush",
-                    f"flush {len(members)}j -> d{reserved[0]}",
-                    now,
-                    device=reserved[0],
-                    args={
-                        "proxy": slice_ids[0],
-                        "members": len(member_ids),
-                        "stages": len(plans),
-                        "devices": list(reserved),
-                    },
-                )
-
-        def enqueue_job(
-            job: Job, now: float, preferred: Optional[int] = None
-        ) -> None:
-            nonlocal flush_seq
-            if coalesce and job.is_single:
-                assert batching is not None
-                key = batch_key(job.source.spec)
-                open_jobs = open_batches.get(key)
-                if open_jobs is not None:
-                    open_jobs.append(job)
-                    if len(open_jobs) >= batching.max_batch:
-                        del open_batches[key]
-                        del open_deadline[key]
-                        dispatch_gang(open_jobs, now)
-                    return
-                open_batches[key] = [job]
-                deadline = now + batching.window_cycles
-                open_deadline[key] = deadline
-                heapq.heappush(flush_heap, (deadline, flush_seq, key))
-                flush_seq += 1
-                return
-            dispatch_gang([job], now, preferred)
-
-        def advance_gang(gang: "_GangRun", stage: int, now: float) -> None:
-            """Ship stage ``stage``'s boundary tensor and start the next.
-
-            DMA-out is the fabric transfer (contended, FIFO per link);
-            DMA-in is the landing cost charged as the successor slice's
-            dispatch restore.  A successor landing on the same device
-            skips both -- the tensor is already resident.
-            """
-            nxt = stage + 1
-            plan = gang.plans[nxt]
-            src = assignments[gang.slice_ids[stage]]
-            dst = gang.devices[nxt]
-            if not devices[dst].accepts_work:
-                # The reserved device was revoked/drained since dispatch.
-                if churn_rt is not None and not churn_rt.any_accepting():
-                    lose_gang(gang)  # nowhere for the pipeline to go
-                    return
-                dst = route_stage(now, set())
-                gang.devices[nxt] = dst
-            activation = gang.plans[stage].activation_bytes
-            slice_id = gang.slice_ids[nxt]
-            if src != dst and fabric is not None:
-                record = fabric.transfer(
-                    src, dst, activation, now,
-                    task_id=slice_id, purpose="activation",
-                )
-                arrival = record.end_cycles
-                restore = activation / bandwidth
-                inflight[dst].append(
-                    (arrival, plan.estimated_cycles,
-                     int(gang.proxy.context.priority))
-                )
-                gang.proxy.migrated_bytes_total += activation
-            else:
-                arrival, restore = now, 0.0
-            runtime = stage_runtime(
-                gang.proxy, plan, slice_id, arrival, restore
-            )
-            gang.runtimes[nxt] = runtime
-            if gang.owner is not None:
-                gang.owner.slices[nxt].runtime = runtime
-                gang.owner.slices[nxt].device_id = dst
-            devices[dst].inject(runtime, arrival=arrival)
-            if indexes is not None:
-                indexes.refresh(devices[dst])
-            assignments[slice_id] = dst
-            slice_map[slice_id] = (gang, nxt)
-
-        def settle_gang(gang: "_GangRun", now: float) -> None:
-            """The final stage completed: settle every member job."""
-            nonlocal settled
-            final = gang.runtimes[-1]
-            first_dispatch = gang.runtimes[0].first_dispatch_time
-            device = assignments[gang.slice_ids[-1]]
-            for job in gang.jobs:
-                for member in job.requests:
-                    if member is not final:
-                        # Batched or sharded: the member never ran under
-                        # its own id, so its accounting settles from the
-                        # proxy.  A solo task completed on its device.
-                        settle_member(member, now, first_dispatch)
-                    if admission is not None:
-                        admission.on_complete(member)
-                    # Sample per settled *member*, not per merged proxy
-                    # or stage slice: tasks.completed and the SLA
-                    # counters score each real request exactly once.
-                    if sampler is not None:
-                        sampler.task_completed(member)
-                job.state = JobState.DONE
-                job.dispatch_time = first_dispatch
-                job.completion_time = now
-                if gang.owner is None:
-                    job.slices[0].device_id = device
-                settled += 1
-
-        def lose_job(job: Job) -> None:
-            """Account one job as LOST (no capacity will ever serve it)."""
-            nonlocal settled
-            job.state = JobState.LOST
-            lost_jobs.append(job)
-            settled += 1
-            if admission is not None:
-                for member in job.requests:
-                    admission.on_lost(member)
-
-        def lose_gang(gang: "_GangRun") -> None:
-            """Account every unfinished job of a destroyed gang as LOST."""
-            if gang.lost:
-                return
-            gang.lost = True
-            for job in gang.jobs:
-                if job.state not in (
-                    JobState.DONE, JobState.REJECTED, JobState.LOST
-                ):
-                    lose_job(job)
-
-        if churn_rt is not None:
-
-            def _orphans(
-                orphans: Sequence[TaskRuntime], when: float
-            ) -> None:
-                for runtime in orphans:
-                    entry = slice_map.get(runtime.task_id)
-                    if entry is None:
-                        continue
-                    if plain:
-                        # A task restarts from scratch on a live device
-                        # (or parks until a restore).
-                        dispatch_gang(entry[0].jobs, when)
-                    else:
-                        # A gang has exactly one live slice at a time
-                        # (stages are sequential, and an in-flight
-                        # successor counts as the live one); losing it
-                        # loses the gang -- pipeline restart from a
-                        # mid-gang failure is out of scope (documented in
-                        # docs/failures.md).
-                        lose_gang(entry[0])
-
-            def _restore(when: float) -> None:
-                assert churn_rt is not None
-                parked, churn_rt.parked = churn_rt.parked, []
-                for job in parked:
-                    enqueue_job(job, when)
-
-            churn_rt.on_orphans = _orphans
-            churn_rt.on_restore = _restore
-
-        if static is not None and churn_rt is None:
+    # ------------------------------------------------------------------
+    # The dispatcher
+    # ------------------------------------------------------------------
+    def loop(self) -> None:
+        """Run to the last settlement (or quiesce): find the next wake
+        and hand it to its method."""
+        jobs = self.jobs
+        churn = self.churn
+        if self.static is not None and churn is None:
             # Static strategies know every placement up front, so inject
             # all arrivals immediately (in workload order, like the
             # single-NPU batch run).  Each device then sees the exact
@@ -1933,11 +1625,24 @@ class ClusterScheduler:
             # its first arrival even if the device drains between two
             # assigned arrivals.
             for job in jobs:
-                dispatch_gang(
-                    [job], job.arrival_cycles, static[job.source.task_id]
+                self.dispatch(
+                    [job], job.arrival_cycles, self.static[job.source.task_id]
                 )
-            pending.clear()
+            self.pending.clear()
 
+        # Read on every iteration: bound to locals once.
+        devices = self.devices
+        indexes = self.indexes
+        pending = self.pending
+        frontier = self.frontier
+        flush_heap = self.flush_heap
+        open_batches = self.open_batches
+        open_deadline = self.open_deadline
+        sampler = self.sampler
+        admitting = self.admission is not None
+        device_event = self.device_event
+        total_jobs = len(jobs)
+        arrival_rank = int(_EventKind.ARRIVAL)
         while True:
             # Earliest device event by (time, kind); ties break to the
             # lowest device index.
@@ -1954,7 +1659,7 @@ class ClusterScheduler:
                         device_index, device_key = index, key
 
             next_arrival: Optional[float] = None
-            if admission is None:
+            if not admitting:
                 if pending:
                     next_arrival = pending[0].arrival_cycles
             elif frontier:
@@ -1982,39 +1687,26 @@ class ClusterScheduler:
                         device_key[0] if device_key is not None else None,
                         next_arrival,
                         flush_at,
-                        churn_rt.peek_time() if churn_rt is not None else None,
+                        churn.peek_time() if churn is not None else None,
                     )
                     if at is not None
                 ]
                 if pending_times and sampler.next_due < min(pending_times):
-                    self._sample_obs(
-                        sampler, sampler.next_due, devices, fabric, migrations
-                    )
+                    self.sample_due()
                     continue
 
             # Availability transitions rank between same-time completions
             # (which fire first: a task finishing at the failure instant
             # finished) and same-time flushes and arrivals (which see the
             # post-transition fleet).
-            if churn_rt is not None:
-                churn_time = churn_rt.peek_time()
+            if churn is not None:
+                churn_time = churn.peek_time()
                 if churn_time is not None and (
                     device_key is None or device_key > (churn_time, 0)
                 ) and (
                     next_arrival is None or churn_time <= next_arrival
                 ) and (flush_at is None or churn_time <= flush_at):
-                    churn_rt.process_next()
-                    if self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
-                        # A restore adds a thief and a fault cancels the
-                        # transfers into the dead device, freeing links:
-                        # poll for migrations at the transition instant.
-                        assert fabric is not None
-                        migrations.extend(
-                            self._migrate(
-                                devices, churn_time, assignments, fabric,
-                                inflight, ledger, indexes,
-                            )
-                        )
+                    self.churn_transition(churn_time)
                     continue
 
             if (
@@ -2023,11 +1715,7 @@ class ClusterScheduler:
                 # An earlier router arrival goes first.
                 and (next_arrival is None or next_arrival >= flush_at)
             ):
-                assert flush_key is not None
-                heapq.heappop(flush_heap)
-                members = open_batches.pop(flush_key)
-                del open_deadline[flush_key]
-                dispatch_gang(members, flush_at)
+                self.batch_flush(flush_at, flush_key)
                 continue
 
             # Route the next arrival only once every device event that
@@ -2037,435 +1725,201 @@ class ClusterScheduler:
             # the device state a real node agent would see at that
             # instant -- including the effects of simultaneous-burst
             # predecessors admitted moments before.
-            arrival_due = next_arrival is not None and (
+            if next_arrival is not None and (
                 device_key is None
                 or device_key > (next_arrival, arrival_rank)
-            )
-            if arrival_due:
-                if admission is None:
-                    job = pending.popleft()
-                    preferred = None
-                    if static is not None:
-                        # Churn: honor the static placement unless its
-                        # device stopped accepting work.
-                        preferred = static[job.source.task_id]
-                        if not devices[preferred].accepts_work:
-                            preferred = None
-                    enqueue_job(job, job.arrival_cycles, preferred)
-                    continue
-                consider, _, _, attempt, job = heapq.heappop(frontier)
-                if churn_rt is not None and not churn_rt.any_accepting():
-                    # Nothing survives to predict against.  Re-consider
-                    # at the next availability transition (no attempt
-                    # burned -- the defer budget is for backlog, not
-                    # outages); with no transition left the job is lost.
-                    next_change = churn_rt.peek_time()
-                    if next_change is None:
-                        lose_job(job)
-                    else:
-                        heapq.heappush(
-                            frontier,
-                            (max(consider, next_change), job.arrival_cycles,
-                             job.job_id, attempt, job),
-                        )
-                    continue
-                # Admission-aware placement + prediction: the decision is
-                # scored against (and the job placed on) the device with
-                # the least *class-aware* backlog -- under a preemptive
-                # priority policy the arrival will not wait behind queued
-                # lower-priority work nor behind same-priority rows a
-                # shortest-first rule would serve after it, and counting
-                # either would over-reject the very class admission
-                # protects.  The filters follow the configured policy
-                # (see admission_prediction_filters); under FCFS/RRB the
-                # prediction is the plain total backlog.
-                task = job.source
-                min_priority, sjf_within = admission.placement_query(
-                    task, use_priority, use_sjf
-                )
-                target, backlog = self._route_admission(
-                    devices, consider, inflight, min_priority, sjf_within,
-                    indexes,
-                )
-                # Batch-aware prediction: a request that would join an
-                # open batch occupies the device for only the marginal
-                # fraction of its estimate.
-                scale = 1.0
-                if (
-                    coalesce
-                    and job.is_single
-                    and batch_key(task.spec) in open_batches
-                ):
-                    assert batching is not None
-                    scale = batching.marginal_fraction
-                record = admission.decide(
-                    task, backlog, consider, attempt, marginal_scale=scale
-                )
-                if tracer.enabled:
-                    tracer.instant(
-                        "admission",
-                        f"admission {record.decision.value} j{job.job_id}",
-                        consider,
-                        args={
-                            "job": job.job_id,
-                            "task": task.task_id,
-                            "decision": record.decision.value,
-                            "backlog": backlog,
-                            "attempt": attempt,
-                            "target": target,
-                            "marginal_scale": scale,
-                        },
-                    )
-                if sampler is not None:
-                    sampler.inc("admission." + record.decision.value)
-                if record.decision is AdmissionDecision.ACCEPT:
-                    # admit() rewrites the context estimate to the
-                    # feedback-corrected value first, so routing and
-                    # per-device scheduling see the corrected number.
-                    admission.admit(task)
-                    enqueue_job(job, consider, preferred=target)
-                elif record.decision is AdmissionDecision.DEFER:
-                    heapq.heappush(
-                        frontier,
-                        (consider + admission.config.defer_delay_cycles,
-                         job.arrival_cycles, job.job_id, attempt + 1, job),
-                    )
+            ):
+                if admitting:
+                    self.admission_arrival()
                 else:
-                    job.state = JobState.REJECTED
-                    rejected_jobs.append(job)
-                    settled += 1
+                    self.arrival()
                 continue
 
-            if device_index is None or device_key is None:
+            if device_index is None:
                 # Quiesced: no events, arrivals, flushes or transitions
                 # left (transitions always process above when any
                 # remain).  Whatever is still parked has no restore
                 # coming: lost.
-                if churn_rt is not None and churn_rt.parked:
-                    parked, churn_rt.parked = churn_rt.parked, []
+                if churn is not None:
+                    parked, churn.parked = churn.parked, []
                     for job in parked:
-                        lose_job(job)
+                        self.lose(job)
                 break
-            stepped = devices[device_index]
-            now = stepped.step()
-            if indexes is not None:
-                if profiler is None:
-                    indexes.refresh(stepped)
-                else:
-                    start_ns = time.perf_counter_ns()
-                    indexes.refresh(stepped)
-                    profiler.add("index", time.perf_counter_ns() - start_ns)
-
-            completed = stepped.last_completed
-            if completed is not None:
-                # A finished slice leaves the map, so a settled gang is
-                # freed right away.
-                entry = slice_map.pop(completed.task_id, None)
-                if entry is not None:
-                    gang, stage = entry
-                    if gang.lost:
-                        pass  # a destroyed gang's straggler; nothing owed
-                    elif stage + 1 < len(gang.plans):
-                        advance_gang(gang, stage, now)
-                    else:
-                        settle_gang(gang, now)
-
-            # Steal opportunities only appear when a device goes idle
-            # (COMPLETE) or stealable work lands on a busy device
-            # (ARRIVAL); period ticks and reserved dispatches change
-            # neither, so skip the scan for them.
-            if self.routing == RoutingPolicy.WORK_STEALING and (
-                stepped.last_event_kind
-                in (_EventKind.COMPLETE, _EventKind.ARRIVAL)
-            ):
-                migrations.extend(
-                    self._steal(devices, now, assignments, indexes)
-                )
-            elif self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
-                # Migration opportunities additionally appear when a
-                # preemption commits (PERIOD/DISPATCH wakes) and when a
-                # checkpoint becomes durable (the reserved DISPATCH at
-                # trap end), so check after every event; with the indexes
-                # that check is an O(1) idle-candidate peek, and only
-                # actually-idle devices trigger a candidate walk.
-                assert fabric is not None
-                migrations.extend(
-                    self._migrate(
-                        devices, now, assignments, fabric, inflight, ledger,
-                        indexes,
-                    )
-                )
-
-            if churn_rt is not None:
-                # A doomed device's own event may have freed the array or
-                # the link; revisit its evacuation plan.
-                churn_rt.after_step(stepped, now)
-
-            if settled >= total_jobs:
+            device_event(device_index)
+            if self.settled >= total_jobs:
                 break
 
-        # Every request neither rejected nor lost must have finished,
-        # however the loop ended (its last settlement or quiesce).
-        unsettled = [
-            member.task_id
-            for job in jobs
-            if job.state not in (JobState.REJECTED, JobState.LOST)
-            for member in job.requests
-            if not member.is_done
-        ]
-        if unsettled:
-            raise RuntimeError(
-                f"cluster loop ended with unsettled tasks: {unsettled}"
-            )
-        device_results = tuple(device.result() for device in devices)
-        transfers = fabric.transfers if fabric is not None else ()
-        timeline = ClusterTimeline(
-            {
-                index: device.timeline
-                for index, device in enumerate(devices)
-                # A device whose every task migrated away still executed
-                # cycles; its trace must survive for conservation checks.
-                if device.num_tasks > 0 or len(device.timeline) > 0
-            },
-            transfers=transfers,
-        )
-        records: Tuple[AdmissionRecord, ...] = ()
-        if admission is not None:
-            records = admission.records[records_start:]
-        return ClusterResult(
-            tasks=tuple(
-                member
-                for job in jobs
-                if job.state is JobState.DONE
-                for member in job.requests
-            ),
-            device_results=device_results,
-            assignments=assignments,
-            routing=self.routing.value,
-            migrations=tuple(migrations),
-            timeline=timeline,
-            transfers=transfers,
-            admission_records=records,
-            rejected_tasks=tuple(
-                member for job in rejected_jobs for member in job.requests
-            ),
-            events_processed=sum(
-                device.events_processed for device in devices
-            ),
-            jobs=tuple(jobs),
-            batches=tuple(batch_records),
-            lost_tasks=tuple(
-                member for job in lost_jobs for member in job.requests
-            ),
-            rack_of=self.rack_of,
-        )
-
     # ------------------------------------------------------------------
-    # Online decisions
+    # Wakes
     # ------------------------------------------------------------------
-    def admission_prediction_filters(self) -> Tuple[bool, bool]:
-        """(priority filter on, SJF-within-class filter on) for admission.
-
-        The class-aware backlog model is only valid when the per-device
-        policy actually serves that way: the priority filter requires a
-        priority-driven policy *with preemption* (under NP even a HIGH
-        arrival waits out the running task), and the shortest-first
-        refinement requires a policy that ranks by estimated remaining
-        time.  FCFS/RRB get the plain total backlog.
-        """
-        name = self.policy_name.upper()
-        preemptive = self.simulation_config.mode is not PreemptionMode.NP
-        return (
-            preemptive and name in PRIORITY_DRIVEN_POLICIES,
-            name in SHORTEST_FIRST_POLICIES,
-        )
-
-    def _route_admission(
-        self,
-        devices: Sequence[DeviceSim],
-        now: float,
-        inflight: Dict[int, List[Tuple[float, float, int]]],
-        min_priority: Optional[int],
-        sjf_within: Optional[float],
-        indexes: Optional[_ClusterIndexes] = None,
-    ) -> Tuple[int, float]:
-        """Admission-aware placement: least class-aware backlog.
-
-        Ties break toward the least *total* backlog, then the lowest
-        device index -- an interactive arrival usually sees several
-        devices with zero same-class work, and the total keeps those
-        choices load-balanced.  With no filters active this degenerates
-        to exactly :meth:`_route_online`'s rule -- and is then served
-        from the backlog index; filtered predictions depend on the
-        arrival's own class and estimate, so they take the class-aware
-        linear fallback.  Returns the chosen device and its class-aware
-        backlog (what the arrival is predicted to wait behind).
-        """
-        profiler = self.profiler
-        start_ns = time.perf_counter_ns() if profiler is not None else 0
-        filtered = min_priority is not None or sjf_within is not None
-        if indexes is not None and not filtered:
-            best_index, best_backlog = indexes.route_min_backlog(
-                now, lambda d: self._inbound_backlog(inflight, d, now)
-            )
-        else:
-            best_key: Optional[Tuple[float, float, int]] = None
-            best_index = 0
-            best_backlog = 0.0
-            # The class-aware fallback scans the admission candidates: the
-            # whole fleet when flat, the chosen rack under the two-tier
-            # frontend (admission predicts against the rack's surviving
-            # capacity, per the rack composition contract).
-            candidates = (
-                indexes.admission_candidates()
-                if indexes is not None
-                else range(len(devices))
-            )
-            for index in candidates:
-                device = devices[index]
-                if not device.accepts_work:
-                    continue  # churn: never predict against a doomed device
-                class_backlog = device.predicted_backlog(
-                    now, min_priority=min_priority,
-                    sjf_within_cycles=sjf_within,
-                ) + self._inbound_backlog(
-                    inflight, index, now, min_priority=min_priority
-                )
-                if filtered:
-                    total_backlog = device.predicted_backlog(
-                        now
-                    ) + self._inbound_backlog(inflight, index, now)
-                else:
-                    total_backlog = class_backlog
-                key = (class_backlog, total_backlog, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_index, best_backlog = index, class_backlog
-        if profiler is not None:
-            profiler.add("admission", time.perf_counter_ns() - start_ns)
-        tracer = self.tracer
-        if tracer.enabled and tracer.audit_routing:
-            self._audit_route(devices, now, inflight, best_index, "admission")
-        return best_index, best_backlog
-
-    @staticmethod
-    def _inbound_backlog(
-        inflight: Dict[int, List[Tuple[float, float, int]]],
-        device: int,
-        now: float,
-        min_priority: Optional[int] = None,
-    ) -> float:
-        """Estimated cycles of checkpoint deliveries still bound for
-        ``device``; landed entries are pruned as a side effect.
-
-        ``min_priority`` mirrors :meth:`DeviceSim.predicted_backlog`'s
-        class-aware filter for the admission path: a delivery the
-        arrival would outrank on landing does not delay it.  Routing
-        always passes None (every inbound byte counts toward placement).
-        """
-        entries = inflight[device]
-        if not entries:
-            return 0.0
-        live = [entry for entry in entries if entry[0] > now]
-        if len(live) != len(entries):
-            inflight[device] = live
-        return sum(
-            est
-            for _, est, priority in live
-            if min_priority is None or priority >= min_priority
-        )
-
-    def _route_online(
-        self,
-        devices: Sequence[DeviceSim],
-        now: float,
-        inflight: Dict[int, List[Tuple[float, float, int]]],
-        indexes: Optional[_ClusterIndexes] = None,
-    ) -> int:
-        """Least live predicted backlog; ties to the lowest device index.
-
-        In-flight checkpoint migrations count toward their destination's
-        backlog -- the node agent routed them, so it knows they are
-        coming even though the device has not admitted them yet.  With
-        indexes the argmin comes from the backlog-bound best-first
-        search (identical float semantics, candidate devices only).
-        """
-        profiler = self.profiler
-        start_ns = time.perf_counter_ns() if profiler is not None else 0
+    def device_event(self, index: int) -> None:
+        """Step device ``index`` through its next event, advance or
+        settle the slice it finished, and poll for moves."""
+        device = self.devices[index]
+        now = device.step()
+        indexes = self.indexes
         if indexes is not None:
-            index, _ = indexes.route_min_backlog(
-                now, lambda d: self._inbound_backlog(inflight, d, now)
+            profiler = self.profiler
+            if profiler is None:
+                indexes.refresh(device)
+            else:
+                start_ns = time.perf_counter_ns()
+                indexes.refresh(device)
+                profiler.add("index", time.perf_counter_ns() - start_ns)
+
+        completed = device.last_completed
+        if completed is not None:
+            # A finished slice leaves the map, so a settled gang is
+            # freed right away.  A destroyed gang's straggler owes
+            # nothing.
+            entry = self.slice_map.pop(completed.task_id, None)
+            if entry is not None and not entry[0].lost:
+                gang, stage = entry
+                if stage + 1 < len(gang.plans):
+                    self.advance(gang, stage, now)
+                else:
+                    self.settle(gang, now)
+
+        # Steal opportunities only appear when a device goes idle
+        # (COMPLETE) or stealable work lands on a busy device
+        # (ARRIVAL); period ticks and reserved dispatches change
+        # neither, so skip the scan for them.
+        routing = self.routing
+        if routing is RoutingPolicy.WORK_STEALING and (
+            device.last_event_kind in (_EventKind.COMPLETE, _EventKind.ARRIVAL)
+        ):
+            self.steal(now)
+        elif routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
+            # Migration opportunities additionally appear when a
+            # preemption commits (PERIOD/DISPATCH wakes) and when a
+            # checkpoint becomes durable (the reserved DISPATCH at trap
+            # end), so check after every event; with the indexes that
+            # check is an O(1) idle-candidate peek, and only
+            # actually-idle devices trigger a candidate walk.
+            self.migrate(now)
+
+        churn = self.churn
+        if churn is not None:
+            # A doomed device's own event may have freed the array or
+            # the link; revisit its evacuation plan.
+            churn.after_step(device, now)
+
+    def churn_transition(self, now: float) -> None:
+        """Apply the next availability transition (at ``now``)."""
+        self.churn.process_next()
+        if self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
+            # A restore adds a thief and a fault cancels the transfers
+            # into the dead device, freeing links: poll for migrations
+            # at the transition instant.
+            self.migrate(now)
+
+    def batch_flush(self, at: float, key: Tuple) -> None:
+        """Batch key ``key``'s window closed at ``at``: dispatch it."""
+        heapq.heappop(self.flush_heap)
+        members = self.open_batches.pop(key)
+        del self.open_deadline[key]
+        self.dispatch(members, at)
+
+    def arrival(self) -> None:
+        """Route the next arrival (no admission control)."""
+        job = self.pending.popleft()
+        preferred = None
+        if self.static is not None:
+            # Churn: honor the static placement unless its device
+            # stopped accepting work.
+            preferred = self.static[job.source.task_id]
+            if not self.devices[preferred].accepts_work:
+                preferred = None
+        self.enqueue(job, job.arrival_cycles, preferred)
+
+    def admission_arrival(self) -> None:
+        """Consider the next frontier entry: accept, defer or reject."""
+        frontier = self.frontier
+        consider, _, _, attempt, job = heapq.heappop(frontier)
+        churn = self.churn
+        if churn is not None and not churn.any_accepting():
+            # Nothing survives to predict against.  Re-consider at the
+            # next availability transition (no attempt burned -- the
+            # defer budget is for backlog, not outages); with no
+            # transition left the job is lost.
+            next_change = churn.peek_time()
+            if next_change is None:
+                self.lose(job)
+            else:
+                heapq.heappush(
+                    frontier,
+                    (max(consider, next_change), job.arrival_cycles,
+                     job.job_id, attempt, job),
+                )
+            return
+        # Admission-aware placement + prediction: the decision is scored
+        # against (and the job placed on) the device with the least
+        # *class-aware* backlog -- under a preemptive priority policy the
+        # arrival will not wait behind queued lower-priority work nor
+        # behind same-priority rows a shortest-first rule would serve
+        # after it, and counting either would over-reject the very class
+        # admission protects.  The filters follow the configured policy
+        # (see admission_prediction_filters); under FCFS/RRB the
+        # prediction is the plain total backlog.
+        admission = self.admission
+        task = job.source
+        min_priority, sjf_within = admission.placement_query(
+            task, *self.prediction_filters
+        )
+        target, backlog = self.route_admission(
+            consider, min_priority, sjf_within
+        )
+        # Batch-aware prediction: a request that would join an open
+        # batch occupies the device for only the marginal fraction of
+        # its estimate.
+        scale = 1.0
+        if (
+            self.coalesce
+            and job.is_single
+            and batch_key(task.spec) in self.open_batches
+        ):
+            scale = self.batching.marginal_fraction
+        record = admission.decide(
+            task, backlog, consider, attempt, marginal_scale=scale
+        )
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.instant(
+                "admission",
+                f"admission {record.decision.value} j{job.job_id}",
+                consider,
+                args={
+                    "job": job.job_id,
+                    "task": task.task_id,
+                    "decision": record.decision.value,
+                    "backlog": backlog,
+                    "attempt": attempt,
+                    "target": target,
+                    "marginal_scale": scale,
+                },
+            )
+        if self.sampler is not None:
+            self.sampler.inc("admission." + record.decision.value)
+        if record.decision is AdmissionDecision.ACCEPT:
+            # admit() rewrites the context estimate to the
+            # feedback-corrected value first, so routing and per-device
+            # scheduling see the corrected number.
+            admission.admit(task)
+            self.enqueue(job, consider, preferred=target)
+        elif record.decision is AdmissionDecision.DEFER:
+            heapq.heappush(
+                frontier,
+                (consider + admission.config.defer_delay_cycles,
+                 job.arrival_cycles, job.job_id, attempt + 1, job),
             )
         else:
-            index = min(
-                (d for d in range(len(devices)) if devices[d].accepts_work),
-                key=lambda d: (
-                    devices[d].predicted_backlog(now)
-                    + self._inbound_backlog(inflight, d, now),
-                    d,
-                ),
-            )
-        if profiler is not None:
-            profiler.add("route", time.perf_counter_ns() - start_ns)
-        tracer = self.tracer
-        if tracer.enabled and tracer.audit_routing:
-            self._audit_route(devices, now, inflight, index, "route")
-        return index
+            job.state = JobState.REJECTED
+            self.rejected_jobs.append(job)
+            self.settled += 1
 
-    def _audit_route(
-        self,
-        devices: Sequence[DeviceSim],
-        now: float,
-        inflight: Dict[int, List[Tuple[float, float, int]]],
-        chosen: int,
-        tag: str,
-    ) -> None:
-        """Decision-audit emission: the chosen device plus the closest
-        runner-ups, each with its exact live backlog and the cheap lower
-        bound the backlog index keys on.
-
-        Deliberately an O(devices) fleet scan -- audit mode documents
-        decisions, it is not on the overhead contract's fast path -- and
-        purely observational (``predicted_backlog`` mutates nothing).
-        """
-        ranked: List[Tuple[float, int, float]] = []
-        chosen_backlog = 0.0
-        for index in range(len(devices)):
-            device = devices[index]
-            if not device.accepts_work:
-                continue
-            backlog = device.predicted_backlog(now) + self._inbound_backlog(
-                inflight, index, now
-            )
-            if index == chosen:
-                chosen_backlog = backlog
-            else:
-                ranked.append((backlog, index, device.backlog_lower_bound()))
-        ranked.sort()
-        self.tracer.instant(
-            "route_audit",
-            f"{tag} -> d{chosen}",
-            now,
-            args={
-                "tag": tag,
-                "chosen": chosen,
-                "chosen_backlog": chosen_backlog,
-                "runners_up": [
-                    {"device": index, "backlog": backlog, "bound": bound}
-                    for backlog, index, bound in ranked[:3]
-                ],
-            },
-        )
-
-    def _sample_obs(
-        self,
-        sampler,
-        now: float,
-        devices: Sequence[DeviceSim],
-        fabric: Optional[Interconnect],
-        migrations: List[MigrationRecord],
-    ) -> None:
-        """One streaming-metrics tick (:mod:`repro.obs.metrics`).
+    def sample_due(self) -> None:
+        """One streaming-metrics tick (:mod:`repro.obs.metrics`) at the
+        sampler's due instant.
 
         Recomputes the fleet gauges from pure accessors --
         ``predicted_backlog`` reads task progress without mutating it,
@@ -2474,7 +1928,10 @@ class ClusterScheduler:
         changes.  Runs only when a sampler is configured and its
         interval elapsed, so the un-observed loop never enters here.
         """
-        rack_of = self.rack_of
+        sampler = self.sampler
+        now = sampler.next_due
+        devices = self.devices
+        rack_of = self.scheduler.rack_of
         rack_busy: Optional[List[int]] = None
         if rack_of is not None:
             rack_busy = [0] * (max(rack_of) + 1)
@@ -2497,40 +1954,458 @@ class ClusterScheduler:
         sampler.set_gauge("cluster.utilization", busy / max(1, len(devices)))
         sampler.set_gauge("cluster.queue_depth", float(queued))
         sampler.set_gauge("cluster.backlog_cycles", backlog_total)
-        sampler.set_gauge("cluster.migrations", float(len(migrations)))
+        sampler.set_gauge("cluster.migrations", float(len(self.migrations)))
         if rack_busy is not None:
             for rack, count in enumerate(rack_busy):
                 sampler.set_gauge(f"rack{rack}.busy_devices", float(count))
-            if fabric is not None:
-                for rack, cycles in fabric.uplink_busy_cycles().items():
+            if self.fabric is not None:
+                for rack, cycles in self.fabric.uplink_busy_cycles().items():
                     sampler.set_gauge(
                         f"rack{rack}.uplink_busy_cycles", cycles
                     )
         sampler.sample(now)
 
-    def _steal(
-        self,
-        devices: Sequence[DeviceSim],
-        now: float,
-        assignments: Dict[int, int],
-        indexes: Optional[_ClusterIndexes] = None,
-    ) -> List[MigrationRecord]:
-        """Profiling shim over :meth:`_steal_moves` (section "steal")."""
-        profiler = self.profiler
-        if profiler is None:
-            return self._steal_moves(devices, now, assignments, indexes)
-        start_ns = time.perf_counter_ns()
-        moves = self._steal_moves(devices, now, assignments, indexes)
-        profiler.add("steal", time.perf_counter_ns() - start_ns)
-        return moves
+    # ------------------------------------------------------------------
+    # Actions: placement and settlement
+    # ------------------------------------------------------------------
+    def enqueue(
+        self, job: Job, now: float, preferred: Optional[int] = None
+    ) -> None:
+        """Open or join the batch window of a single-slice job when
+        coalescing; otherwise dispatch the job now."""
+        if self.coalesce and job.is_single:
+            batching = self.batching
+            key = batch_key(job.source.spec)
+            open_jobs = self.open_batches.get(key)
+            if open_jobs is not None:
+                open_jobs.append(job)
+                if len(open_jobs) >= batching.max_batch:
+                    del self.open_batches[key]
+                    del self.open_deadline[key]
+                    self.dispatch(open_jobs, now)
+                return
+            self.open_batches[key] = [job]
+            deadline = now + batching.window_cycles
+            self.open_deadline[key] = deadline
+            heapq.heappush(self.flush_heap, (deadline, self.flush_seq, key))
+            self.flush_seq += 1
+            return
+        self.dispatch([job], now, preferred)
 
-    def _steal_moves(
+    def dispatch(
+        self, members: List[Job], now: float, preferred: Optional[int] = None
+    ) -> None:
+        """Dispatch ``members`` as one gang: merge a batch into a proxy,
+        cut it into stages, reserve a device per stage, inject stage 0."""
+        churn = self.churn
+        if churn is not None and not churn.any_accepting():
+            # Zero surviving capacity (an arrival, an orphan or a batch
+            # window flushing mid-outage): park the members for the next
+            # restore (or account them lost at quiesce).
+            churn.parked.extend(members)
+            return
+        batching = self.batching
+        owner: Optional[Job] = None
+        if len(members) == 1:
+            proxy = members[0].source
+            if members[0].num_stages > 1:
+                owner = members[0]  # a pre-cut gang: fill its slices
+        else:
+            assert batching is not None
+            proxy = merge_runtimes(
+                [job.source for job in members],
+                task_id=self.next_id,
+                now=now,
+                marginal_fraction=batching.marginal_fraction,
+                tracer=self.tracer,
+            )
+            self.next_id += 1
+        shard = 1
+        # Scheduler-visible decision: shard when the dispatch *looks*
+        # big enough to amortize the boundary DMAs (a pre-cut gang keeps
+        # its own stages).
+        if (
+            owner is None
+            and batching is not None
+            and batching.shard_stages > 1
+            and proxy.context.estimated_cycles >= batching.min_shard_cycles
+        ):
+            shard = min(batching.shard_stages, len(self.devices))
+        plans: List[StagePlan]
+        if shard > 1:
+            plans = partition_runtime(proxy, shard)
+        elif len(members) == 1:
+            # A solo dispatch runs its job's own stage plans (a
+            # single-stage gang executes the proxy runtime itself).
+            plans = [s.stage for s in members[0].slices]
+        else:
+            plans = [
+                StagePlan(
+                    index=0,
+                    profile=proxy.profile,
+                    estimated_cycles=max(proxy.context.estimated_cycles, 1e-9),
+                    activation_bytes=0.0,
+                )
+            ]
+        # Stage 0 lands where admission placed it (or the static route),
+        # else on the least live backlog -- through the backlog index and
+        # the rack router when present.
+        if preferred is None:
+            preferred = self.route_online(now)
+        slice_ids = [proxy.task_id]
+        reserved = [preferred]
+        stage0: TaskRuntime = proxy
+        if len(plans) > 1:
+            for _ in plans[1:]:
+                slice_ids.append(self.next_id)
+                self.next_id += 1
+                reserved.append(self.route_stage(now, set(reserved)))
+            stage0 = stage_runtime(proxy, plans[0], slice_ids[0], now)
+        gang = _GangRun(members, owner, proxy, plans, slice_ids, reserved)
+        gang.runtimes[0] = stage0
+        if owner is not None:
+            owner.slices[0].runtime = stage0
+            owner.slices[0].device_id = preferred
+        device = self.devices[preferred]
+        device.inject(stage0, arrival=now)
+        self.refresh(device)
+        self.assignments[proxy.task_id] = preferred
+        self.slice_map[proxy.task_id] = (gang, 0)
+        for job in members:
+            job.state = JobState.DISPATCHED
+        if self.plain:
+            return  # a task dispatch: no batch record to keep
+        member_ids = []
+        for job in members:
+            for member in job.requests:
+                member_ids.append(member.task_id)
+                self.assignments.setdefault(member.task_id, reserved[0])
+        self.batch_records.append(
+            BatchRecord(
+                proxy_task_id=slice_ids[0],
+                member_task_ids=tuple(member_ids),
+                dispatch_cycles=now,
+                num_stages=len(plans),
+                devices=tuple(reserved),
+            )
+        )
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.instant(
+                "batch_flush",
+                f"flush {len(members)}j -> d{reserved[0]}",
+                now,
+                device=reserved[0],
+                args={
+                    "proxy": slice_ids[0],
+                    "members": len(member_ids),
+                    "stages": len(plans),
+                    "devices": list(reserved),
+                },
+            )
+
+    def advance(self, gang: _GangRun, stage: int, now: float) -> None:
+        """Ship stage ``stage``'s boundary tensor and start the next.
+
+        DMA-out is the fabric transfer (contended, FIFO per link);
+        DMA-in is the landing cost charged as the successor slice's
+        dispatch restore.  A successor landing on the same device skips
+        both -- the tensor is already resident.
+        """
+        nxt = stage + 1
+        plan = gang.plans[nxt]
+        src = self.assignments[gang.slice_ids[stage]]
+        dst = gang.devices[nxt]
+        if not self.devices[dst].accepts_work:
+            # The reserved device was revoked/drained since dispatch.
+            churn = self.churn
+            if churn is not None and not churn.any_accepting():
+                self.lose_gang(gang)  # nowhere for the pipeline to go
+                return
+            dst = self.route_stage(now, set())
+            gang.devices[nxt] = dst
+        activation = gang.plans[stage].activation_bytes
+        slice_id = gang.slice_ids[nxt]
+        fabric = self.fabric
+        if src != dst and fabric is not None:
+            record = fabric.transfer(
+                src, dst, activation, now,
+                task_id=slice_id, purpose="activation",
+            )
+            arrival = record.end_cycles
+            restore = activation / (
+                self.scheduler.simulation_config.npu.bandwidth_bytes_per_cycle
+            )
+            self.inflight[dst].append(
+                (arrival, plan.estimated_cycles,
+                 int(gang.proxy.context.priority))
+            )
+            gang.proxy.migrated_bytes_total += activation
+        else:
+            arrival, restore = now, 0.0
+        runtime = stage_runtime(gang.proxy, plan, slice_id, arrival, restore)
+        gang.runtimes[nxt] = runtime
+        if gang.owner is not None:
+            gang.owner.slices[nxt].runtime = runtime
+            gang.owner.slices[nxt].device_id = dst
+        device = self.devices[dst]
+        device.inject(runtime, arrival=arrival)
+        self.refresh(device)
+        self.assignments[slice_id] = dst
+        self.slice_map[slice_id] = (gang, nxt)
+
+    def settle(self, gang: _GangRun, now: float) -> None:
+        """The final stage completed: settle every member job."""
+        final = gang.runtimes[-1]
+        first_dispatch = gang.runtimes[0].first_dispatch_time
+        device = self.assignments[gang.slice_ids[-1]]
+        admission = self.admission
+        sampler = self.sampler
+        for job in gang.jobs:
+            for member in job.requests:
+                if member is not final:
+                    # Batched or sharded: the member never ran under its
+                    # own id, so its accounting settles from the proxy.
+                    # A solo task completed on its device.
+                    settle_member(member, now, first_dispatch)
+                if admission is not None:
+                    admission.on_complete(member)
+                # Sample per settled *member*, not per merged proxy or
+                # stage slice: tasks.completed and the SLA counters score
+                # each real request exactly once.
+                if sampler is not None:
+                    sampler.task_completed(member)
+            job.state = JobState.DONE
+            job.dispatch_time = first_dispatch
+            job.completion_time = now
+            if gang.owner is None:
+                job.slices[0].device_id = device
+            self.settled += 1
+
+    def lose(self, job: Job) -> None:
+        """Account one job as LOST (no capacity will ever serve it)."""
+        job.state = JobState.LOST
+        self.lost_jobs.append(job)
+        self.settled += 1
+        if self.admission is not None:
+            for member in job.requests:
+                self.admission.on_lost(member)
+
+    def lose_gang(self, gang: _GangRun) -> None:
+        """Account every unfinished job of a destroyed gang as LOST."""
+        if gang.lost:
+            return
+        gang.lost = True
+        for job in gang.jobs:
+            if job.state not in (
+                JobState.DONE, JobState.REJECTED, JobState.LOST
+            ):
+                self.lose(job)
+
+    # ------------------------------------------------------------------
+    # Routing
+    # ------------------------------------------------------------------
+    def refresh(self, device: DeviceSim) -> None:
+        """Re-key ``device`` in the indexes after a mutation."""
+        if self.indexes is not None:
+            self.indexes.refresh(device)
+
+    def inbound(
+        self, device: int, now: float, min_priority: Optional[int] = None
+    ) -> float:
+        """Estimated cycles of checkpoint deliveries still bound for
+        ``device``; landed entries are pruned as a side effect.
+
+        ``min_priority`` mirrors :meth:`DeviceSim.predicted_backlog`'s
+        class-aware filter for the admission path: a delivery the
+        arrival would outrank on landing does not delay it.  Routing
+        always passes None (every inbound byte counts toward placement).
+        """
+        inflight = self.inflight
+        entries = inflight[device]
+        if not entries:
+            return 0.0
+        live = [entry for entry in entries if entry[0] > now]
+        if len(live) != len(entries):
+            inflight[device] = live
+        return sum(
+            est
+            for _, est, priority in live
+            if min_priority is None or priority >= min_priority
+        )
+
+    def least_backlog(
+        self, candidates: Iterable[int], now: float
+    ) -> Optional[int]:
+        """The candidate with the least live predicted backlog plus
+        inbound deliveries; ties to the lowest device index.  None when
+        there is no candidate."""
+        devices = self.devices
+        return min(
+            candidates,
+            key=lambda d: (
+                devices[d].predicted_backlog(now) + self.inbound(d, now), d
+            ),
+            default=None,
+        )
+
+    def route_online(self, now: float) -> int:
+        """Least live predicted backlog; ties to the lowest device index.
+
+        In-flight checkpoint migrations count toward their destination's
+        backlog -- the node agent routed them, so it knows they are
+        coming even though the device has not admitted them yet.  With
+        indexes the argmin comes from the backlog-bound best-first
+        search (identical float semantics, candidate devices only).
+        """
+        profiler = self.profiler
+        start_ns = time.perf_counter_ns() if profiler is not None else 0
+        indexes = self.indexes
+        if indexes is not None:
+            index, _ = indexes.route_min_backlog(
+                now, lambda d: self.inbound(d, now)
+            )
+        else:
+            devices = self.devices
+            index = self.least_backlog(
+                (d for d in range(len(devices)) if devices[d].accepts_work),
+                now,
+            )
+        if profiler is not None:
+            profiler.add("route", time.perf_counter_ns() - start_ns)
+        tracer = self.tracer
+        if tracer.enabled and tracer.audit_routing:
+            self.audit_route(now, index, "route")
+        return index
+
+    def route_stage(self, now: float, used: Set[int]) -> int:
+        """Least-backlog device for a later gang stage, avoiding devices
+        already reserved by this gang while the fleet allows.  Doomed and
+        down devices (churn) never take a stage while any accepting
+        device exists."""
+        devices = self.devices
+        fleet = range(len(devices))
+        candidates = [
+            d for d in fleet if d not in used and devices[d].accepts_work
+        ]
+        if not candidates:
+            candidates = [
+                d for d in fleet if devices[d].accepts_work
+            ] or list(fleet)
+        profiler = self.profiler
+        start_ns = time.perf_counter_ns() if profiler is not None else 0
+        choice = self.least_backlog(candidates, now)
+        if profiler is not None:
+            profiler.add("route", time.perf_counter_ns() - start_ns)
+        tracer = self.tracer
+        if tracer.enabled and tracer.audit_routing:
+            self.audit_route(now, choice, "gang_stage")
+        return choice
+
+    def route_admission(
         self,
-        devices: Sequence[DeviceSim],
         now: float,
-        assignments: Dict[int, int],
-        indexes: Optional[_ClusterIndexes] = None,
-    ) -> List[MigrationRecord]:
+        min_priority: Optional[int],
+        sjf_within: Optional[float],
+    ) -> Tuple[int, float]:
+        """Admission-aware placement: least class-aware backlog.
+
+        Ties break toward the least *total* backlog, then the lowest
+        device index -- an interactive arrival usually sees several
+        devices with zero same-class work, and the total keeps those
+        choices load-balanced.  With no filters active this degenerates
+        to exactly :meth:`route_online`'s rule -- and is then served
+        from the backlog index; filtered predictions depend on the
+        arrival's own class and estimate, so they take the class-aware
+        linear fallback.  Returns the chosen device and its class-aware
+        backlog (what the arrival is predicted to wait behind).
+        """
+        profiler = self.profiler
+        start_ns = time.perf_counter_ns() if profiler is not None else 0
+        filtered = min_priority is not None or sjf_within is not None
+        indexes = self.indexes
+        if indexes is not None and not filtered:
+            best_index, best_backlog = indexes.route_min_backlog(
+                now, lambda d: self.inbound(d, now)
+            )
+        else:
+            devices = self.devices
+            best_key: Optional[Tuple[float, float, int]] = None
+            best_index = 0
+            best_backlog = 0.0
+            # The class-aware fallback scans the admission candidates: the
+            # whole fleet when flat, the chosen rack under the two-tier
+            # frontend (admission predicts against the rack's surviving
+            # capacity, per the rack composition contract).
+            candidates = (
+                indexes.admission_candidates()
+                if indexes is not None
+                else range(len(devices))
+            )
+            for index in candidates:
+                device = devices[index]
+                if not device.accepts_work:
+                    continue  # churn: never predict against a doomed device
+                class_backlog = device.predicted_backlog(
+                    now, min_priority=min_priority,
+                    sjf_within_cycles=sjf_within,
+                ) + self.inbound(index, now, min_priority=min_priority)
+                if filtered:
+                    total_backlog = device.predicted_backlog(
+                        now
+                    ) + self.inbound(index, now)
+                else:
+                    total_backlog = class_backlog
+                key = (class_backlog, total_backlog, index)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_index, best_backlog = index, class_backlog
+        if profiler is not None:
+            profiler.add("admission", time.perf_counter_ns() - start_ns)
+        tracer = self.tracer
+        if tracer.enabled and tracer.audit_routing:
+            self.audit_route(now, best_index, "admission")
+        return best_index, best_backlog
+
+    def audit_route(self, now: float, chosen: int, tag: str) -> None:
+        """Decision-audit emission: the chosen device plus the closest
+        runner-ups, each with its exact live backlog and the cheap lower
+        bound the backlog index keys on.
+
+        Deliberately an O(devices) fleet scan -- audit mode documents
+        decisions, it is not on the overhead contract's fast path -- and
+        purely observational (``predicted_backlog`` mutates nothing).
+        """
+        ranked: List[Tuple[float, int, float]] = []
+        chosen_backlog = 0.0
+        for index, device in enumerate(self.devices):
+            if not device.accepts_work:
+                continue
+            backlog = device.predicted_backlog(now) + self.inbound(index, now)
+            if index == chosen:
+                chosen_backlog = backlog
+            else:
+                ranked.append((backlog, index, device.backlog_lower_bound()))
+        ranked.sort()
+        self.tracer.instant(
+            "route_audit",
+            f"{tag} -> d{chosen}",
+            now,
+            args={
+                "tag": tag,
+                "chosen": chosen,
+                "chosen_backlog": chosen_backlog,
+                "runners_up": [
+                    {"device": index, "backlog": backlog, "bound": bound}
+                    for backlog, index, bound in ranked[:3]
+                ],
+            },
+        )
+
+    # ------------------------------------------------------------------
+    # Moves
+    # ------------------------------------------------------------------
+    def steal(self, now: float) -> None:
         """Migrate queued work from backlogged devices to idle ones.
 
         Each idle device steals at most one task per event (the stolen
@@ -2557,10 +2432,14 @@ class ClusterScheduler:
         holds no queued work cannot steal, so it is skipped before its
         idle check and the cross-rack scan never runs.
         """
-        moves: List[MigrationRecord] = []
-        rack_of = self.rack_of
-        rack_local = self.cross_rack_threshold == math.inf
+        profiler = self.profiler
+        start_ns = time.perf_counter_ns() if profiler is not None else 0
+        devices = self.devices
+        indexes = self.indexes
+        rack_of = self.scheduler.rack_of
+        rack_local = self.scheduler.cross_rack_threshold == math.inf
         verify = indexes is not None and indexes.verify
+        thieves: Sequence[int] = range(len(devices))
         if indexes is not None:
             if verify:
                 indexes.verify_candidate_sets(now)
@@ -2568,17 +2447,17 @@ class ClusterScheduler:
             # move.  The second peek is what keeps the common
             # everyone-idle event O(1) on large fleets -- without it each
             # such event walks every idle device to find no victims.
-            if not indexes.idle_candidates or not indexes.steal_candidates:
-                return moves
-            thieves: Sequence[int] = indexes.idle_candidates.ordered()
+            thieves = (
+                indexes.idle_candidates.ordered()
+                if indexes.idle_candidates and indexes.steal_candidates
+                else ()
+            )
             fleet_victims = indexes.steal_candidates
             rack_victims = indexes.steal_candidates_of
-        else:
-            thieves = range(len(devices))
         for thief_index in thieves:
             thief = devices[thief_index]
             if indexes is None:
-                victim = self._fleet_victim(devices, thief_index, now)
+                victim = self.fleet_victim(thief_index, now)
             else:
                 victim = None
                 local = rack_victims[thief_index]
@@ -2597,11 +2476,9 @@ class ClusterScheduler:
                             for index in fleet_victims
                             if rack_of[index] != rack
                         )
-                    victim = self._choose_victim(
-                        devices, thief_index, now, local, remote
-                    )
+                    victim = self.choose_victim(thief_index, now, local, remote)
                 if verify:
-                    reference = self._fleet_victim(devices, thief_index, now)
+                    reference = self.fleet_victim(thief_index, now)
                     if victim != reference:
                         raise AssertionError(
                             f"thief {thief_index} stole {victim and victim[0]}, "
@@ -2617,11 +2494,10 @@ class ClusterScheduler:
             )
             victim_device.remove_task(stolen.task_id, now)
             thief.inject(stolen, arrival=now)
-            if indexes is not None:
-                indexes.refresh(victim_device)
-                indexes.refresh(thief)
-            assignments[stolen.task_id] = thief_index
-            moves.append(
+            self.refresh(victim_device)
+            self.refresh(thief)
+            self.assignments[stolen.task_id] = thief_index
+            self.migrations.append(
                 MigrationRecord(
                     task_id=stolen.task_id,
                     from_device=victim_index,
@@ -2647,11 +2523,11 @@ class ClusterScheduler:
                         "reason": "steal",
                     },
                 )
-        return moves
+        if profiler is not None:
+            profiler.add("steal", time.perf_counter_ns() - start_ns)
 
-    def _choose_victim(
+    def choose_victim(
         self,
-        devices: Sequence[DeviceSim],
         thief_index: int,
         now: float,
         local: Iterable[int],
@@ -2660,70 +2536,36 @@ class ClusterScheduler:
         """The locality rule: the best ``local`` (in-rack) victim; failing
         that, the best ``remote`` one if its backlog clears the cross-rack
         threshold (``remote`` None: no cross-rack scan)."""
-        victim = _pick_victim(devices, local, thief_index, now)
+        victim = _pick_victim(self.devices, local, thief_index, now)
         if victim is None and remote is not None:
-            victim = _pick_victim(devices, remote, thief_index, now)
-            if victim is not None and victim[1] < self.cross_rack_threshold:
+            victim = _pick_victim(self.devices, remote, thief_index, now)
+            if (
+                victim is not None
+                and victim[1] < self.scheduler.cross_rack_threshold
+            ):
                 victim = None
         return victim
 
-    def _fleet_victim(
-        self,
-        devices: Sequence[DeviceSim],
-        thief_index: int,
-        now: float,
-    ) -> Optional[_Victim]:
+    def fleet_victim(self, thief_index: int, now: float) -> Optional[_Victim]:
         """The reference steal scan over the whole fleet: the linear
         loop's victim, and the ``verify_indexes`` oracle for the indexed
         one.  None unless the thief is idle."""
+        devices = self.devices
         if not devices[thief_index].is_idle(now):
             return None
-        rack_of = self.rack_of
+        rack_of = self.scheduler.rack_of
         fleet = range(len(devices))
         if rack_of is None:
-            return self._choose_victim(devices, thief_index, now, fleet, None)
+            return self.choose_victim(thief_index, now, fleet, None)
         rack = rack_of[thief_index]
-        return self._choose_victim(
-            devices,
+        return self.choose_victim(
             thief_index,
             now,
             (index for index in fleet if rack_of[index] == rack),
             (index for index in fleet if rack_of[index] != rack),
         )
 
-    def _migrate(
-        self,
-        devices: Sequence[DeviceSim],
-        now: float,
-        assignments: Dict[int, int],
-        fabric: Interconnect,
-        inflight: Dict[int, List[Tuple[float, float, int]]],
-        ledger: Optional[ClusterTokenLedger],
-        indexes: Optional[_ClusterIndexes] = None,
-    ) -> List[MigrationRecord]:
-        """Profiling shim over :meth:`_migrate_moves` ("migrate")."""
-        profiler = self.profiler
-        if profiler is None:
-            return self._migrate_moves(
-                devices, now, assignments, fabric, inflight, ledger, indexes
-            )
-        start_ns = time.perf_counter_ns()
-        moves = self._migrate_moves(
-            devices, now, assignments, fabric, inflight, ledger, indexes
-        )
-        profiler.add("migrate", time.perf_counter_ns() - start_ns)
-        return moves
-
-    def _migrate_moves(
-        self,
-        devices: Sequence[DeviceSim],
-        now: float,
-        assignments: Dict[int, int],
-        fabric: Interconnect,
-        inflight: Dict[int, List[Tuple[float, float, int]]],
-        ledger: Optional[ClusterTokenLedger],
-        indexes: Optional[_ClusterIndexes] = None,
-    ) -> List[MigrationRecord]:
+    def migrate(self, now: float) -> None:
         """Pull the most starved migratable task to each idle device.
 
         Unlike work stealing -- whose moves are free and therefore
@@ -2753,36 +2595,36 @@ class ClusterScheduler:
         ``delivery`` later, and the threshold keeps marginal wins from
         flooding the uplink.
         """
-        moves: List[MigrationRecord] = []
-        rack_of = self.rack_of
+        profiler = self.profiler
+        start_ns = time.perf_counter_ns() if profiler is not None else 0
+        devices = self.devices
+        indexes = self.indexes
+        fabric = self.fabric
+        rack_of = self.scheduler.rack_of
+        threshold = self.scheduler.cross_rack_threshold
+        thieves: Sequence[int] = range(len(devices))
         if indexes is not None:
             if indexes.verify:
                 indexes.verify_candidate_sets(now)
-            # Same O(1) early-outs as _steal: no thief, or no device
+            # Same O(1) early-outs as steal: no thief, or no device
             # holding queued/preempted work, means no move this event.
-            if not indexes.idle_candidates or not indexes.source_candidates:
-                return moves
-            thieves: Sequence[int] = indexes.idle_candidates.ordered()
-        else:
-            thieves = range(len(devices))
+            thieves = (
+                indexes.idle_candidates.ordered()
+                if indexes.idle_candidates and indexes.source_candidates
+                else ()
+            )
         for thief_index in thieves:
-            thief = devices[thief_index]
-            if not thief.is_idle(now):
+            if not devices[thief_index].is_idle(now):
                 continue
             # Prune landed deliveries, then gate on *presence* of live
             # ones -- a sum test would let a task whose estimate is
             # already exhausted (remaining floored to 0) slip through.
-            self._inbound_backlog(inflight, thief_index, now)
-            if inflight[thief_index]:
+            self.inbound(thief_index, now)
+            if self.inflight[thief_index]:
                 continue  # a delivery is already on its way here
             best: Optional[TaskRuntime] = None
-            best_key: Optional[Tuple[float, float, float, int]] = None
-            best_source: Optional[int] = None
-            best_payload = 0.0
-            remote: Optional[TaskRuntime] = None
-            remote_key: Optional[Tuple[float, float, float, int]] = None
-            remote_source: Optional[int] = None
-            remote_payload = 0.0
+            best_key: Optional[Tuple[bool, float, float, float, int]] = None
+            best_source = 0
             sources: Sequence[int] = (
                 indexes.source_candidates.ordered()
                 if indexes is not None
@@ -2816,85 +2658,154 @@ class ClusterScheduler:
                     )
                     if delivery - now >= home_wait:
                         continue  # the link is the slower queue; stay put
+                    if not local and home_wait - (delivery - now) < threshold:
+                        continue  # marginal win; keep the uplink clear
+                    # Any in-rack task outranks every cross-rack one.
                     key = (
+                        local,
                         float(int(context.priority)),
                         context.tokens,
                         context.estimated_remaining_cycles,
                         -task.task_id,
                     )
-                    if local:
-                        if best_key is None or key > best_key:
-                            best, best_key = task, key
-                            best_source, best_payload = index, payload
-                    else:
-                        gap = home_wait - (delivery - now)
-                        if gap < self.cross_rack_threshold:
-                            continue  # marginal win; keep the uplink clear
-                        if remote_key is None or key > remote_key:
-                            remote, remote_key = task, key
-                            remote_source, remote_payload = index, payload
-            if best is None and remote is not None:
-                best, best_key = remote, remote_key
-                best_source, best_payload = remote_source, remote_payload
-            if best is None or best_source is None:
+                    if best_key is None or key > best_key:
+                        best, best_key, best_source = task, key, index
+            if best is None:
                 continue
-            source = devices[best_source]
-            # "checkpoint" means saved state actually moved; a migrated
-            # KILL victim restarts from scratch and ships only the row.
-            ships_checkpoint = best.checkpoint_bytes_resident > 0
-            task = source.remove_task(best.task_id, now)
-            record = fabric.transfer(
-                best_source, thief_index, best_payload, now,
+            self.ship(best_source, thief_index, best.task_id, now, "migrate")
+        if profiler is not None:
+            profiler.add("migrate", time.perf_counter_ns() - start_ns)
+
+    def ship(
+        self,
+        src_index: int,
+        dst_index: int,
+        task_id: int,
+        now: float,
+        label: str,
+        reason: Optional[str] = None,
+    ) -> None:
+        """Move one QUEUED/PREEMPTED task over the fabric: a checkpoint
+        migration (``label`` ``migrate``) or a churn evacuation
+        (``evacuate``).  The trace span names ``reason``, which defaults
+        to the record's kind."""
+        src = self.devices[src_index]
+        dst = self.devices[dst_index]
+        task = src.remove_task(task_id, now)
+        # "checkpoint" means saved state actually moved; a migrated KILL
+        # victim restarts from scratch and ships only the row.
+        kind = "checkpoint" if task.checkpoint_bytes_resident > 0 else "steal"
+        payload = task.checkpoint_bytes_resident + CONTEXT_ROW_BYTES
+        record = self.fabric.transfer(
+            src_index, dst_index, payload, now, task_id=task.task_id
+        )
+        # In transit the task keeps waiting (MIGRATING accrues like
+        # READY): settle the whole flight now so the row lands with its
+        # wait/token state carried over, then let the destination flip it
+        # READY at the delivery arrival.
+        task.context.state = TaskState.MIGRATING
+        task.context.accrue_wait(record.end_cycles)
+        if self.ledger is not None:
+            # The migration is a settlement read point: the in-flight
+            # task stays visible to the cluster-wide threshold.
+            self.ledger.activate(task.task_id, task.context.tokens)
+        task.migration_count += 1
+        task.migrated_bytes_total += payload
+        dst.inject(task, arrival=record.end_cycles)
+        self.refresh(src)
+        self.refresh(dst)
+        self.assignments[task.task_id] = dst_index
+        self.inflight[dst_index].append(
+            (record.end_cycles, task.context.estimated_remaining_cycles,
+             int(task.context.priority))
+        )
+        self.migrations.append(
+            MigrationRecord(
                 task_id=task.task_id,
+                from_device=src_index,
+                to_device=dst_index,
+                time_cycles=now,
+                kind=kind,
+                bytes_moved=payload,
+                arrival_cycles=record.end_cycles,
             )
-            # In transit the task keeps waiting (MIGRATING accrues like
-            # READY): settle the whole flight now so the row lands with
-            # its wait/token state carried over, then let the destination
-            # flip it READY at the delivery arrival.
-            task.context.state = TaskState.MIGRATING
-            task.context.accrue_wait(record.end_cycles)
-            if ledger is not None:
-                # The migration is a settlement read point: the in-flight
-                # task stays visible to the cluster-wide threshold.
-                ledger.activate(task.task_id, task.context.tokens)
-            task.migration_count += 1
-            task.migrated_bytes_total += best_payload
-            thief.inject(task, arrival=record.end_cycles)
-            if indexes is not None:
-                indexes.refresh(source)
-                indexes.refresh(thief)
-            assignments[task.task_id] = thief_index
-            inflight[thief_index].append(
-                (record.end_cycles, task.context.estimated_remaining_cycles,
-                 int(task.context.priority))
+        )
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.span(
+                "migration",
+                f"{label} t{task.task_id} d{src_index}->d{dst_index}",
+                now,
+                record.end_cycles,
+                args={
+                    "task": task.task_id,
+                    "from": src_index,
+                    "to": dst_index,
+                    "bytes": payload,
+                    "reason": reason or kind,
+                },
             )
-            moves.append(
-                MigrationRecord(
-                    task_id=task.task_id,
-                    from_device=best_source,
-                    to_device=thief_index,
-                    time_cycles=now,
-                    kind="checkpoint" if ships_checkpoint else "steal",
-                    bytes_moved=best_payload,
-                    arrival_cycles=record.end_cycles,
-                )
+
+    # ------------------------------------------------------------------
+    # Result
+    # ------------------------------------------------------------------
+    def result(self) -> ClusterResult:
+        """The finished run's :class:`ClusterResult`."""
+        jobs = self.jobs
+        # Every request neither rejected nor lost must have finished,
+        # however the loop ended (its last settlement or quiesce).
+        unsettled = [
+            member.task_id
+            for job in jobs
+            if job.state not in (JobState.REJECTED, JobState.LOST)
+            for member in job.requests
+            if not member.is_done
+        ]
+        if unsettled:
+            raise RuntimeError(
+                f"cluster loop ended with unsettled tasks: {unsettled}"
             )
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.span(
-                    "migration",
-                    f"migrate t{task.task_id} "
-                    f"d{best_source}->d{thief_index}",
-                    now,
-                    record.end_cycles,
-                    args={
-                        "task": task.task_id,
-                        "from": best_source,
-                        "to": thief_index,
-                        "bytes": best_payload,
-                        "reason": (
-                            "checkpoint" if ships_checkpoint else "steal"
-                        ),
-                    },
-                )
-        return moves
+        devices = self.devices
+        device_results = tuple(device.result() for device in devices)
+        fabric = self.fabric
+        transfers = fabric.transfers if fabric is not None else ()
+        timeline = ClusterTimeline(
+            {
+                index: device.timeline
+                for index, device in enumerate(devices)
+                # A device whose every task migrated away still executed
+                # cycles; its trace must survive for conservation checks.
+                if device.num_tasks > 0 or len(device.timeline) > 0
+            },
+            transfers=transfers,
+        )
+        records: Tuple[AdmissionRecord, ...] = ()
+        if self.admission is not None:
+            records = self.admission.records[self.records_start:]
+        return ClusterResult(
+            tasks=tuple(
+                member
+                for job in jobs
+                if job.state is JobState.DONE
+                for member in job.requests
+            ),
+            device_results=device_results,
+            assignments=self.assignments,
+            routing=self.routing.value,
+            migrations=tuple(self.migrations),
+            timeline=timeline,
+            transfers=transfers,
+            admission_records=records,
+            rejected_tasks=tuple(
+                member for job in self.rejected_jobs for member in job.requests
+            ),
+            events_processed=sum(
+                device.events_processed for device in devices
+            ),
+            jobs=tuple(jobs),
+            batches=tuple(self.batch_records),
+            lost_tasks=tuple(
+                member for job in self.lost_jobs for member in job.requests
+            ),
+            rack_of=self.scheduler.rack_of,
+        )

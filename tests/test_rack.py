@@ -33,8 +33,14 @@ import pytest
 
 import helpers_golden
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import (
+    ClusterConfig,
+    ClusterScheduler,
+    RoutingPolicy,
+    _ClusterRun,
+)
 from repro.sched.faults import ChurnSchedule
+from repro.sched.job import Job
 from repro.sched.interconnect import (
     CONTEXT_ROW_BYTES,
     Interconnect,
@@ -259,9 +265,26 @@ def _steal_fixture(threshold):
     return scheduler, devices
 
 
+def _steal(scheduler, devices):
+    """The moves one steal pass at t=0 makes over hand-loaded devices,
+    on the reference fleet-scan path of a run of ``scheduler``."""
+    spec = TaskSpec(
+        task_id=999,
+        benchmark="syn999",
+        batch=1,
+        priority=Priority.MEDIUM,
+        arrival_cycles=0.0,
+    )
+    run = _ClusterRun(scheduler, [Job.single(synthetic_runtime(spec, 1.0))])
+    run.devices = devices
+    run.indexes = None
+    run.steal(0.0)
+    return run.migrations
+
+
 def test_steal_prefers_rack_local_victim():
     scheduler, devices = _steal_fixture(threshold=0.0)
-    moves = scheduler._steal(devices, 0.0, {})
+    moves = _steal(scheduler, devices)
     thief_moves = [m for m in moves if m.to_device == 0]
     assert len(thief_moves) == 1
     # Device 2's backlog is far larger, but device 1 shares the rack.
@@ -273,13 +296,13 @@ def test_cross_rack_steal_gated_by_threshold():
     scheduler, devices = _steal_fixture(threshold=math.inf)
     for task in list(devices[1].stealable_tasks()):
         devices[1].remove_task(task.task_id, 0.0)
-    moves = scheduler._steal(devices, 0.0, {})
+    moves = _steal(scheduler, devices)
     assert [m for m in moves if m.to_device == 0] == []
 
     scheduler, devices = _steal_fixture(threshold=0.0)
     for task in list(devices[1].stealable_tasks()):
         devices[1].remove_task(task.task_id, 0.0)
-    moves = scheduler._steal(devices, 0.0, {})
+    moves = _steal(scheduler, devices)
     thief_moves = [m for m in moves if m.to_device == 0]
     assert len(thief_moves) == 1
     assert thief_moves[0].from_device == 2
@@ -596,14 +619,14 @@ def test_rack_steal_sets_match_fleet_scan_in_verify_mode(
 ):
     """verify_indexes checks every per-rack set against the fleet-wide
     set and every thief's victim against the fleet-wide scan."""
-    fleet_victim = ClusterScheduler._fleet_victim
+    fleet_victim = _ClusterRun.fleet_victim
     checks = []
 
-    def counted(self, devices, thief_index, now):
+    def counted(self, thief_index, now):
         checks.append(thief_index)
-        return fleet_victim(self, devices, thief_index, now)
+        return fleet_victim(self, thief_index, now)
 
-    monkeypatch.setattr(ClusterScheduler, "_fleet_victim", counted)
+    monkeypatch.setattr(_ClusterRun, "fleet_victim", counted)
     topology = STEAL_TOPOLOGIES[name]
     result = _verify_steal_run(topology, threshold)
     assert len(result.tasks) == 12 * topology.num_devices
