@@ -40,12 +40,12 @@ from repro.sched.cluster import (
     _ClusterRun,
 )
 from repro.sched.faults import ChurnSchedule
-from repro.sched.job import Job
 from repro.sched.interconnect import (
     CONTEXT_ROW_BYTES,
     Interconnect,
     InterconnectConfig,
 )
+from repro.sched.job import Job
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.rack import RackRouter, RackTopology
 from repro.sched.policies import make_policy
