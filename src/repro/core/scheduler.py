@@ -10,6 +10,7 @@ task completion, and scheduling-period expiry.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional, Sequence
 
 from repro.core.context import ContextTable, TaskContext
@@ -24,8 +25,8 @@ class SchedulerConfig:
     period_cycles: float = 0.25e-3 * 700e6
 
     def __post_init__(self) -> None:
-        if self.period_cycles <= 0:
-            raise ValueError("period_cycles must be positive")
+        if not 0 < self.period_cycles < math.inf:
+            raise ValueError("period_cycles must be positive and finite")
 
 
 class PremaPolicyCore:

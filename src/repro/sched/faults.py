@@ -72,6 +72,32 @@ def _unit_stream(seed: int, unit: int) -> random.Random:
     return random.Random(seed ^ CHURN_STREAM_SALT ^ unit)
 
 
+def _churn_processes(
+    horizon_cycles: float, fault_rate: float, revocation_rate: float,
+    drain_rate: float, mean_outage_cycles: float, mean_warning_cycles: float,
+) -> Tuple[Tuple[str, float], ...]:
+    """The draw's ``(kind, rate)`` processes with a positive rate, after
+    checking its arguments: the draw loop ends only once its clock
+    passes a finite horizon, and every gap it draws must be finite."""
+    if not 0.0 < horizon_cycles < math.inf:
+        raise ValueError("horizon_cycles must be positive and finite")
+    rates = (
+        ("fault", fault_rate),
+        ("revocation", revocation_rate),
+        ("drain", drain_rate),
+    )
+    for kind, rate in rates:
+        if not 0.0 <= rate < math.inf:
+            raise ValueError(f"{kind}_rate must be non-negative and finite")
+    for name, mean in (
+        ("mean_outage_cycles", mean_outage_cycles),
+        ("mean_warning_cycles", mean_warning_cycles),
+    ):
+        if not 0.0 < mean < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    return tuple((kind, rate) for kind, rate in rates if rate > 0.0)
+
+
 def _draw_unit_windows(
     rng: random.Random,
     horizon_cycles: float,
@@ -294,19 +320,12 @@ class ChurnSchedule:
         """
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")
-        if horizon_cycles <= 0:
-            raise ValueError("horizon_cycles must be positive")
+        processes = _churn_processes(
+            horizon_cycles, fault_rate, revocation_rate, drain_rate,
+            mean_outage_cycles, mean_warning_cycles,
+        )
         if max_concurrent_down is None:
             max_concurrent_down = max(0, num_devices - 1)
-        processes: Tuple[Tuple[str, float], ...] = tuple(
-            (kind, rate)
-            for kind, rate in (
-                ("fault", fault_rate),
-                ("revocation", revocation_rate),
-                ("drain", drain_rate),
-            )
-            if rate > 0.0
-        )
         candidates = [
             _draw_unit_windows(
                 _unit_stream(seed, device),
@@ -368,8 +387,10 @@ class ChurnSchedule:
         rack_of = tuple(rack_of)
         if not rack_of:
             raise ValueError("rack_of must cover at least one device")
-        if horizon_cycles <= 0:
-            raise ValueError("horizon_cycles must be positive")
+        processes = _churn_processes(
+            horizon_cycles, fault_rate, revocation_rate, drain_rate,
+            mean_outage_cycles, mean_warning_cycles,
+        )
         num_racks = max(rack_of) + 1
         members: List[List[int]] = [[] for _ in range(num_racks)]
         for device, rack in enumerate(rack_of):
@@ -380,15 +401,6 @@ class ChurnSchedule:
             raise ValueError("rack ids must be contiguous and non-empty")
         if max_concurrent_down_racks is None:
             max_concurrent_down_racks = max(0, num_racks - 1)
-        processes: Tuple[Tuple[str, float], ...] = tuple(
-            (kind, rate)
-            for kind, rate in (
-                ("fault", fault_rate),
-                ("revocation", revocation_rate),
-                ("drain", drain_rate),
-            )
-            if rate > 0.0
-        )
         candidates = [
             _draw_unit_windows(
                 _unit_stream(seed, rack),

@@ -217,8 +217,40 @@ class TestChurnSchedule:
     def test_generate_validates_arguments(self):
         with pytest.raises(ValueError):
             ChurnSchedule.generate(0, 1e6)
-        with pytest.raises(ValueError):
-            ChurnSchedule.generate(2, 0.0)
+        draws = (
+            lambda horizon, **knobs: ChurnSchedule.generate(
+                2, horizon, seed=1, **knobs
+            ),
+            lambda horizon, **knobs: ChurnSchedule.generate_rack_correlated(
+                (0, 0, 1, 1), horizon, seed=1, **knobs
+            ),
+        )
+        # A NaN or infinite horizon would never stop the draw loop, a NaN
+        # or negative rate would vanish silently, and a zero mean would
+        # divide by zero.
+        cases = (
+            (0.0, {}, "horizon_cycles"),
+            (math.nan, {"fault_rate": 1e-6}, "horizon_cycles"),
+            (math.inf, {"fault_rate": 1e-6}, "horizon_cycles"),
+            (math.nan, {"revocation_rate": 1e-6}, "horizon_cycles"),
+            (1e6, {"fault_rate": math.nan}, "fault_rate"),
+            (1e6, {"revocation_rate": -1e-6}, "revocation_rate"),
+            (1e6, {"drain_rate": math.inf}, "drain_rate"),
+            (
+                1e6,
+                {"revocation_rate": 1e-6, "mean_outage_cycles": 0.0},
+                "mean_outage_cycles",
+            ),
+            (
+                1e6,
+                {"revocation_rate": 1e-6, "mean_warning_cycles": 0.0},
+                "mean_warning_cycles",
+            ),
+        )
+        for draw in draws:
+            for horizon, knobs, name in cases:
+                with pytest.raises(ValueError, match=name):
+                    draw(horizon, **knobs)
 
     def test_never_restore_revocations(self):
         schedule = ChurnSchedule.generate(

@@ -1,6 +1,8 @@
 """PREMA policy core: Algorithm 2 grants, candidates, and preemption
 recommendations."""
 
+import math
+
 import pytest
 
 from repro.core.context import ContextTable, TaskContext, TaskState
@@ -26,9 +28,10 @@ class TestSchedulerConfig:
         scheduler = SchedulerConfig()
         assert config.cycles_to_ms(scheduler.period_cycles) == pytest.approx(0.25)
 
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(period_cycles=0)
+    @pytest.mark.parametrize("period", [0, -1, math.nan, math.inf])
+    def test_rejects_nonpositive_period(self, period):
+        with pytest.raises(ValueError, match="period_cycles"):
+            SchedulerConfig(period_cycles=period)
 
 
 class TestPeriodicGrants:
