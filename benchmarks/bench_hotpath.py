@@ -336,9 +336,9 @@ def run(tier: str = "full") -> Dict[str, object]:
     results["churn_4dev"] = record
     # The datacenter tier: 64 work-stealing devices at the same
     # per-device load.  Runs in the small tier so the CI gate watches
-    # the O(log d) control plane (event heap, backlog index, candidate
-    # sets) -- the pre-index loop was ~6x slower here and would trip
-    # the 30% gate instantly.
+    # the O(log d) control plane (backlog index, candidate sets) -- the
+    # pre-index loop was ~6x slower here and would trip the 30% gate
+    # instantly.
     record = measure_cluster(2000, num_devices=64, seed=39)
     record["normalized"] = record["tasks_per_sec"] / calibration_ops
     results["cluster_ws_64dev_2000"] = record

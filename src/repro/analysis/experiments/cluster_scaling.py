@@ -145,9 +145,10 @@ def run_control_plane_scaling(
     the measured per-event cost is control-plane overhead.  The indexed
     loop (`_ClusterIndexes`, O(log d) per event) runs at every device
     count; the preserved pre-index linear-scan loop
-    (``use_indexes=False``: O(d) next-event scan and termination sum,
-    O(d x live) routing, O(d^2) steal scans) runs at the endpoints of
-    ``linear_device_counts`` as the before/after comparison.
+    (``use_indexes=False``: O(d x live) routing, O(d^2) steal scans)
+    runs at the endpoints of ``linear_device_counts`` as the
+    before/after comparison.  Both read the next device event from the
+    fleet's shared event queue.
     """
     rows: List[ControlPlaneRow] = []
     for num_devices in device_counts:

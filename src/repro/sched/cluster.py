@@ -111,6 +111,7 @@ from repro.sched.policies import make_policy
 from repro.sched.rack import RackRouter, RackTopology
 from repro.sched.simulator import (
     DeviceSim,
+    EventQueue,
     PreemptionMode,
     SimulationConfig,
     SimulationResult,
@@ -502,19 +503,14 @@ class _OrderedIndexSet(list):
 class _ClusterIndexes:
     """O(log d)-per-event control-plane indexes over a device fleet.
 
-    Three structures replace the cluster loop's per-event linear scans.
-    Each is *re-plumbing only*: every consultation returns exactly what
+    Two structures replace the cluster loop's per-event linear scans
+    (the next device event needs none: it is the head of the fleet's
+    shared :class:`~repro.sched.simulator.EventQueue`).  Each is
+    *re-plumbing only*: every consultation returns exactly what
     the reference scan over all devices returns (the golden suites and
     ``tests/test_cluster_indexes.py`` pin this), it just stops paying
     O(d) -- or, for work stealing, O(d^2) -- to find it.
 
-    - **Device-event heap** -- a lazy-deletion min-heap of ``(time,
-      kind-rank, device)`` entries mirroring each device's
-      ``next_event_key()``.  Devices invalidate/refresh their entry
-      through :attr:`DeviceSim.on_next_event_change`; stale entries are
-      discarded when they surface (the PR-2 policy-heap discipline).
-      Ties at equal ``(time, kind)`` break to the lowest device index,
-      exactly like the linear scan.
     - **Backlog-bound heap** -- a lazy-deletion min-heap of ``(backlog
       lower bound, device)`` entries keyed on
       :meth:`DeviceSim.backlog_lower_bound`, refreshed at every device
@@ -547,8 +543,6 @@ class _ClusterIndexes:
         self._devices = devices
         self.verify = verify
         num = len(devices)
-        self._event_key: List[Optional[Tuple[float, int]]] = [None] * num
-        self._event_heap: List[Tuple[float, int, int]] = []
         self._backlog_bound: List[float] = [0.0] * num
         # Pre-seeded with every device at bound 0.0 (an ascending list is
         # already a valid heap); refresh() only pushes on bound *moves*.
@@ -566,62 +560,7 @@ class _ClusterIndexes:
             self.steal_candidates
         ] * num
         for device in devices:
-            device.on_next_event_change = self._on_event_change
-            self._on_event_change(device)
             self.refresh(device)
-
-    # ------------------------------------------------------------------
-    # Device-event heap
-    # ------------------------------------------------------------------
-    def _on_event_change(self, device: DeviceSim) -> None:
-        index = device.device_id
-        key = device.next_event_key()
-        self._event_key[index] = key
-        if key is not None:
-            heapq.heappush(self._event_heap, (key[0], key[1], index))
-            if len(self._event_heap) > self._heap_cap:
-                self._event_heap = [
-                    (current[0], current[1], idx)
-                    for idx, current in enumerate(self._event_key)
-                    if current is not None
-                ]
-                heapq.heapify(self._event_heap)
-
-    def peek_next_device(
-        self,
-    ) -> Tuple[Optional[int], Optional[Tuple[float, int]]]:
-        """(device index, (time, kind-rank)) of the earliest device event.
-
-        Lazy deletion: entries whose key no longer matches the device's
-        live ``next_event_key()`` are dropped as they surface.  Returns
-        ``(None, None)`` when every device is dormant.
-        """
-        heap = self._event_heap
-        keys = self._event_key
-        found: Tuple[Optional[int], Optional[Tuple[float, int]]] = (None, None)
-        while heap:
-            time_, rank, index = heap[0]
-            if keys[index] != (time_, rank):
-                heapq.heappop(heap)
-                continue
-            found = (index, (time_, rank))
-            break
-        if self.verify:
-            reference: Tuple[Optional[int], Optional[Tuple[float, int]]] = (
-                None,
-                None,
-            )
-            for index, device in enumerate(self._devices):
-                key = device.next_event_key()
-                if key is not None and (
-                    reference[1] is None or key < reference[1]
-                ):
-                    reference = (index, key)
-            if reference != found:
-                raise AssertionError(
-                    f"event heap peeked {found}, reference scan {reference}"
-                )
-        return found
 
     # ------------------------------------------------------------------
     # Backlog index + candidate sets
@@ -1471,7 +1410,7 @@ class _ClusterRun:
         "assignments", "migrations", "inflight", "pending", "frontier",
         "next_id", "open_batches", "open_deadline", "flush_heap",
         "flush_seq", "slice_map", "batch_records", "rejected_jobs",
-        "lost_jobs", "settled", "churn",
+        "lost_jobs", "settled", "churn", "queue",
     )
 
     def __init__(self, scheduler: ClusterScheduler, jobs: Sequence[Job]) -> None:
@@ -1523,12 +1462,16 @@ class _ClusterRun:
                 scheduler.interconnect, num_devices, rack_of=scheduler.rack_of
             )
             self.fabric.tracer = tracer
+        #: Every device's pending events, in firing order: the loop's
+        #: next device event is its head.
+        queue = self.queue = EventQueue()
         devices = self.devices = [
             DeviceSim(
                 scheduler.simulation_config,
                 make_policy(scheduler.policy_name, ledger=ledger),
                 device_id=index,
                 tracer=tracer,
+                queue=queue,
             )
             for index in range(num_devices)
         ]
@@ -1540,9 +1483,8 @@ class _ClusterRun:
         ):
             for device in devices:
                 device.ticks_read = True
-        # The O(log d) control plane.  Built before any injection so the
-        # event-change hook sees every arrival; None runs the reference
-        # linear-scan loop (decision-identical).
+        # The O(log d) control plane; None runs the reference linear
+        # scans (decision-identical).
         self.indexes = None
         if scheduler.use_indexes:
             if scheduler.racks is not None:
@@ -1631,8 +1573,7 @@ class _ClusterRun:
             self.pending.clear()
 
         # Read on every iteration: bound to locals once.
-        devices = self.devices
-        indexes = self.indexes
+        queue = self.queue
         pending = self.pending
         frontier = self.frontier
         flush_heap = self.flush_heap
@@ -1644,19 +1585,10 @@ class _ClusterRun:
         total_jobs = len(jobs)
         arrival_rank = int(_EventKind.ARRIVAL)
         while True:
-            # Earliest device event by (time, kind); ties break to the
-            # lowest device index.
-            device_index: Optional[int] = None
-            device_key: Optional[Tuple[float, int]] = None
-            if indexes is not None:
-                device_index, device_key = indexes.peek_next_device()
-            else:
-                for index, device in enumerate(devices):
-                    key = device.next_event_key()
-                    if key is not None and (
-                        device_key is None or key < device_key
-                    ):
-                        device_index, device_key = index, key
+            # Earliest device event, (time, kind rank, device): ties at
+            # one (time, kind) break to the lowest device index.
+            head = queue.peek()
+            device_key = None if head is None else head[:2]
 
             next_arrival: Optional[float] = None
             if not admitting:
@@ -1735,7 +1667,7 @@ class _ClusterRun:
                     self.arrival()
                 continue
 
-            if device_index is None:
+            if head is None:
                 # Quiesced: no events, arrivals, flushes or transitions
                 # left (transitions always process above when any
                 # remain).  Whatever is still parked has no restore
@@ -1745,7 +1677,7 @@ class _ClusterRun:
                     for job in parked:
                         self.lose(job)
                 break
-            device_event(device_index)
+            device_event(head[2])
             if self.settled >= total_jobs:
                 break
 

@@ -14,6 +14,8 @@ layer (:mod:`repro.sched.cluster`) interleaves many ``DeviceSim`` instances
 under one global event loop and uses the live-state introspection hooks
 (:meth:`DeviceSim.predicted_backlog`, :meth:`DeviceSim.stealable_tasks`,
 :meth:`DeviceSim.remove_task`) for online dispatch and work stealing.
+Pending events wait in an :class:`EventQueue`; the devices of a cluster
+run share one, whose head is the fleet's next device event.
 
 Per-event cost is O(log n) or amortized O(1) in the *live* task
 population -- it does not grow with the number of tasks the device has
@@ -99,7 +101,7 @@ import enum
 import heapq
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import ContextTable, TaskContext, TaskState
 from repro.core.mechanism import MechanismChoice, select_mechanism
@@ -147,6 +149,96 @@ class _EventKind(enum.IntEnum):
     ARRIVAL = 1
     PERIOD = 2
     DISPATCH = 3
+
+
+_PERIOD_RANK = int(_EventKind.PERIOD)
+
+
+class EventQueue:
+    """The pending events of one device, or of every device of a fleet.
+
+    Entries ``(time, kind rank, device id, push order, kind, payload)``
+    fire in that order: each device's events in its own order, and
+    across devices the earliest first, ties to the lowest device id.
+    Entries hold the device's id, never the device: that reference would
+    make a cycle, and a finished device would outlive its run until the
+    cyclic collector ran.  A device has at most one live PERIOD event:
+    a superseded :meth:`arm` stays queued until it reaches the head,
+    where it is dropped, so the head is always live.
+    """
+
+    __slots__ = ("_heap", "_order", "_arms", "_stale")
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, int, int, _EventKind, object]] = []
+        self._order = itertools.count()
+        #: Device id -> push order of its live queued PERIOD event.
+        self._arms: Dict[int, int] = {}
+        #: Superseded PERIOD events still in the heap.
+        self._stale = 0
+
+    def push(
+        self, time: float, kind: _EventKind, device_id: int, payload: object
+    ) -> int:
+        """Queue an event; returns its push order."""
+        order = next(self._order)
+        heapq.heappush(self._heap, (time, int(kind), device_id, order, kind, payload))
+        return order
+
+    def arm(self, time: float, device_id: int) -> None:
+        """Queue device ``device_id``'s PERIOD event at ``time``,
+        superseding its queued one (the caller arms only earlier)."""
+        if device_id in self._arms:
+            self._stale += 1
+        self._arms[device_id] = self.push(time, _EventKind.PERIOD, device_id, None)
+
+    def peek(self) -> Optional[Tuple[float, int, int]]:
+        """``(time, kind rank, device id)`` of the next event, or None."""
+        heap = self._heap
+        return heap[0][:3] if heap else None
+
+    def pop(self, device_id: int) -> Tuple[float, int, int, int, _EventKind, object]:
+        """Pop the next event, which must be device ``device_id``'s."""
+        heap = self._heap
+        if not heap:
+            raise RuntimeError("no pending events")
+        owner = heap[0][2]
+        if owner != device_id:
+            raise RuntimeError(
+                f"device {device_id} stepped; the next event belongs to device {owner}"
+            )
+        entry = heapq.heappop(heap)
+        if entry[1] == _PERIOD_RANK:
+            del self._arms[device_id]
+        if self._stale:
+            self._drop_stale()
+        return entry
+
+    def remove(self, device_id: int) -> None:
+        """Drop every event of device ``device_id`` (a failed device
+        fires none); the other devices' events keep their order."""
+        live = self._arms.pop(device_id, None)
+        kept = []
+        for entry in self._heap:
+            if entry[2] != device_id:
+                kept.append(entry)
+            elif entry[1] == _PERIOD_RANK and entry[3] != live:
+                self._stale -= 1
+        heapq.heapify(kept)
+        self._heap = kept
+        if self._stale:
+            self._drop_stale()
+
+    def _drop_stale(self) -> None:
+        """Pop superseded PERIOD events off the head."""
+        heap = self._heap
+        arms = self._arms
+        while heap:
+            _, rank, device_id, order, _, _ = heap[0]
+            if rank != _PERIOD_RANK or arms.get(device_id) == order:
+                return
+            heapq.heappop(heap)
+            self._stale -= 1
 
 
 class DeviceTaskState(enum.Enum):
@@ -209,13 +301,14 @@ class DeviceSim:
     """Stepwise, injectable single-NPU simulation (one cluster device).
 
     Holds the per-run mutable state the old monolithic ``run()`` kept in
-    locals -- event heap, context table, runtimes, reservation bookkeeping
-    -- and exposes it one event at a time.  Tasks may be injected before
+    locals -- context table, runtimes, reservation bookkeeping -- and
+    exposes it one event at a time.  Tasks may be injected before
     or during the run; the scheduling-period clock anchors itself at the
     first processed arrival and fires only the ticks that can change a
     decision, replaying the others at the next read, so an idle or purely
     busy device costs no ticks and a busy one few.  The module docstring
-    has the chain rules.
+    has the chain rules.  Events wait in ``queue``: the device's own
+    :class:`EventQueue`, unless a fleet of distinct ``device_id``s shares one.
     """
 
     def __init__(
@@ -224,6 +317,7 @@ class DeviceSim:
         policy: Policy,
         device_id: int = 0,
         tracer=None,
+        queue: Optional[EventQueue] = None,
     ) -> None:
         self.config = config
         self.policy = policy
@@ -239,8 +333,7 @@ class DeviceSim:
         self._kill = KillMechanism(config.npu)
         self._table = ContextTable()
         self._runtimes: Dict[int, TaskRuntime] = {}
-        self._events: List[Tuple[float, int, int, _EventKind, object]] = []
-        self._counter = itertools.count()
+        self._queue = EventQueue() if queue is None else queue
         self.timeline = Timeline()
         self._running_id: Optional[int] = None
         #: Wall-clock cycle until which the NPU is busy checkpointing.
@@ -250,13 +343,8 @@ class DeviceSim:
         #: First instant of the period chain not yet fired or replayed
         #: (None: no chain; the next admitted arrival anchors one).
         self._next_tick: Optional[float] = None
-        #: Instant of the armed PERIOD event (None: the chain sleeps) and
-        #: its tag.  An arm superseded by an earlier one stays queued with
-        #: a stale tag and is dropped when it reaches the queue head;
-        #: ``_stale_arms`` counts those still queued.
+        #: Instant of the armed PERIOD event (None: the chain sleeps).
         self._armed_at: Optional[float] = None
-        self._arm_tag = 0
-        self._stale_arms = 0
         self._preemption_count = 0
         self._drain_decisions = 0
         self._completed = 0
@@ -292,14 +380,6 @@ class DeviceSim:
         #: Ids migrated out of this device: the only ids whose stale
         #: COMPLETE events may legitimately reference a missing runtime.
         self._migrated_out: set = set()
-        #: Cluster notification hook: invoked (with this device) whenever
-        #: the head of the event queue -- the ``next_event_key()`` value
-        #: -- changes.  The cluster loop's global device-event heap
-        #: refreshes its lazy-deletion entries through this instead of
-        #: re-scanning every device per event; ``None`` (the default, and
-        #: the single-NPU batch path) costs nothing.
-        self.on_next_event_change: Optional[Callable[["DeviceSim"], None]] = None
-        self._notified_key: Optional[Tuple[float, int]] = None
         #: Churn gate: False while the device is down, or (proactive
         #: mode) while a revocation/drain warning window is open.  The
         #: cluster layer's routing, stealing, and idle indexes all treat
@@ -314,29 +394,9 @@ class DeviceSim:
         #: tick of a busy chain must fire.
         self.ticks_read = False
 
-    def _notify_event_change(self) -> None:
-        """Fire :attr:`on_next_event_change` if the head key moved.
-
-        Called once per external mutation (:meth:`inject`, :meth:`step`);
-        intermediate pushes inside one event's handlers coalesce into at
-        most one notification.
-        """
-        callback = self.on_next_event_change
-        if callback is None:
-            return
-        key = self.next_event_key()
-        if key != self._notified_key:
-            self._notified_key = key
-            callback(self)
-
     # ------------------------------------------------------------------
     # Event queue
     # ------------------------------------------------------------------
-    def _push(self, time: float, kind: _EventKind, payload: object) -> None:
-        heapq.heappush(
-            self._events, (time, int(kind), next(self._counter), kind, payload)
-        )
-
     def inject(self, task: TaskRuntime, arrival: Optional[float] = None) -> None:
         """Schedule ``task`` to arrive at ``arrival`` (default: its spec time).
 
@@ -348,27 +408,20 @@ class DeviceSim:
             raise ValueError(f"duplicate task id {task.task_id}")
         self._runtimes[task.task_id] = task
         heapq.heappush(self._pending_arrivals, when)
-        self._push(when, _EventKind.ARRIVAL, task.task_id)
-        self._notify_event_change()
+        self._queue.push(when, _EventKind.ARRIVAL, self.device_id, task.task_id)
 
     def next_event_time(self) -> Optional[float]:
-        """Timestamp of the next pending event (None when dormant)."""
-        return self._events[0][0] if self._events else None
-
-    def next_event_key(self) -> Optional[Tuple[float, int]]:
-        """(timestamp, kind-rank) of the next pending event.
-
-        The kind rank follows :class:`_EventKind`'s tie-break order, so a
-        cluster loop can decide whether a device event logically precedes
-        a same-time cluster-level arrival.
+        """Timestamp of the next event in the device's queue (None when
+        dormant).  On a queue shared by a fleet that is the fleet's next
+        event, so only a standalone device reads its own next event here.
         """
-        return (self._events[0][0], self._events[0][1]) if self._events else None
+        head = self._queue.peek()
+        return None if head is None else head[0]
 
     def step(self) -> float:
-        """Process exactly one pending event; returns its timestamp."""
-        if not self._events:
-            raise RuntimeError("no pending events")
-        now, _, _, kind, payload = heapq.heappop(self._events)
+        """Process the event at the queue head, which must be this
+        device's (``RuntimeError`` otherwise); returns its timestamp."""
+        now, _, _, _, kind, payload = self._queue.pop(self.device_id)
         tick = self._next_tick
         if tick is not None and (
             tick < now or (tick == now and kind is _EventKind.DISPATCH)
@@ -386,9 +439,6 @@ class DeviceSim:
             self._on_period(now)
         elif kind == _EventKind.DISPATCH:
             self._on_dispatch(now, payload)  # type: ignore[arg-type]
-        if self._stale_arms:
-            self._drop_stale_arms()
-        self._notify_event_change()
         return now
 
     # ------------------------------------------------------------------
@@ -670,7 +720,6 @@ class DeviceSim:
         # The candidate may have left: the next tick decides afresh.
         if self._tick_can_matter():
             self._arm_period(now)
-            self._notify_event_change()
         return task
 
     def stop_accepting(self, now: float) -> None:
@@ -683,7 +732,6 @@ class DeviceSim:
         """
         self.accepts_work = False
         self._arm_period(now)
-        self._notify_event_change()
 
     def fail(self, now: float) -> List[TaskRuntime]:
         """Fail-stop this device at cycle ``now``.
@@ -694,9 +742,9 @@ class DeviceSim:
         preempted, queued, reserved, or still pending arrival -- is
         reset to offset zero (:meth:`TaskRuntime.record_failure`) and
         returned as an orphan for the cluster to re-dispatch elsewhere.
-        The event queue is wiped (a dead device fires no events) and the
-        device stops accepting work; completed tasks stay resident so
-        :meth:`result` still reports them.
+        The device's events leave the queue (a dead device fires none)
+        and the device stops accepting work; completed tasks stay
+        resident so :meth:`result` still reports them.
         """
         self._replay(now, False)
         running = (
@@ -724,16 +772,14 @@ class DeviceSim:
             self._checkpoint_durable_at.pop(task_id, None)
             self._migrated_out.add(task_id)
             orphans.append(task)
-        self._events.clear()
+        self._queue.remove(self.device_id)
         self._pending_arrivals.clear()
         self._running_id = None
         self._reserved_task_id = None
         self._npu_reserved_until = now
         self._next_tick = None
         self._armed_at = None
-        self._stale_arms = 0
         self.accepts_work = False
-        self._notify_event_change()
         if self.tracer.enabled:
             self.tracer.instant(
                 "device_fail",
@@ -819,9 +865,8 @@ class DeviceSim:
         self._npu_reserved_until = free_at
         self._preemption_count += 1
         self._running_id = None
-        self._push(free_at, _EventKind.DISPATCH, None)
+        self._queue.push(free_at, _EventKind.DISPATCH, self.device_id, None)
         self._arm_period(now)  # the victim's row is READY again
-        self._notify_event_change()
         return free_at, outcome.checkpoint_bytes
 
     def result(self) -> Optional[SimulationResult]:
@@ -1022,25 +1067,10 @@ class DeviceSim:
     def _arm(self, tick: float) -> None:
         """Arm the chain instant ``tick``, superseding a later arm."""
         armed = self._armed_at
-        if armed is not None:
-            if armed <= tick:
-                return
-            self._stale_arms += 1
-        self._arm_tag += 1
+        if armed is not None and armed <= tick:
+            return
         self._armed_at = tick
-        self._push(tick, _EventKind.PERIOD, self._arm_tag)
-
-    def _drop_stale_arms(self) -> None:
-        """Pop superseded arms off the queue head, so the head key the
-        cluster reads is always a live event."""
-        events = self._events
-        while (
-            events
-            and events[0][3] is _EventKind.PERIOD
-            and events[0][4] != self._arm_tag
-        ):
-            heapq.heappop(events)
-            self._stale_arms -= 1
+        self._queue.arm(tick, self.device_id)
 
     def _arm_period(self, now: float) -> None:
         """Arm the chain's first tick at or after ``now``.
@@ -1137,7 +1167,9 @@ class DeviceSim:
         self._preempted.pop(task.task_id, None)
         self._checkpoint_durable_at.pop(task.task_id, None)
         self.policy.on_dispatch(task.context)
-        self._push(completion, _EventKind.COMPLETE, (task.task_id, task.epoch))
+        self._queue.push(
+            completion, _EventKind.COMPLETE, self.device_id, (task.task_id, task.epoch)
+        )
         if self.tracer.enabled:
             self.tracer.instant(
                 "dispatch",
@@ -1288,7 +1320,9 @@ class DeviceSim:
         self._npu_reserved_until = free_at
         self._preemption_count += 1
         self._reserved_task_id = candidate_ctx.task_id
-        self._push(free_at, _EventKind.DISPATCH, candidate_ctx.task_id)
+        self._queue.push(
+            free_at, _EventKind.DISPATCH, self.device_id, candidate_ctx.task_id
+        )
         self._running_id = None
 
 

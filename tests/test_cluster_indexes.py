@@ -1,21 +1,22 @@
 """Index-vs-linear-scan equivalence of the O(log d) cluster control plane.
 
-The cluster loop's indexes (`_ClusterIndexes`: the device-event heap fed
-by ``DeviceSim.on_next_event_change``, the backlog-bound best-first
-router, and the idle/steal/source candidate sets) promise *re-plumbing,
-not re-scheduling*: every consultation must return exactly what the
-reference scan over the whole fleet returns.  The reference loop is kept
-alive behind ``use_indexes=False``, which makes the property direct to
-state: the same workload run through both loops must produce identical
-results, bit for bit -- placements, migrations, transfers, timelines,
-waits, and tokens alike (the two loops execute the *same* float
-operations, so not even the 1e-9 golden tolerance is needed here).
+The cluster loop's indexes (`_ClusterIndexes`: the backlog-bound
+best-first router and the idle/steal/source candidate sets) promise
+*re-plumbing, not re-scheduling*: every consultation must return exactly
+what the reference scan over the whole fleet returns.  The reference
+loop is kept alive behind ``use_indexes=False``, which makes the
+property direct to state: the same workload run through both loops must
+produce identical results, bit for bit -- placements, migrations,
+transfers, timelines, waits, and tokens alike (the two loops execute the
+*same* float operations, so not even the 1e-9 golden tolerance is
+needed here).
 
 ``verify_indexes=True`` additionally cross-checks every single
-consultation (event peek, routing argmin, candidate-set coverage)
-against the linear scan inside the run and raises on the first
-divergence, which pins equivalence at event granularity rather than
-end-of-run granularity.
+consultation (routing argmin, candidate-set coverage) against the linear
+scan inside the run and raises on the first divergence, which pins
+equivalence at event granularity rather than end-of-run granularity.
+Both loops read the next device event from the fleet's one shared
+event queue.
 """
 
 import pytest
@@ -243,27 +244,6 @@ def test_duplicate_task_id_rejected():
 # ----------------------------------------------------------------------
 # DeviceSim surfaces the indexes consume
 # ----------------------------------------------------------------------
-def test_event_change_hook_fires_only_on_head_changes():
-    sim = DeviceSim(_synthetic_config(), make_policy("PREMA"))
-    observed = []
-    sim.on_next_event_change = lambda device: observed.append(
-        device.next_event_key()
-    )
-    for runtime in synthetic_trace_runtimes(12, seed=7):
-        sim.inject(runtime)
-    assert observed, "injection must announce the first head key"
-    # Drain the queue completely (trailing period ticks included) so the
-    # final announcement is the dormant state.
-    while sim.next_event_time() is not None:
-        sim.step()
-        assert observed[-1] == sim.next_event_key(), (
-            "a step that moved the head key must re-announce it"
-        )
-    assert observed[-1] is None, "draining the queue announces dormancy"
-    for earlier, later in zip(observed, observed[1:]):
-        assert earlier != later, "the hook must coalesce unchanged keys"
-
-
 def test_backlog_lower_bound_never_exceeds_exact_backlog():
     """The index-soundness invariant: bound <= predicted_backlog(now')
     for every probe instant at or after the device's current time."""

@@ -1,18 +1,26 @@
 """Event-driven multi-task simulator: invariants and scenario behaviour."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.tokens import Priority
+from repro.npu.config import NPUConfig
 from repro.sched.metrics import compute_metrics
 from repro.sched.policies import make_policy
 from repro.sched.simulator import (
+    DeviceSim,
+    EventQueue,
     NPUSimulator,
     PreemptionMode,
     SimulationConfig,
+    _EventKind,
 )
 from repro.sched.timeline import SegmentKind
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.specs import TaskSpec
+from repro.workloads.trace import synthetic_trace_runtimes
 
 
 def spec(task_id, benchmark, priority, arrival_ms, config, **kw):
@@ -200,3 +208,89 @@ class TestEnsembleInvariants:
         second = sim.run(factory.build_workload(workload))
         for a, b in zip(first.tasks, second.tasks):
             assert a.completion_time == b.completion_time
+
+
+class TestEventQueue:
+    """The event queue a standalone device owns and a fleet shares."""
+
+    @staticmethod
+    def device(device_id=0, queue=None, policy="PREMA"):
+        return DeviceSim(
+            SimulationConfig(npu=NPUConfig(), mode=PreemptionMode.DYNAMIC),
+            make_policy(policy),
+            device_id=device_id,
+            queue=queue,
+        )
+
+    def test_finished_device_is_freed_by_reference_counting(self):
+        # A queue entry that held its device would make a cycle, which
+        # only the cyclic collector frees.
+        gc.disable()
+        try:
+            sim = self.device()
+            for task in synthetic_trace_runtimes(16, seed=5):
+                sim.inject(task)
+            while sim.has_live_tasks and sim.next_event_time() is not None:
+                sim.step()
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_step_refuses_another_devices_event(self):
+        queue = EventQueue()
+        first, second = self.device(0, queue), self.device(1, queue)
+        late, early = synthetic_trace_runtimes(2, seed=1)
+        first.inject(late, arrival=2.0e5)
+        second.inject(early, arrival=1.0e5)
+        with pytest.raises(RuntimeError, match="belongs to device 1"):
+            first.step()
+        assert second.step() == 1.0e5
+        assert first.step() == 2.0e5
+
+    def test_fail_removes_only_its_own_events(self):
+        queue = EventQueue()
+        doomed, survivor = self.device(0, queue), self.device(1, queue, "HPF")
+        alone = self.device(1, policy="HPF")  # the survivor, unshared
+        for device, seed in ((doomed, 2), (survivor, 8), (alone, 8)):
+            for task in synthetic_trace_runtimes(12, seed=seed):
+                device.inject(task)
+        fleet = (doomed, survivor)
+        fired = []
+        # Step the fleet until the doomed device has armed a tick past
+        # its chain's next instant: stop_accepting then supersedes it.
+        while doomed._armed_at is None or doomed._armed_at <= doomed._next_tick:
+            device = fleet[queue.peek()[2]]
+            now = device.step()
+            if device is survivor:
+                fired.append((now, survivor.last_event_kind))
+        doomed.stop_accepting(now)
+        assert queue._stale == 1
+        doomed.fail(now)
+        assert queue._stale == 0
+        while queue.peek() is not None:
+            assert queue.peek()[2] == survivor.device_id
+            fired.append((survivor.step(), survivor.last_event_kind))
+        expected = []
+        while alone.next_event_time() is not None:
+            expected.append((alone.step(), alone.last_event_kind))
+        assert fired == expected
+        assert [t.completion_time for t in survivor.result().tasks] == [
+            t.completion_time for t in alone.result().tasks
+        ]
+
+    @pytest.mark.parametrize("exposed_by", ["step", "failure"])
+    def test_superseded_arm_never_reaches_the_head(self, exposed_by):
+        queue = EventQueue()
+        queue.push(4.0, _EventKind.ARRIVAL, 0, 10)
+        queue.push(7.0, _EventKind.ARRIVAL, 1, 11)
+        queue.arm(5.0, 1)
+        queue.arm(3.0, 1)  # supersedes the arm at 5.0
+        assert queue.pop(1)[:3] == (3.0, _EventKind.PERIOD, 1)
+        # Device 0's event hides device 1's stale arm until it leaves.
+        if exposed_by == "step":
+            queue.pop(0)
+        else:
+            queue.remove(0)
+        assert queue.peek() == (7.0, _EventKind.ARRIVAL, 1)

@@ -19,9 +19,8 @@ batching and 2-stage sharding (online routings), on traces of at most
 ``now + period`` instead of walking it, dropping the tick a sleeping
 device arms when it drains, letting a doomed device's clock sleep,
 skipping the token-bucket rebuild after a replay, dropping the tick
-armed after ``remove_task`` (or its event-change notification), dropping
-the tick after a reserved DISPATCH, and arming a token-level crossing
-one tick late.
+armed after ``remove_task``, dropping the tick after a reserved DISPATCH,
+and arming a token-level crossing one tick late.
 """
 
 import contextlib
@@ -256,8 +255,9 @@ def _case(routing, policy, mode, churn, racks, seed, load, bursty, **rest):
     )
 )
 @example(
-    # A steal from a sleeping victim: remove_task arms the next tick and
-    # must notify the cluster's device-event heap.
+    # A steal from a sleeping victim: remove_task arms the next tick
+    # outside any device event, and the indexed plane must fire it in
+    # time order.
     case=_case(
         RoutingPolicy.WORK_STEALING, "HPF", _MODES[3], "none",
         racks=True, seed=60, load=0.3, bursty=True, indexes=True,
