@@ -12,6 +12,7 @@ methodology for modeling dynamic execution lengths).
 from __future__ import annotations
 
 import functools
+import math
 import random
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -49,8 +50,8 @@ class WorkloadGenerator:
             raise ValueError("benchmarks must be non-empty")
         if not batch_choices or any(b <= 0 for b in batch_choices):
             raise ValueError("batch_choices must be positive")
-        if arrival_window_cycles < 0:
-            raise ValueError("arrival_window_cycles must be >= 0")
+        if not 0 <= arrival_window_cycles < math.inf:
+            raise ValueError("arrival_window_cycles must be finite and >= 0")
         self._rng = random.Random(seed)
         self.benchmarks = tuple(benchmarks)
         self.batch_choices = tuple(batch_choices)

@@ -9,6 +9,7 @@ times, random low/medium/high priorities).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional, Tuple
 
 from repro.core.tokens import Priority
@@ -49,8 +50,8 @@ class TaskSpec:
             raise ValueError("task_id must be >= 0")
         if self.batch <= 0:
             raise ValueError("batch must be positive")
-        if self.arrival_cycles < 0:
-            raise ValueError("arrival_cycles must be >= 0")
+        if not 0 <= self.arrival_cycles < math.inf:
+            raise ValueError("arrival_cycles must be finite and >= 0")
         if self.input_len is not None and self.input_len <= 0:
             raise ValueError("input_len must be positive")
         if self.actual_output_len is not None and self.actual_output_len <= 0:

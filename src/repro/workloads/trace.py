@@ -61,8 +61,8 @@ class TraceGenerator(WorkloadGenerator):
         """Memoryless arrivals: exponential inter-arrival gaps."""
         if num_tasks <= 0:
             raise ValueError("num_tasks must be positive")
-        if mean_interarrival_cycles <= 0:
-            raise ValueError("mean_interarrival_cycles must be positive")
+        if not 0 < mean_interarrival_cycles < math.inf:
+            raise ValueError("mean_interarrival_cycles must be finite and positive")
         arrivals: List[float] = []
         now = start_cycles
         for _ in range(num_tasks):
@@ -89,12 +89,12 @@ class TraceGenerator(WorkloadGenerator):
         """
         if num_tasks <= 0:
             raise ValueError("num_tasks must be positive")
-        if mean_interarrival_cycles <= 0:
-            raise ValueError("mean_interarrival_cycles must be positive")
-        if burst_size_mean < 1.0:
-            raise ValueError("burst_size_mean must be >= 1")
-        if burst_spread_cycles < 0:
-            raise ValueError("burst_spread_cycles must be >= 0")
+        if not 0 < mean_interarrival_cycles < math.inf:
+            raise ValueError("mean_interarrival_cycles must be finite and positive")
+        if not 1.0 <= burst_size_mean < math.inf:
+            raise ValueError("burst_size_mean must be finite and >= 1")
+        if not 0 <= burst_spread_cycles < math.inf:
+            raise ValueError("burst_spread_cycles must be finite and >= 0")
         cluster_gap = mean_interarrival_cycles * burst_size_mean
         arrivals: List[float] = []
         now = start_cycles
@@ -259,7 +259,8 @@ def synthetic_trace_runtimes(
     Service times are drawn log-uniform over roughly one decade around
     ``mean_service_cycles``; the scheduler-visible estimate carries a
     uniform relative error of up to ``estimate_error`` (the Algorithm-1
-    information asymmetry, without running Algorithm 1).  CNN benchmark
+    information asymmetry, without running Algorithm 1), which stays
+    below 1 so every estimate is positive.  CNN benchmark
     names avoid the RNN sequence-length machinery, so building the trace
     touches no model, compiler, or profiler code.
 
@@ -272,6 +273,13 @@ def synthetic_trace_runtimes(
     exists to learn away.  Both default to off, leaving existing traces
     bit-for-bit identical.
     """
+    if not 0 < mean_service_cycles < math.inf:
+        raise ValueError("mean_service_cycles must be finite and positive")
+    if not 0 <= estimate_error < 1:
+        raise ValueError("estimate_error must be in [0, 1)")
+    for benchmark, factor in (estimate_bias or {}).items():
+        if not 0 < factor < math.inf:
+            raise ValueError(f"estimate_bias[{benchmark!r}] must be finite and positive")
     generator = TraceGenerator(
         seed=seed, benchmarks=tuple(benchmarks), profiles={}
     )

@@ -1,5 +1,7 @@
 """Open-arrival trace generation (repro.workloads.trace)."""
 
+import math
+
 import pytest
 
 from repro.models.zoo import CNN_BENCHMARKS
@@ -45,6 +47,11 @@ class TestPoissonTrace:
             make_generator().generate_poisson(0)
         with pytest.raises(ValueError):
             make_generator().generate_poisson(10, mean_interarrival_cycles=0)
+        for mean in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mean_interarrival_cycles"):
+                make_generator().generate_poisson(
+                    10, mean_interarrival_cycles=mean
+                )
 
 
 class TestBurstyTrace:
@@ -76,6 +83,12 @@ class TestBurstyTrace:
             make_generator().generate_bursty(10, burst_size_mean=0.5)
         with pytest.raises(ValueError):
             make_generator().generate_bursty(10, burst_spread_cycles=-1.0)
+        for name in (
+            "mean_interarrival_cycles", "burst_size_mean", "burst_spread_cycles"
+        ):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    make_generator().generate_bursty(10, **{name: value})
 
 
 class TestGeometricBurstDraw:
@@ -162,6 +175,27 @@ class TestSyntheticRuntimes:
                 runtime.context.estimated_cycles / runtime.isolated_cycles
             )
             assert 0.8 <= ratio <= 1.2
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(mean_service_cycles=0.0),
+            dict(mean_service_cycles=math.nan),
+            dict(mean_service_cycles=math.inf),
+            dict(estimate_error=-0.1),
+            dict(estimate_error=1.0),
+            dict(estimate_error=1.5),
+            dict(estimate_error=math.nan),
+            dict(estimate_bias={"CNN-AN": 0.0}),
+            dict(estimate_bias={"CNN-AN": math.nan}),
+            dict(estimate_bias={"CNN-AN": math.inf}),
+            dict(mean_interarrival_cycles=math.nan),
+            dict(mean_interarrival_cycles=math.inf, bursty=True),
+        ],
+    )
+    def test_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            synthetic_trace_runtimes(6, seed=3, **kwargs)
 
     def test_runtime_context_anchored_at_arrival(self):
         trace = make_generator(seed=4).generate_poisson(5)

@@ -1,5 +1,7 @@
 """Workload specs and the random workload generator (Sec III)."""
 
+import math
+
 import pytest
 
 from repro.core.tokens import Priority
@@ -24,13 +26,15 @@ class TestTaskSpec:
             dict(arrival_cycles=-1.0),
             dict(input_len=0),
             dict(actual_output_len=0),
+            dict(arrival_cycles=math.nan),
+            dict(arrival_cycles=math.inf),
         ],
     )
     def test_validation(self, kwargs):
         base = dict(task_id=0, benchmark="CNN-AN", batch=1,
                     priority=Priority.LOW, arrival_cycles=0.0)
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             TaskSpec(**base)
 
 
@@ -146,9 +150,11 @@ class TestGenerator:
         dict(batch_choices=()),
         dict(batch_choices=(0,)),
         dict(arrival_window_cycles=-1.0),
+        dict(arrival_window_cycles=math.nan),
+        dict(arrival_window_cycles=math.inf),
     ])
     def test_constructor_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             WorkloadGenerator(seed=0, **kwargs)
 
     def test_generate_validation(self):
