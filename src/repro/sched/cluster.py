@@ -73,7 +73,6 @@ import heapq
 import math
 import random
 import time
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.context import TaskState
@@ -581,18 +580,13 @@ class _ClusterIndexes:
         bound = (
             device.backlog_lower_bound() if device.accepts_work else math.inf
         )
-        if bound != self._backlog_bound[index]:
+        old = self._backlog_bound[index]
+        if bound != old:
             # An unchanged bound leaves the device's resident heap entry
             # valid (entries are validated by value), so only actual
             # moves pay a push.
             self._backlog_bound[index] = bound
-            heapq.heappush(self._backlog_heap, (bound, index))
-            if len(self._backlog_heap) > self._heap_cap:
-                self._backlog_heap = [
-                    (value, idx)
-                    for idx, value in enumerate(self._backlog_bound)
-                ]
-                heapq.heapify(self._backlog_heap)
+            self._bound_moved(index, old, bound)
         if device.maybe_idle:
             self.idle_candidates.add(index)
         else:
@@ -606,6 +600,16 @@ class _ClusterIndexes:
                 self.source_candidates.add(index)
             else:
                 self.source_candidates.discard(index)
+
+    def _bound_moved(self, index: int, old: float, new: float) -> None:
+        """Push device ``index``'s moved bound onto the flat backlog heap
+        (the rack frontend feeds its rack router instead)."""
+        heapq.heappush(self._backlog_heap, (new, index))
+        if len(self._backlog_heap) > self._heap_cap:
+            self._backlog_heap = [
+                (value, idx) for idx, value in enumerate(self._backlog_bound)
+            ]
+            heapq.heapify(self._backlog_heap)
 
     def route_min_backlog(self, now: float, inbound) -> Tuple[int, float]:
         """Device with the least ``predicted_backlog(now) + inbound(d)``;
@@ -700,9 +704,10 @@ class _RackIndexes(_ClusterIndexes):
 
     Adds a :class:`~repro.sched.rack.RackRouter` on top of the PR-5
     indexes: every device-bound move ``refresh`` observes is folded into
-    the device's rack aggregate (O(log r)), and routing picks the rack
-    with the least aggregate corrected backlog before running the
-    per-device best-first search *within* that rack only.  The
+    the device's rack aggregate (O(log r)) instead of the flat backlog
+    heap, which nothing reads here, and routing picks the rack with the
+    least aggregate corrected backlog before running the per-device
+    best-first search *within* that rack only.  The
     class-aware admission fallback narrows its linear scan to the chosen
     rack the same way ("predict against the chosen rack's surviving
     capacity").
@@ -729,14 +734,13 @@ class _RackIndexes(_ClusterIndexes):
                 f"fleet has {len(devices)}"
             )
         # The base initializer runs refresh() per device, so the per-rack
-        # sets exist first; the router attaches afterwards and reconciles
+        # sets exist first; the router attaches afterwards, reconciles
         # any bound that moved during construction (devices start empty,
-        # so normally none do).
+        # so normally none do) and from then on takes every bound move.
         self._rack_of = topology.rack_of
         self._rack_steal_candidates = [
             _OrderedIndexSet() for _ in range(topology.num_racks)
         ]
-        self._router: Optional[RackRouter] = None
         super().__init__(devices, verify=verify)
         self.steal_candidates_of = [
             self._rack_steal_candidates[rack] for rack in topology.rack_of
@@ -746,14 +750,11 @@ class _RackIndexes(_ClusterIndexes):
         for index, bound in enumerate(self._backlog_bound):
             if bound != 0.0:
                 self._router.update(index, 0.0, bound)
+        self._bound_moved = self._router.update
 
     def refresh(self, device: DeviceSim) -> None:
-        index = device.device_id
-        old_bound = self._backlog_bound[index]
         super().refresh(device)
-        new_bound = self._backlog_bound[index]
-        if self._router is not None and new_bound != old_bound:
-            self._router.update(index, old_bound, new_bound)
+        index = device.device_id
         rack_steal = self._rack_steal_candidates[self._rack_of[index]]
         if device.has_queued:
             rack_steal.add(index)
@@ -774,7 +775,6 @@ class _RackIndexes(_ClusterIndexes):
 
     def pick_rack(self) -> int:
         """Least aggregate-backlog rack (the O(log r) frontend tier)."""
-        assert self._router is not None
         if self.verify:
             self._router.verify_sums(self._backlog_bound)
         rack = self._router.pick_rack()
@@ -789,7 +789,6 @@ class _RackIndexes(_ClusterIndexes):
         frontend ranks racks by aggregate, not devices by exact
         backlog); with one rack the two coincide exactly.
         """
-        assert self._router is not None
         rack = self.pick_rack()
         tracer = self.tracer
         if tracer.enabled:
@@ -827,7 +826,6 @@ class _RackIndexes(_ClusterIndexes):
     def admission_candidates(self) -> Sequence[int]:
         """The chosen rack's devices: admission predicts against the
         rack's surviving capacity, not the whole fleet."""
-        assert self._router is not None
         return self._router.topology.devices_in(self.pick_rack())
 
 
@@ -856,16 +854,16 @@ class _ChurnRuntime:
       durability instant) that re-runs evacuation while the device is
       still doomed.
 
-    The run processes a transition whenever it precedes the next device
-    event at same-time-completion-first / before-same-time-arrival rank
-    (between :data:`_EventKind.COMPLETE` and ``ARRIVAL``).
+    Each transition the fleet queues also queues a TRANSITION wake in the
+    run's queue, ranked after same-time completions and before every
+    other same-time wake; the wake pops the fleet's next transition.
     """
 
     def __init__(
         self, run: "_ClusterRun", schedule: ChurnSchedule, proactive: bool
     ) -> None:
         self.run = run
-        self.fleet = FleetAvailability(len(run.devices), schedule)
+        self.fleet = FleetAvailability(len(run.devices), schedule, run.queue)
         #: Transition instants ride on the fleet's tracer.
         self.fleet.tracer = run.tracer
         self.proactive = proactive
@@ -885,12 +883,18 @@ class _ChurnRuntime:
     def any_accepting(self) -> bool:
         return any(device.accepts_work for device in self.run.devices)
 
-    def process_next(self) -> None:
+    def process_next(self, now: float) -> None:
+        """Apply the fleet's next transition, whose TRANSITION wake fired
+        at ``now``."""
         run = self.run
         profiler = run.profiler
         start_ns = time.perf_counter_ns() if profiler is not None else 0
         transition = self.fleet.pop()
-        now = transition.time_cycles
+        if transition.time_cycles != now:
+            raise RuntimeError(
+                f"availability transition at {transition.time_cycles} "
+                f"popped by a TRANSITION wake at {now}"
+            )
         index = transition.device
         device = run.devices[index]
         if transition.phase == "warn":
@@ -1365,16 +1369,20 @@ class _ClusterRun:
     """One :meth:`ClusterScheduler.run` / ``run_jobs`` call: its state and
     the cluster event loop over it (place, coalesce, shard, settle).
 
-    Device events, availability transitions, batch-window flushes and
-    router arrivals interleave in timestamp order (ties: completions,
-    then transitions, then flushes, then arrivals), so every router
-    decision reads the live device state of its instant.  A metrics
-    sample due wakes after everything else at its instant.  :meth:`loop`
-    finds the next wake and hands it to its method: :meth:`device_event`,
-    :meth:`churn_transition`, :meth:`batch_flush`, :meth:`arrival`,
-    :meth:`admission_arrival` or :meth:`sample_due`.  A plain task
-    stream -- single-slice jobs, no batching -- is the degenerate case:
-    one dispatch per task, on one device.
+    Every wake of the run is an entry of one
+    :class:`~repro.sched.simulator.EventQueue`: the device events, and
+    the run's availability transitions, batch-window flushes, router
+    arrivals (or admission considerations) and metrics samples.  They
+    fire in timestamp order, same-time ties by kind rank
+    (:class:`~repro.sched.simulator._EventKind`: completions, then
+    transitions, flushes, device arrivals, router arrivals, ticks,
+    dispatches and samples), so every router decision reads the live
+    device state of its instant.  :meth:`loop` pops the head and hands
+    it to its method: :meth:`device_event`, :meth:`churn_transition`,
+    :meth:`batch_flush`, :meth:`arrival`, :meth:`admission_arrival` or
+    :meth:`sample_due`.  A plain task stream -- single-slice jobs, no
+    batching -- is the degenerate case: one dispatch per task, on one
+    device.
 
     - **Placement**: a static routing precomputes each job's device
       (:meth:`ClusterScheduler.route`).  Without churn every job is
@@ -1407,10 +1415,9 @@ class _ClusterRun:
         "scheduler", "jobs", "routing", "batching", "plain", "coalesce",
         "tracer", "sampler", "profiler", "admission", "prediction_filters",
         "records_start", "static", "ledger", "fabric", "devices", "indexes",
-        "assignments", "migrations", "inflight", "pending", "frontier",
-        "next_id", "open_batches", "open_deadline", "flush_heap",
-        "flush_seq", "slice_map", "batch_records", "rejected_jobs",
-        "lost_jobs", "settled", "churn", "queue",
+        "assignments", "migrations", "inflight", "next_id",
+        "open_batches", "open_flush", "slice_map", "batch_records",
+        "rejected_jobs", "lost_jobs", "settled", "churn", "queue",
     )
 
     def __init__(self, scheduler: ClusterScheduler, jobs: Sequence[Job]) -> None:
@@ -1462,8 +1469,8 @@ class _ClusterRun:
                 scheduler.interconnect, num_devices, rack_of=scheduler.rack_of
             )
             self.fabric.tracer = tracer
-        #: Every device's pending events, in firing order: the loop's
-        #: next device event is its head.
+        #: Every pending wake of the run, in firing order: the device
+        #: events and the run's own wakes (:meth:`loop`).
         queue = self.queue = EventQueue()
         devices = self.devices = [
             DeviceSim(
@@ -1516,28 +1523,12 @@ class _ClusterRun:
         if self.routing in STATIC_ROUTINGS:
             self.static = scheduler.route([job.source for job in jobs])
 
-        #: Admission frontier: a min-heap of (consider_cycles, arrival,
-        #: job_id, attempt, job).  Deferred arrivals re-enter with a
-        #: later consideration time and a bumped attempt count.
-        ordered = sorted(jobs, key=lambda j: (j.arrival_cycles, j.job_id))
-        self.frontier: List[Tuple[float, float, int, int, Job]] = []
-        if admission is None:
-            self.pending: deque = deque(ordered)
-        else:
-            self.pending = deque()
-            # Sorted by (arrival, job_id) => already a valid heap.
-            self.frontier = [
-                (job.arrival_cycles, job.arrival_cycles, job.job_id, 0, job)
-                for job in ordered
-            ]
-
         # Fresh ids for merged proxies and later-stage slices, above every
         # offered id so they can never collide with a request.
         self.next_id = 1 + max(max(seen), max(job.job_id for job in jobs))
         self.open_batches: Dict[Tuple, List[Job]] = {}
-        self.open_deadline: Dict[Tuple, float] = {}
-        self.flush_heap: List[Tuple[float, int, Tuple]] = []
-        self.flush_seq = 0
+        #: Open batch key -> push order of its window's FLUSH wake.
+        self.open_flush: Dict[Tuple, int] = {}
         #: Live slice id -> (its gang, stage index).
         self.slice_map: Dict[int, Tuple[_GangRun, int]] = {}
         self.batch_records: List[BatchRecord] = []
@@ -1554,9 +1545,9 @@ class _ClusterRun:
     # The dispatcher
     # ------------------------------------------------------------------
     def loop(self) -> None:
-        """Run to the last settlement (or quiesce): find the next wake
+        """Run to the last settlement (or quiesce): pop the queue's head
         and hand it to its method."""
-        jobs = self.jobs
+        queue = self.queue
         churn = self.churn
         if self.static is not None and churn is None:
             # Static strategies know every placement up front, so inject
@@ -1566,117 +1557,43 @@ class _ClusterRun:
             # in particular its scheduling-period clock stays anchored at
             # its first arrival even if the device drains between two
             # assigned arrivals.
-            for job in jobs:
+            for job in self.jobs:
                 self.dispatch(
                     [job], job.arrival_cycles, self.static[job.source.task_id]
                 )
-            self.pending.clear()
-
-        # Read on every iteration: bound to locals once.
-        queue = self.queue
-        pending = self.pending
-        frontier = self.frontier
-        flush_heap = self.flush_heap
-        open_batches = self.open_batches
-        open_deadline = self.open_deadline
+        else:
+            for job in self.jobs:
+                self.route_later(job.arrival_cycles, job)
         sampler = self.sampler
-        admitting = self.admission is not None
+        if sampler is not None:
+            queue.push(sampler.next_due, _EventKind.SAMPLE, None, None)
+
+        # The run's own wakes by kind; device events go to device_event.
+        wakes = {
+            _EventKind.TRANSITION: self.churn_transition,
+            _EventKind.FLUSH: self.batch_flush,
+            _EventKind.ROUTE: (
+                self.arrival if self.admission is None
+                else self.admission_arrival
+            ),
+            _EventKind.SAMPLE: self.sample_due,
+        }
         device_event = self.device_event
-        total_jobs = len(jobs)
-        arrival_rank = int(_EventKind.ARRIVAL)
+        total_jobs = len(self.jobs)
         while True:
-            # Earliest device event, (time, kind rank, device): ties at
-            # one (time, kind) break to the lowest device index.
             head = queue.peek()
-            device_key = None if head is None else head[:2]
-
-            next_arrival: Optional[float] = None
-            if not admitting:
-                if pending:
-                    next_arrival = pending[0].arrival_cycles
-            elif frontier:
-                next_arrival = frontier[0][0]
-
-            # Batch-window flushes fire after same-time completions (the
-            # flush sees settled devices) and before same-time arrivals
-            # (an arrival at exactly the deadline misses its batch).
-            flush_at: Optional[float] = None
-            flush_key: Optional[Tuple] = None
-            while flush_heap:
-                at, _, key = flush_heap[0]
-                if key not in open_batches or open_deadline[key] != at:
-                    heapq.heappop(flush_heap)  # flushed early at max_batch
-                    continue
-                flush_at, flush_key = at, key
-                break
-
-            if sampler is not None:
-                # Sample due: a wake of its own, ranked after every
-                # same-time event, that fires only while work remains.
-                pending_times = [
-                    at
-                    for at in (
-                        device_key[0] if device_key is not None else None,
-                        next_arrival,
-                        flush_at,
-                        churn.peek_time() if churn is not None else None,
-                    )
-                    if at is not None
-                ]
-                if pending_times and sampler.next_due < min(pending_times):
-                    self.sample_due()
-                    continue
-
-            # Availability transitions rank between same-time completions
-            # (which fire first: a task finishing at the failure instant
-            # finished) and same-time flushes and arrivals (which see the
-            # post-transition fleet).
-            if churn is not None:
-                churn_time = churn.peek_time()
-                if churn_time is not None and (
-                    device_key is None or device_key > (churn_time, 0)
-                ) and (
-                    next_arrival is None or churn_time <= next_arrival
-                ) and (flush_at is None or churn_time <= flush_at):
-                    self.churn_transition(churn_time)
-                    continue
-
-            if (
-                flush_at is not None
-                and (device_key is None or device_key >= (flush_at, arrival_rank))
-                # An earlier router arrival goes first.
-                and (next_arrival is None or next_arrival >= flush_at)
-            ):
-                self.batch_flush(flush_at, flush_key)
-                continue
-
-            # Route the next arrival only once every device event that
-            # logically precedes it has fired: earlier timestamps, plus
-            # same-time completions and previously admitted same-time
-            # arrivals (kind rank <= ARRIVAL).  Routing then sees exactly
-            # the device state a real node agent would see at that
-            # instant -- including the effects of simultaneous-burst
-            # predecessors admitted moments before.
-            if next_arrival is not None and (
-                device_key is None
-                or device_key > (next_arrival, arrival_rank)
-            ):
-                if admitting:
-                    self.admission_arrival()
-                else:
-                    self.arrival()
-                continue
-
             if head is None:
-                # Quiesced: no events, arrivals, flushes or transitions
-                # left (transitions always process above when any
-                # remain).  Whatever is still parked has no restore
+                # Quiesced.  Whatever is still parked has no restore
                 # coming: lost.
                 if churn is not None:
                     parked, churn.parked = churn.parked, []
                     for job in parked:
                         self.lose(job)
                 break
+            wake = wakes.get(head[1])
+            if wake is not None:
+                wake(*queue.take())
+                continue
             device_event(head[2])
             if self.settled >= total_jobs:
                 break
@@ -1736,25 +1653,23 @@ class _ClusterRun:
             # the link; revisit its evacuation plan.
             churn.after_step(device, now)
 
-    def churn_transition(self, now: float) -> None:
+    def churn_transition(self, now: float, _payload: None) -> None:
         """Apply the next availability transition (at ``now``)."""
-        self.churn.process_next()
+        self.churn.process_next(now)
         if self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION:
             # A restore adds a thief and a fault cancels the transfers
             # into the dead device, freeing links: poll for migrations
             # at the transition instant.
             self.migrate(now)
 
-    def batch_flush(self, at: float, key: Tuple) -> None:
-        """Batch key ``key``'s window closed at ``at``: dispatch it."""
-        heapq.heappop(self.flush_heap)
-        members = self.open_batches.pop(key)
-        del self.open_deadline[key]
-        self.dispatch(members, at)
+    def batch_flush(self, now: float, key: Tuple) -> None:
+        """Batch key ``key``'s window closed at ``now``: dispatch it."""
+        del self.open_flush[key]
+        self.dispatch(self.open_batches.pop(key), now)
 
-    def arrival(self) -> None:
-        """Route the next arrival (no admission control)."""
-        job = self.pending.popleft()
+    def arrival(self, now: float, payload: Tuple[Job, int]) -> None:
+        """Route an arrival (no admission control)."""
+        job, _ = payload
         preferred = None
         if self.static is not None:
             # Churn: honor the static placement unless its device
@@ -1762,12 +1677,11 @@ class _ClusterRun:
             preferred = self.static[job.source.task_id]
             if not self.devices[preferred].accepts_work:
                 preferred = None
-        self.enqueue(job, job.arrival_cycles, preferred)
+        self.enqueue(job, now, preferred)
 
-    def admission_arrival(self) -> None:
-        """Consider the next frontier entry: accept, defer or reject."""
-        frontier = self.frontier
-        consider, _, _, attempt, job = heapq.heappop(frontier)
+    def admission_arrival(self, now: float, payload: Tuple[Job, int]) -> None:
+        """Consider an arrival: accept, defer or reject."""
+        job, attempt = payload
         churn = self.churn
         if churn is not None and not churn.any_accepting():
             # Nothing survives to predict against.  Re-consider at the
@@ -1778,11 +1692,7 @@ class _ClusterRun:
             if next_change is None:
                 self.lose(job)
             else:
-                heapq.heappush(
-                    frontier,
-                    (max(consider, next_change), job.arrival_cycles,
-                     job.job_id, attempt, job),
-                )
+                self.route_later(max(now, next_change), job, attempt)
             return
         # Admission-aware placement + prediction: the decision is scored
         # against (and the job placed on) the device with the least
@@ -1798,9 +1708,7 @@ class _ClusterRun:
         min_priority, sjf_within = admission.placement_query(
             task, *self.prediction_filters
         )
-        target, backlog = self.route_admission(
-            consider, min_priority, sjf_within
-        )
+        target, backlog = self.route_admission(now, min_priority, sjf_within)
         # Batch-aware prediction: a request that would join an open
         # batch occupies the device for only the marginal fraction of
         # its estimate.
@@ -1812,14 +1720,14 @@ class _ClusterRun:
         ):
             scale = self.batching.marginal_fraction
         record = admission.decide(
-            task, backlog, consider, attempt, marginal_scale=scale
+            task, backlog, now, attempt, marginal_scale=scale
         )
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant(
                 "admission",
                 f"admission {record.decision.value} j{job.job_id}",
-                consider,
+                now,
                 args={
                     "job": job.job_id,
                     "task": task.task_id,
@@ -1837,31 +1745,31 @@ class _ClusterRun:
             # feedback-corrected value first, so routing and per-device
             # scheduling see the corrected number.
             admission.admit(task)
-            self.enqueue(job, consider, preferred=target)
+            self.enqueue(job, now, preferred=target)
         elif record.decision is AdmissionDecision.DEFER:
-            heapq.heappush(
-                frontier,
-                (consider + admission.config.defer_delay_cycles,
-                 job.arrival_cycles, job.job_id, attempt + 1, job),
+            self.route_later(
+                now + admission.config.defer_delay_cycles, job, attempt + 1
             )
         else:
             job.state = JobState.REJECTED
             self.rejected_jobs.append(job)
             self.settled += 1
 
-    def sample_due(self) -> None:
+    def sample_due(self, now: float, _payload: None) -> None:
         """One streaming-metrics tick (:mod:`repro.obs.metrics`) at the
-        sampler's due instant.
+        sampler's due instant, while work remains; then queue the next.
 
         Recomputes the fleet gauges from pure accessors --
         ``predicted_backlog`` reads task progress without mutating it,
         ``queue_depth``/``is_busy`` are O(1) -- so sampling never
         perturbs a scheduling decision; only the sampler's own state
-        changes.  Runs only when a sampler is configured and its
-        interval elapsed, so the un-observed loop never enters here.
+        changes.  Only a configured sampler queues SAMPLE wakes, so the
+        un-observed loop never enters here.
         """
+        queue = self.queue
+        if queue.peek() is None:
+            return  # quiesced: nothing left to sample
         sampler = self.sampler
-        now = sampler.next_due
         devices = self.devices
         rack_of = self.scheduler.rack_of
         rack_busy: Optional[List[int]] = None
@@ -1896,10 +1804,20 @@ class _ClusterRun:
                         f"rack{rack}.uplink_busy_cycles", cycles
                     )
         sampler.sample(now)
+        queue.push(sampler.next_due, _EventKind.SAMPLE, None, None)
 
     # ------------------------------------------------------------------
     # Actions: placement and settlement
     # ------------------------------------------------------------------
+    def route_later(self, when: float, job: Job, attempt: int = 0) -> None:
+        """Queue the ROUTE wake that routes (or, under admission control,
+        considers) ``job`` at ``when``.  Same-time router arrivals go in
+        (arrival, job id) order."""
+        self.queue.push(
+            when, _EventKind.ROUTE, (job.arrival_cycles, job.job_id),
+            (job, attempt),
+        )
+
     def enqueue(
         self, job: Job, now: float, preferred: Optional[int] = None
     ) -> None:
@@ -1913,14 +1831,13 @@ class _ClusterRun:
                 open_jobs.append(job)
                 if len(open_jobs) >= batching.max_batch:
                     del self.open_batches[key]
-                    del self.open_deadline[key]
+                    self.queue.cancel(self.open_flush.pop(key))
                     self.dispatch(open_jobs, now)
                 return
             self.open_batches[key] = [job]
-            deadline = now + batching.window_cycles
-            self.open_deadline[key] = deadline
-            heapq.heappush(self.flush_heap, (deadline, self.flush_seq, key))
-            self.flush_seq += 1
+            self.open_flush[key] = self.queue.push(
+                now + batching.window_cycles, _EventKind.FLUSH, None, key
+            )
             return
         self.dispatch([job], now, preferred)
 

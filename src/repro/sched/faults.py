@@ -49,6 +49,7 @@ import random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import NULL_TRACER
+from repro.sched.simulator import EventQueue, _EventKind
 
 __all__ = [
     "ChurnEvent",
@@ -460,15 +461,19 @@ class Transition:
 class FleetAvailability:
     """Per-device availability states plus the transition time-heap.
 
-    The cluster loop interleaves :meth:`pop` with its own event heap:
-    transitions at time *t* rank between same-time COMPLETE and
-    same-time ARRIVAL events (churn rank 0.5).  ``apply`` updates the
-    state machine; the loop performs the side effects (kill, orphan,
+    Given a cluster run's ``queue``, every transition pushed here also
+    queues a payload-free TRANSITION wake there, which ranks after
+    same-time completions and before every other same-time wake; the
+    run pops the next transition when its wake fires.  ``apply`` updates
+    the state machine; the run performs the side effects (kill, orphan,
     evacuate, re-index).
     """
 
     def __init__(
-        self, num_devices: int, schedule: Optional[ChurnSchedule] = None
+        self,
+        num_devices: int,
+        schedule: Optional[ChurnSchedule] = None,
+        queue: Optional[EventQueue] = None,
     ) -> None:
         self.num_devices = num_devices
         self.states: List[DeviceAvailability] = [
@@ -477,6 +482,7 @@ class FleetAvailability:
         #: Observability sink; the cluster scheduler replaces this with
         #: its tracer.  Default no-op singleton: zero cost when off.
         self.tracer = NULL_TRACER
+        self._queue = queue
         # (time, seq, phase, device, event); seq breaks ties in push
         # order, which matches event order (restore precedes a same-time
         # warn of the next event on the same device).
@@ -512,6 +518,8 @@ class FleetAvailability:
             self._heap, (time_cycles, self._seq, phase, device, event)
         )
         self._seq += 1
+        if self._queue is not None:
+            self._queue.push(time_cycles, _EventKind.TRANSITION, None, None)
 
     def push_check(self, time_cycles: float, device: int) -> None:
         """Schedule a scheduler wake (e.g. a forced checkpoint landing)."""

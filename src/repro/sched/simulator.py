@@ -14,8 +14,10 @@ layer (:mod:`repro.sched.cluster`) interleaves many ``DeviceSim`` instances
 under one global event loop and uses the live-state introspection hooks
 (:meth:`DeviceSim.predicted_backlog`, :meth:`DeviceSim.stealable_tasks`,
 :meth:`DeviceSim.remove_task`) for online dispatch and work stealing.
-Pending events wait in an :class:`EventQueue`; the devices of a cluster
-run share one, whose head is the fleet's next device event.
+Pending events wait in an :class:`EventQueue`.  The devices of a cluster
+run share one with the run's own wakes (router arrivals, batch flushes,
+availability transitions, metric samples), whose head is the run's next
+wake of any kind.
 
 Per-event cost is O(log n) or amortized O(1) in the *live* task
 population -- it does not grow with the number of tasks the device has
@@ -50,8 +52,8 @@ which refreshes the running task's ``executed_cycles`` and counts a DRAIN
 re-decision.  Waits, tokens, progress, preemptions and the DRAIN count
 therefore stay bit-identical to the every-period clock.  A skipped tick
 at the reading event's own instant replays first only when that event
-is a DISPATCH, the one kind that ranks after PERIOD.  A replayed tick
-that would dispatch or preempt is a planning bug and raises.
+is a DISPATCH, the one device kind that ranks after PERIOD.  A replayed
+tick that would dispatch or preempt is a planning bug and raises.
 
 Which ticks fire (:meth:`DeviceSim._next_decision_tick`):
 
@@ -101,7 +103,7 @@ import enum
 import heapq
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.context import ContextTable, TaskContext, TaskState
 from repro.core.mechanism import MechanismChoice, select_mechanism
@@ -143,102 +145,146 @@ class SimulationConfig:
 
 
 class _EventKind(enum.IntEnum):
-    # Deterministic tie-break order at equal timestamps: finish work before
-    # admitting new tasks, and let period ticks observe a settled state.
+    """Event kinds, valued by their rank among same-time events.
+
+    A device's own events are COMPLETE, ARRIVAL, PERIOD and DISPATCH:
+    finish work before admitting new tasks, and let period ticks observe
+    a settled state.  A cluster run queues its other wakes beside them
+    (:class:`repro.sched.cluster._ClusterRun`):
+
+    - TRANSITION, an availability transition: a task finishing at the
+      failure instant finished, and same-time flushes and arrivals see
+      the post-transition fleet;
+    - FLUSH, a batch window's deadline: the flush sees settled devices,
+      and an arrival at exactly the deadline misses its batch;
+    - ROUTE, a router arrival or admission consideration: routing sees
+      the device state a node agent would see at its instant, including
+      same-time burst predecessors admitted moments before, and runs
+      before same-time ticks and dispatches;
+    - SAMPLE, a metrics sample: after everything else at its instant.
+    """
+
     COMPLETE = 0
-    ARRIVAL = 1
-    PERIOD = 2
-    DISPATCH = 3
+    TRANSITION = 1
+    FLUSH = 2
+    ARRIVAL = 3
+    ROUTE = 4
+    PERIOD = 5
+    DISPATCH = 6
+    SAMPLE = 7
 
 
 _PERIOD_RANK = int(_EventKind.PERIOD)
+#: The kinds a device steps; the others are cluster wakes.
+_DEVICE_KINDS = frozenset({
+    _EventKind.COMPLETE, _EventKind.ARRIVAL, _EventKind.PERIOD, _EventKind.DISPATCH
+})
 
 
 class EventQueue:
-    """The pending events of one device, or of every device of a fleet.
+    """The pending events of one device, or every wake of a cluster run.
 
-    Entries ``(time, kind rank, device id, push order, kind, payload)``
-    fire in that order: each device's events in its own order, and
-    across devices the earliest first, ties to the lowest device id.
-    Entries hold the device's id, never the device: that reference would
-    make a cycle, and a finished device would outlive its run until the
-    cyclic collector ran.  A device has at most one live PERIOD event:
-    a superseded :meth:`arm` stays queued until it reaches the head,
-    where it is dropped, so the head is always live.
+    Entries ``(time, kind rank, key, push order, kind, payload)`` fire in
+    that order.  A device event's key is its device's id: each device's
+    events fire in its own order, and across devices the earliest first,
+    ties to the lowest device id.  Entries hold the device's id, never
+    the device: that reference would make a cycle, and a finished device
+    would outlive its run until the cyclic collector ran.  A cluster
+    wake's key is None (ties in push order) or a tuple, never a device
+    id, so :meth:`pop` refuses it to every device and :meth:`take` pops
+    it.
+
+    A cancelled entry stays queued until it reaches the head, where it is
+    dropped, so the head is always live.  A device has at most one live
+    PERIOD event: :meth:`arm` cancels the one it supersedes.
     """
 
-    __slots__ = ("_heap", "_order", "_arms", "_stale")
+    __slots__ = ("_heap", "_order", "_arms", "_cancelled")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, int, _EventKind, object]] = []
+        self._heap: List[Tuple[float, int, object, int, _EventKind, object]] = []
         self._order = itertools.count()
         #: Device id -> push order of its live queued PERIOD event.
         self._arms: Dict[int, int] = {}
-        #: Superseded PERIOD events still in the heap.
-        self._stale = 0
+        #: Push orders of cancelled entries still in the heap.
+        self._cancelled: Set[int] = set()
 
     def push(
-        self, time: float, kind: _EventKind, device_id: int, payload: object
+        self, time: float, kind: _EventKind, key: object, payload: object
     ) -> int:
         """Queue an event; returns its push order."""
         order = next(self._order)
-        heapq.heappush(self._heap, (time, int(kind), device_id, order, kind, payload))
+        heapq.heappush(self._heap, (time, int(kind), key, order, kind, payload))
         return order
+
+    def cancel(self, order: int) -> None:
+        """Drop the queued entry of push order ``order``."""
+        self._cancelled.add(order)
+        self._drop_cancelled()
 
     def arm(self, time: float, device_id: int) -> None:
         """Queue device ``device_id``'s PERIOD event at ``time``,
         superseding its queued one (the caller arms only earlier)."""
-        if device_id in self._arms:
-            self._stale += 1
+        live = self._arms.get(device_id)
+        if live is not None:
+            self.cancel(live)
         self._arms[device_id] = self.push(time, _EventKind.PERIOD, device_id, None)
 
-    def peek(self) -> Optional[Tuple[float, int, int]]:
-        """``(time, kind rank, device id)`` of the next event, or None."""
+    def peek(self) -> Optional[Tuple[float, int, object]]:
+        """``(time, kind rank, key)`` of the next event, or None."""
         heap = self._heap
         return heap[0][:3] if heap else None
 
-    def pop(self, device_id: int) -> Tuple[float, int, int, int, _EventKind, object]:
+    def pop(self, device_id: int) -> Tuple[float, int, object, int, _EventKind, object]:
         """Pop the next event, which must be device ``device_id``'s."""
         heap = self._heap
         if not heap:
             raise RuntimeError("no pending events")
-        owner = heap[0][2]
-        if owner != device_id:
-            raise RuntimeError(
-                f"device {device_id} stepped; the next event belongs to device {owner}"
+        entry = heap[0]
+        if entry[2] != device_id:
+            owner = (
+                f"belongs to device {entry[2]}" if entry[4] in _DEVICE_KINDS
+                else f"is a {entry[4].name} wake"
             )
-        entry = heapq.heappop(heap)
+            raise RuntimeError(f"device {device_id} stepped; the next event {owner}")
+        heapq.heappop(heap)
         if entry[1] == _PERIOD_RANK:
             del self._arms[device_id]
-        if self._stale:
-            self._drop_stale()
+        if self._cancelled:
+            self._drop_cancelled()
         return entry
+
+    def take(self) -> Tuple[float, object]:
+        """Pop the next event, which must be a cluster wake; returns its
+        ``(time, payload)``."""
+        heap = self._heap
+        if not heap:
+            raise RuntimeError("no pending events")
+        if heap[0][4] in _DEVICE_KINDS:
+            raise RuntimeError(
+                f"the next event belongs to device {heap[0][2]}, not the cluster"
+            )
+        time, _, _, _, _, payload = heapq.heappop(heap)
+        if self._cancelled:
+            self._drop_cancelled()
+        return time, payload
 
     def remove(self, device_id: int) -> None:
         """Drop every event of device ``device_id`` (a failed device
-        fires none); the other devices' events keep their order."""
-        live = self._arms.pop(device_id, None)
-        kept = []
-        for entry in self._heap:
-            if entry[2] != device_id:
-                kept.append(entry)
-            elif entry[1] == _PERIOD_RANK and entry[3] != live:
-                self._stale -= 1
+        fires none); the other events keep their order."""
+        self._arms.pop(device_id, None)
+        kept = [entry for entry in self._heap if entry[2] != device_id]
+        self._cancelled.intersection_update(entry[3] for entry in kept)
         heapq.heapify(kept)
         self._heap = kept
-        if self._stale:
-            self._drop_stale()
+        self._drop_cancelled()
 
-    def _drop_stale(self) -> None:
-        """Pop superseded PERIOD events off the head."""
+    def _drop_cancelled(self) -> None:
+        """Pop cancelled entries off the head."""
         heap = self._heap
-        arms = self._arms
-        while heap:
-            _, rank, device_id, order, _, _ = heap[0]
-            if rank != _PERIOD_RANK or arms.get(device_id) == order:
-                return
-            heapq.heappop(heap)
-            self._stale -= 1
+        cancelled = self._cancelled
+        while heap and heap[0][3] in cancelled:
+            cancelled.remove(heapq.heappop(heap)[3])
 
 
 class DeviceTaskState(enum.Enum):

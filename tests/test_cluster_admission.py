@@ -11,6 +11,7 @@ import copy
 
 import pytest
 
+from repro.core.tokens import Priority
 from repro.npu.config import NPUConfig
 from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.metrics import compute_cluster_metrics
@@ -22,8 +23,10 @@ from repro.serving.admission import (
 )
 from repro.serving.feedback import PredictionFeedback
 from repro.serving.slo import QoSClass, ServiceLevel, SLOPolicy
+from repro.workloads.specs import TaskSpec
 from repro.workloads.trace import (
     DEFAULT_MEAN_INTERARRIVAL_CYCLES,
+    synthetic_runtime,
     synthetic_trace_runtimes,
 )
 
@@ -207,6 +210,37 @@ class TestRejectionBookkeeping:
         assert metrics.rejection_rate == 1.0
         assert metrics.sla_attainment == 0.0
         assert metrics.goodput == 0.0
+
+
+class TestConsiderationOrder:
+    def test_deferred_arrival_goes_before_a_later_same_time_arrival(self):
+        """Same-time considerations go in arrival order, whatever the ids:
+        task 0 fills the device, so task 2 defers, and task 1 arrives
+        exactly when task 2 is re-considered."""
+        slos = SLOPolicy(levels={
+            qos: ServiceLevel(qos, slowdown_target=1.5, admission_share=1.0)
+            for qos in QoSClass
+        })
+        config = AdmissionConfig(slos=slos)
+        tie = 1.0 + config.defer_delay_cycles
+
+        def task(task_id, arrival):
+            spec = TaskSpec(
+                task_id=task_id, benchmark="CNN-AN", batch=1,
+                priority=Priority.LOW, arrival_cycles=arrival,
+            )
+            return synthetic_runtime(spec, 1e6)
+
+        result = run_cluster(
+            [task(0, 0.0), task(2, 1.0), task(1, tie)],
+            admission=AdmissionController(config),
+            devices=1,
+        )
+        assert [
+            (r.task_id, r.attempt)
+            for r in result.admission_records
+            if r.time_cycles == tie
+        ] == [(2, 1), (1, 0)]
 
 
 class TestPredictionFilters:

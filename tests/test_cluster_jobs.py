@@ -328,6 +328,20 @@ class TestRouterBatching:
         full = next(b for b in result.batches if b.batch_size == 2)
         assert full.dispatch_cycles == 1_000.0  # second arrival, not window
 
+    def test_reopened_window_flushes_at_its_own_deadline(self):
+        # The first window flushes early at max_batch; the key reopens
+        # before that window's deadline and keeps its own deadline.
+        tasks = [
+            compat_task(i, arrival, 1_000_000.0, Priority.LOW)
+            for i, arrival in enumerate((0.0, 10.0, 20.0))
+        ]
+        result = self.cluster(
+            BatchConfig(window_cycles=1_000_000.0, max_batch=2)
+        ).run(tasks)
+        assert [
+            (b.member_task_ids, b.dispatch_cycles) for b in result.batches
+        ] == [((0, 1), 10.0), ((2,), 1_000_020.0)]
+
     def test_expired_window_starts_a_new_batch(self):
         tasks = [
             compat_task(0, 0.0, 500_000.0),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.tokens import Priority
 from repro.obs import MetricsSampler, RingBuffer, Tracer
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.sched.cluster import (
@@ -14,12 +15,16 @@ from repro.sched.cluster import (
     ClusterScheduler,
     RoutingPolicy,
 )
+from repro.sched.faults import ChurnEvent, ChurnSchedule
+from repro.sched.job import BatchConfig
 from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.serving.slo import DEFAULT_SLOS
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.specs import TaskSpec
 from repro.workloads.trace import (
     DEFAULT_MEAN_INTERARRIVAL_CYCLES,
+    synthetic_runtime,
     synthetic_trace_runtimes,
 )
 
@@ -216,6 +221,39 @@ class TestClusterSampling:
         assert len(times) > 500
         gaps = [later - earlier for earlier, later in zip(times, times[1:])]
         assert max(gaps) <= interval * (1 + 1e-12)
+
+    def test_no_sample_after_the_last_live_wake(self, config):
+        """A window flushed early at max_batch leaves nothing behind: once
+        both devices fail for good, the run quiesces and samples stop,
+        long before that window's deadline."""
+        tasks = [
+            synthetic_runtime(
+                TaskSpec(
+                    task_id=i, benchmark="CNN-AN", batch=1,
+                    priority=Priority.LOW, arrival_cycles=arrival,
+                ),
+                1e6,
+            )
+            for i, arrival in enumerate((0.0, 10.0))
+        ]
+        sampler = MetricsSampler(interval_cycles=5e4)
+        churn = ChurnSchedule(
+            events=tuple(
+                ChurnEvent(d, "fault", 2e5, 2e5, math.inf) for d in range(2)
+            )
+        )
+        ClusterScheduler(
+            2,
+            SimulationConfig(npu=config, mode=PreemptionMode.DYNAMIC),
+            config=ClusterConfig(
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                batching=BatchConfig(window_cycles=1e9, max_batch=2),
+                churn=churn,
+                metrics_sampler=sampler,
+            ),
+        ).run(tasks)
+        times = [at for at, _ in sampler.series("cluster.utilization")]
+        assert times == [0.0, 5e4, 1e5, 1.5e5]
 
     def test_rack_series_recorded(self, factory, config):
         sampler = self.run_sampled(

@@ -37,6 +37,7 @@ from repro.sched.cluster import (
     ClusterConfig,
     ClusterScheduler,
     RoutingPolicy,
+    _ClusterIndexes,
     _ClusterRun,
 )
 from repro.sched.faults import ChurnSchedule
@@ -632,6 +633,26 @@ def test_rack_steal_sets_match_fleet_scan_in_verify_mode(
     assert len(result.tasks) == 12 * topology.num_devices
     assert result.migrations, "the trace must exercise the steal path"
     assert len(checks) >= len(result.migrations)
+
+
+def test_only_flat_fleets_feed_the_flat_backlog_heap(monkeypatch):
+    """Racked routing reads the rack router's per-rack heaps, so a racked
+    run's bound moves go to the router and never reach the flat heap; a
+    flat run's do."""
+    moved = {"flat": 0, "rack": 0}
+    for owner, name, kind in (
+        (_ClusterIndexes, "_bound_moved", "flat"),
+        (RackRouter, "update", "rack"),
+    ):
+        def counted(self, *args, _original=getattr(owner, name), _kind=kind):
+            moved[_kind] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    _run(8, RoutingPolicy.WORK_STEALING, racks=RackTopology.uniform(2, 4))
+    assert moved["flat"] == 0 and moved["rack"] > 0
+    _run(8, RoutingPolicy.WORK_STEALING)
+    assert moved["flat"] > 0
 
 
 def test_verify_mode_catches_a_stale_rack_steal_set(monkeypatch):

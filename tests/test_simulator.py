@@ -266,9 +266,9 @@ class TestEventQueue:
             if device is survivor:
                 fired.append((now, survivor.last_event_kind))
         doomed.stop_accepting(now)
-        assert queue._stale == 1
+        assert len(queue._cancelled) == 1  # the superseded arm
         doomed.fail(now)
-        assert queue._stale == 0
+        assert not queue._cancelled
         while queue.peek() is not None:
             assert queue.peek()[2] == survivor.device_id
             fired.append((survivor.step(), survivor.last_event_kind))
@@ -279,6 +279,63 @@ class TestEventQueue:
         assert [t.completion_time for t in survivor.result().tasks] == [
             t.completion_time for t in alone.result().tasks
         ]
+
+    def test_one_instant_fires_in_rank_order(self):
+        # A device id keys the device kinds, None or a tuple the wakes.
+        keys = {
+            _EventKind.COMPLETE: 0,
+            _EventKind.TRANSITION: None,
+            _EventKind.FLUSH: None,
+            _EventKind.ARRIVAL: 0,
+            _EventKind.ROUTE: (1.0, 7),
+            _EventKind.PERIOD: 0,
+            _EventKind.DISPATCH: 0,
+            _EventKind.SAMPLE: None,
+        }
+        queue = EventQueue()
+        for kind in reversed(list(keys)):
+            if kind is _EventKind.PERIOD:
+                queue.arm(1.0, 0)
+            else:
+                queue.push(1.0, kind, keys[kind], kind.name)
+        fired = []
+        while queue.peek() is not None:
+            if queue.peek()[2] == 0:
+                fired.append(queue.pop(0)[4].name)
+            else:
+                fired.append(queue.take()[1])
+        assert fired == [
+            "COMPLETE", "TRANSITION", "FLUSH", "ARRIVAL",
+            "ROUTE", "PERIOD", "DISPATCH", "SAMPLE",
+        ]
+
+    def test_devices_and_the_cluster_pop_only_their_own(self):
+        queue = EventQueue()
+        device = self.device(0, queue)
+        (task,) = synthetic_trace_runtimes(1, seed=1)
+        device.inject(task, arrival=2.0e5)
+        queue.push(1.0e5, _EventKind.FLUSH, None, "window")
+        with pytest.raises(RuntimeError, match="next event is a FLUSH wake"):
+            device.step()
+        assert queue.take() == (1.0e5, "window")
+        with pytest.raises(RuntimeError, match="belongs to device 0"):
+            queue.take()
+        assert device.step() == 2.0e5
+
+    def test_cancelled_entry_never_reaches_the_head(self):
+        queue = EventQueue()
+        head = queue.push(1.0, _EventKind.FLUSH, None, "head")
+        queue.push(2.0, _EventKind.TRANSITION, None, "live")
+        later = queue.push(3.0, _EventKind.SAMPLE, None, "later")
+        queue.cancel(later)  # dropped once it reaches the head
+        queue.cancel(head)  # dropped at once
+        assert queue.peek() == (2.0, _EventKind.TRANSITION, None)
+        assert queue.take() == (2.0, "live")
+        assert queue.peek() is None
+        assert not queue._cancelled
+        # Only cancelled entries left: the queue reads as empty.
+        queue.cancel(queue.push(4.0, _EventKind.FLUSH, None, "gone"))
+        assert queue.peek() is None
 
     @pytest.mark.parametrize("exposed_by", ["step", "failure"])
     def test_superseded_arm_never_reaches_the_head(self, exposed_by):
