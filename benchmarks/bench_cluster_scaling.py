@@ -39,16 +39,16 @@ def test_cluster_scaling(benchmark, config, factory, emit):
         assert by_key[(devices, "round-robin", "PREMA")].antt <= \
             by_key[(devices, "round-robin", "FCFS")].antt
         # Predictive routing never loses to blind round-robin.
-        assert by_key[(devices, "static", "PREMA")].antt <= \
+        assert by_key[(devices, "least-loaded", "PREMA")].antt <= \
             by_key[(devices, "round-robin", "PREMA")].antt * 1.05
         # Online dispatch targets device start times, so it never loses
         # to the static up-front pass on *makespan*; its ANTT may trade
         # a few percent for that.  Work stealing never loses to plain
         # online dispatch.
         assert by_key[(devices, "online-predicted", "PREMA")].makespan_ms <= \
-            by_key[(devices, "static", "PREMA")].makespan_ms * 1.01
+            by_key[(devices, "least-loaded", "PREMA")].makespan_ms * 1.01
         assert by_key[(devices, "online-predicted", "PREMA")].antt <= \
-            by_key[(devices, "static", "PREMA")].antt * 1.05
+            by_key[(devices, "least-loaded", "PREMA")].antt * 1.05
         assert by_key[(devices, "work-stealing", "PREMA")].makespan_ms <= \
             by_key[(devices, "online-predicted", "PREMA")].makespan_ms * 1.01
     # Scaling out helps: 4 devices strictly beat 1 on ANTT.

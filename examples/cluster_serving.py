@@ -39,7 +39,7 @@ COMBOS = (
      PreemptionMode.NP),
     ("round-robin + PREMA", RoutingPolicy.ROUND_ROBIN, "PREMA",
      PreemptionMode.DYNAMIC),
-    ("static + PREMA", RoutingPolicy.STATIC, "PREMA",
+    ("least-loaded + PREMA", RoutingPolicy.LEAST_LOADED, "PREMA",
      PreemptionMode.DYNAMIC),
     ("online + PREMA", RoutingPolicy.ONLINE_PREDICTED, "PREMA",
      PreemptionMode.DYNAMIC),

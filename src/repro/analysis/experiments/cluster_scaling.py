@@ -41,7 +41,7 @@ from repro.workloads.trace import (
 DEFAULT_COMBOS = (
     (RoutingPolicy.ROUND_ROBIN, "FCFS", PreemptionMode.NP),
     (RoutingPolicy.ROUND_ROBIN, "PREMA", PreemptionMode.DYNAMIC),
-    (RoutingPolicy.STATIC, "PREMA", PreemptionMode.DYNAMIC),
+    (RoutingPolicy.LEAST_LOADED, "PREMA", PreemptionMode.DYNAMIC),
     (RoutingPolicy.ONLINE_PREDICTED, "PREMA", PreemptionMode.DYNAMIC),
     (RoutingPolicy.WORK_STEALING, "PREMA", PreemptionMode.DYNAMIC),
 )

@@ -17,11 +17,10 @@ Routing strategies (:class:`RoutingPolicy`):
     Kubernetes-default rotation, blind to task sizes.
 ``RANDOM``
     Seeded uniform choice (the load-balancer strawman).
-``LEAST_LOADED`` / ``STATIC``
+``LEAST_LOADED``
     Predictive *static* routing: one up-front pass in arrival order
     assigns each request to the device whose estimated backlog lets it
-    start earliest, using only the Algorithm-1 estimates (``STATIC`` is
-    the same rule under the cluster-experiment naming).
+    start earliest, using only the Algorithm-1 estimates.
 ``ONLINE_PREDICTED``
     Predictive *online* dispatch: the decision is deferred to the arrival
     event and uses each device's live predicted backlog -- estimated
@@ -124,7 +123,6 @@ class RoutingPolicy(enum.Enum):
     ROUND_ROBIN = "round-robin"
     LEAST_LOADED = "least-loaded"
     RANDOM = "random"
-    STATIC = "static"
     ONLINE_PREDICTED = "online-predicted"
     WORK_STEALING = "work-stealing"
     PREEMPTIVE_MIGRATION = "preemptive-migration"
@@ -138,7 +136,6 @@ _ROUTING_KIND: Dict[RoutingPolicy, str] = {
     RoutingPolicy.ROUND_ROBIN: "static",
     RoutingPolicy.LEAST_LOADED: "static",
     RoutingPolicy.RANDOM: "static",
-    RoutingPolicy.STATIC: "static",
     RoutingPolicy.ONLINE_PREDICTED: "online",
     RoutingPolicy.WORK_STEALING: "online",
     RoutingPolicy.PREEMPTIVE_MIGRATION: "online",
@@ -1255,9 +1252,9 @@ class ClusterScheduler:
 
         Uses only scheduler-visible state: arrival times and the
         Algorithm-1 estimates carried in each task's context row.  For
-        ``LEAST_LOADED``/``STATIC``, each request goes to the device that
-        can start it earliest under the estimated-backlog model; ties
-        break deterministically toward the lowest device index.
+        ``LEAST_LOADED``, each request goes to the device that can start
+        it earliest under the estimated-backlog model; ties break
+        deterministically toward the lowest device index.
 
         Raises for the online strategies -- their decisions exist only at
         run time (see :meth:`run`).
@@ -1279,7 +1276,7 @@ class ClusterScheduler:
                 cursor += 1
             elif self.routing == RoutingPolicy.RANDOM:
                 device = rng.randrange(self.num_devices)
-            else:  # LEAST_LOADED / STATIC: earliest predicted start wins.
+            else:  # LEAST_LOADED: earliest predicted start wins.
                 device = min(
                     range(self.num_devices),
                     key=lambda d: (max(backlog_free_at[d], arrival), d),

@@ -79,7 +79,6 @@ ROUTINGS: Tuple[RoutingPolicy, ...] = (
     RoutingPolicy.ROUND_ROBIN,
     RoutingPolicy.LEAST_LOADED,
     RoutingPolicy.RANDOM,
-    RoutingPolicy.STATIC,
     RoutingPolicy.ONLINE_PREDICTED,
     RoutingPolicy.WORK_STEALING,
 )

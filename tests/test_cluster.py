@@ -145,7 +145,7 @@ class TestClusterExperiment:
         for routing, policy in (
             ("round-robin", "FCFS"),
             ("round-robin", "PREMA"),
-            ("static", "PREMA"),
+            ("least-loaded", "PREMA"),
             ("online-predicted", "PREMA"),
             ("work-stealing", "PREMA"),
         ):

@@ -73,7 +73,7 @@ def run_cluster(trace, admission=None, devices=2,
 
 class TestConstruction:
     def test_static_routing_rejected(self):
-        for routing in (RoutingPolicy.ROUND_ROBIN, RoutingPolicy.STATIC,
+        for routing in (RoutingPolicy.ROUND_ROBIN,
                         RoutingPolicy.LEAST_LOADED, RoutingPolicy.RANDOM):
             with pytest.raises(ValueError, match="online routing"):
                 ClusterScheduler(

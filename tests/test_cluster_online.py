@@ -97,7 +97,7 @@ def run_cluster(tasks, routing, num_devices=2, policy="FCFS",
 
 class TestOnlineVsStatic:
     def test_online_never_worse_on_skewed_workload(self):
-        static = run_cluster(skewed_workload(), RoutingPolicy.STATIC)
+        static = run_cluster(skewed_workload(), RoutingPolicy.LEAST_LOADED)
         online = run_cluster(skewed_workload(), RoutingPolicy.ONLINE_PREDICTED)
         assert online.makespan_cycles <= static.makespan_cycles
         # On this crafted skew the win is strict.
@@ -129,7 +129,7 @@ class TestOnlineVsStatic:
             return total / len(workloads)
 
         assert mean_makespan(RoutingPolicy.ONLINE_PREDICTED) <= \
-            mean_makespan(RoutingPolicy.STATIC) * 1.02
+            mean_makespan(RoutingPolicy.LEAST_LOADED) * 1.02
 
 
 class TestMigrationCorrectness:

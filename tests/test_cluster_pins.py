@@ -314,8 +314,6 @@ PINNED = {
     'churn/random/reactive': 'cbd5e56ab0082556',  # 48/0/0, 0 moves
     'churn/round-robin/proactive': '4a16021441e5c6d0',  # 48/0/0, 12 moves
     'churn/round-robin/reactive': '1afb645bd4561f87',  # 48/0/0, 0 moves
-    'churn/static/proactive': '2619bc1cec63838f',  # 48/0/0, 9 moves
-    'churn/static/reactive': 'bb7ac25de8866c97',  # 48/0/0, 0 moves
     'churn/work-stealing/proactive': '2f7779395fc2e6ea',  # 48/0/0, 14 moves
     'churn/work-stealing/reactive': 'fe33050b6fa2db44',  # 48/0/0, 9 moves
     'outage/least-loaded/proactive': 'fb3ee05dd5e1aaa8',  # 19/0/29, 16 moves
@@ -329,8 +327,6 @@ PINNED = {
     'outage/random/reactive': '57d9ca015c33b223',  # 19/0/29, 0 moves
     'outage/round-robin/proactive': '692c0eae33b961c4',  # 19/0/29, 16 moves
     'outage/round-robin/reactive': 'd594ac2fe4830c87',  # 18/0/30, 0 moves
-    'outage/static/proactive': 'fb3ee05dd5e1aaa8',  # 19/0/29, 16 moves
-    'outage/static/reactive': '73eb9c32636ed6a6',  # 18/0/30, 0 moves
     'outage/work-stealing/proactive': '692c0eae33b961c4',  # 19/0/29, 16 moves
     'outage/work-stealing/reactive': '0ebf2c9c6c197f99',  # 18/0/30, 1 moves
     'rack/least-loaded/4x2': '5871567c584b3765',  # 64/0/0, 0 moves
@@ -348,7 +344,6 @@ PINNED = {
     'rack/preemptive-migration/4x2/rack-churn': 'd77845bbcf59eb2a',  # 64/0/0, 33 moves
     'rack/random/4x2': '42ba139518c531da',  # 64/0/0, 0 moves
     'rack/round-robin/4x2': '3236f058f36738e2',  # 64/0/0, 0 moves
-    'rack/static/4x2': '5871567c584b3765',  # 64/0/0, 0 moves
     'rack/work-stealing/1x8': '4a7ad9f53a33962e',  # 64/0/0, 5 moves
     'rack/work-stealing/2x4': '11c06d417b45d3df',  # 64/0/0, 10 moves
     'rack/work-stealing/4x2': '2e40a3a6b66d55b2',  # 64/0/0, 18 moves
