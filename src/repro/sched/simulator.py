@@ -848,10 +848,7 @@ class DeviceSim:
         if self._running_id is None:
             return None
         running = self._runtimes[self._running_id]
-        progress = running.progress_at(now)
-        outcome = self._checkpoint.preempt(running.profile, progress)
-        boundary_wall = running.wall_time_at_offset(outcome.boundary_offset)
-        free_at = boundary_wall + outcome.preemption_latency
+        outcome, _, free_at = self._trap(running, now, self._checkpoint)
         return free_at, outcome.checkpoint_bytes
 
     def force_checkpoint(self, now: float) -> Tuple[float, float]:
@@ -868,52 +865,9 @@ class DeviceSim:
         if self._running_id is None:
             raise RuntimeError("no running task to checkpoint")
         self._replay(now, False)
-        running = self._runtimes[self._running_id]
-        progress = running.progress_at(now)
-        outcome = self._checkpoint.preempt(running.profile, progress)
-        boundary_wall = running.wall_time_at_offset(outcome.boundary_offset)
-        free_at = boundary_wall + outcome.preemption_latency
-        self._record_run_segments(running, boundary_wall)
-        if outcome.preemption_latency > 0:
-            self.timeline.record(
-                running.task_id, SegmentKind.CHECKPOINT, boundary_wall, free_at
-            )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "preemption",
-                f"evacuate t{running.task_id}",
-                boundary_wall,
-                device=self.device_id,
-                args={
-                    "victim": running.task_id,
-                    "mechanism": "forced-checkpoint",
-                    "checkpoint_bytes": outcome.checkpoint_bytes,
-                },
-            )
-            self.tracer.span(
-                "checkpoint",
-                f"checkpoint t{running.task_id}",
-                boundary_wall,
-                free_at,
-                device=self.device_id,
-                args={"task": running.task_id},
-            )
-        running.record_preemption(
-            now=boundary_wall,
-            retained_offset=outcome.retained_offset,
-            restore_latency=outcome.restore_latency,
-            checkpoint_bytes=outcome.checkpoint_bytes,
-            killed=False,
-        )
-        self.policy.on_requeue(running.context)
-        self._preempted[running.task_id] = running
-        self._checkpoint_durable_at[running.task_id] = free_at
-        self._npu_reserved_until = free_at
-        self._preemption_count += 1
-        self._running_id = None
-        self._queue.push(free_at, _EventKind.DISPATCH, self.device_id, None)
+        trap = self._preempt(now, self._checkpoint, None)
         self._arm_period(now)  # the victim's row is READY again
-        return free_at, outcome.checkpoint_bytes
+        return trap
 
     def result(self) -> Optional[SimulationResult]:
         """Build the device's :class:`SimulationResult` (None if no tasks)."""
@@ -1308,68 +1262,86 @@ class DeviceSim:
         if self._keeps_running(now, running, candidate_ctx):
             return
 
-        mechanism: PreemptionMechanism = (
-            self._kill
-            if self.config.mechanism.upper() == "KILL"
-            else self._checkpoint
+        self._preempt(
+            now,
+            self._kill if self.config.mechanism.upper() == "KILL"
+            else self._checkpoint,
+            candidate_ctx.task_id,
         )
-        # Apply the mechanism at the running task's current progress.
-        progress = running.progress_at(now)
-        outcome = mechanism.preempt(running.profile, progress)
-        # Wall-clock when the in-flight tile commits (boundary), then trap.
-        # A request arriving during the restore phase waits for it.
+
+    @staticmethod
+    def _trap(running: TaskRuntime, now: float, mechanism: PreemptionMechanism):
+        """Apply ``mechanism`` at ``running``'s progress at ``now``: the
+        outcome, the wall-clock instant the in-flight tile commits (the
+        boundary), and the instant the trap frees the array.  A request
+        arriving during the restore phase waits for it."""
+        outcome = mechanism.preempt(running.profile, running.progress_at(now))
         boundary_wall = running.wall_time_at_offset(outcome.boundary_offset)
-        free_at = boundary_wall + outcome.preemption_latency
+        return outcome, boundary_wall, boundary_wall + outcome.preemption_latency
+
+    def _preempt(
+        self,
+        now: float,
+        mechanism: PreemptionMechanism,
+        candidate: Optional[int],
+    ) -> Tuple[float, float]:
+        """Trap the running task at ``now`` with ``mechanism`` and promise
+        the array to ``candidate`` when the trap ends (None: a forced
+        checkpoint, whose DISPATCH re-runs the scheduler).  Returns
+        ``(free_at, checkpoint_bytes)``."""
+        running = self._runtimes[self._running_id]
+        victim = running.task_id
+        outcome, boundary_wall, free_at = self._trap(running, now, mechanism)
+        killed = isinstance(mechanism, KillMechanism)
         self._record_run_segments(running, boundary_wall)
         if outcome.preemption_latency > 0:
             self.timeline.record(
-                running.task_id, SegmentKind.CHECKPOINT, boundary_wall, free_at
+                victim, SegmentKind.CHECKPOINT, boundary_wall, free_at
             )
         if self.tracer.enabled:
+            if candidate is None:
+                label = f"evacuate t{victim}"
+                args = {"victim": victim, "mechanism": "forced-checkpoint"}
+            else:
+                label = f"preempt t{victim}"
+                args = {
+                    "victim": victim,
+                    "candidate": candidate,
+                    "mechanism": "kill" if killed else "checkpoint",
+                }
+            args["checkpoint_bytes"] = outcome.checkpoint_bytes
             self.tracer.instant(
-                "preemption",
-                f"preempt t{running.task_id}",
-                boundary_wall,
-                device=self.device_id,
-                args={
-                    "victim": running.task_id,
-                    "candidate": candidate_ctx.task_id,
-                    "mechanism": (
-                        "kill" if isinstance(mechanism, KillMechanism)
-                        else "checkpoint"
-                    ),
-                    "checkpoint_bytes": outcome.checkpoint_bytes,
-                },
+                "preemption", label, boundary_wall, device=self.device_id,
+                args=args,
             )
             self.tracer.span(
                 "checkpoint",
-                f"checkpoint t{running.task_id}",
+                f"checkpoint t{victim}",
                 boundary_wall,
                 free_at,
                 device=self.device_id,
-                args={"task": running.task_id},
+                args={"task": victim},
             )
         running.record_preemption(
             now=boundary_wall,
             retained_offset=outcome.retained_offset,
             restore_latency=outcome.restore_latency,
             checkpoint_bytes=outcome.checkpoint_bytes,
-            killed=isinstance(mechanism, KillMechanism),
+            killed=killed,
         )
         self.policy.on_requeue(running.context)
         # The victim is READY for accounting (it waits from the boundary
         # commit on) but its checkpoint is only durable once the trap DMA
         # finishes at ``free_at`` -- until then it is CHECKPOINTING in the
         # device lifecycle and must not be migrated.
-        self._preempted[running.task_id] = running
-        self._checkpoint_durable_at[running.task_id] = free_at
+        self._preempted[victim] = running
+        self._checkpoint_durable_at[victim] = free_at
         self._npu_reserved_until = free_at
         self._preemption_count += 1
-        self._reserved_task_id = candidate_ctx.task_id
-        self._queue.push(
-            free_at, _EventKind.DISPATCH, self.device_id, candidate_ctx.task_id
-        )
         self._running_id = None
+        self._reserved_task_id = candidate
+        self._queue.push(free_at, _EventKind.DISPATCH, self.device_id, candidate)
+        return free_at, outcome.checkpoint_bytes
 
 
 class NPUSimulator:
