@@ -1590,8 +1590,10 @@ class _ClusterRun:
             wake = wakes.get(head[1])
             if wake is not None:
                 wake(*queue.take())
-                continue
-            device_event(head[2])
+            else:
+                device_event(head[2])
+            # Any wake may settle the last job: a completion, a churn
+            # loss or an admission rejection.
             if self.settled >= total_jobs:
                 break
 

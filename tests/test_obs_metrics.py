@@ -255,6 +255,39 @@ class TestClusterSampling:
         times = [at for at, _ in sampler.series("cluster.utilization")]
         assert times == [0.0, 5e4, 1e5, 1.5e5]
 
+    def test_run_ends_at_the_wake_that_settles_its_last_job(self, config):
+        """The transition that loses the last job ends the run: the
+        restore queued at 1e9 never fires and sampling stops with it."""
+        tasks = [
+            synthetic_runtime(
+                TaskSpec(
+                    task_id=i, benchmark="CNN-AN", batch=1,
+                    priority=Priority.LOW, arrival_cycles=arrival,
+                ),
+                1e6,
+            )
+            for i, arrival in enumerate((0.0, 10.0))
+        ]
+        sampler = MetricsSampler(interval_cycles=5e4)
+        churn = ChurnSchedule(
+            events=tuple(
+                ChurnEvent(d, "fault", 2e5, 2e5, 1e9) for d in range(2)
+            )
+        )
+        result = ClusterScheduler(
+            2,
+            SimulationConfig(npu=config, mode=PreemptionMode.DYNAMIC),
+            config=ClusterConfig(
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                batching=BatchConfig(window_cycles=1e9, max_batch=2),
+                churn=churn,
+                metrics_sampler=sampler,
+            ),
+        ).run(tasks)
+        assert sorted(task.task_id for task in result.lost_tasks) == [0, 1]
+        times = [at for at, _ in sampler.series("cluster.utilization")]
+        assert times == [0.0, 5e4, 1e5, 1.5e5]
+
     def test_rack_series_recorded(self, factory, config):
         sampler = self.run_sampled(
             factory, config, racks=RackTopology.uniform(2, 2)
