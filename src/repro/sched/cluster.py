@@ -1185,11 +1185,9 @@ class ClusterScheduler:
         self.batching = config.batching
         #: Device churn schedule (None = always-healthy fleet, bit-for-bit
         #: the pre-churn behavior) and the recovery mode under it.  An
-        #: *empty* schedule is normalized to None here: faults.py
-        #: promises it "behaves exactly like churn disabled", and the
-        #: static-routing arrival path genuinely differs under the churn
-        #: loop (one-at-a-time feeding), so only a schedule with events
-        #: may engage it.
+        #: *empty* schedule decides exactly like None; normalizing it to
+        #: None here only skips the churn bookkeeping (the fabric, the
+        #: availability machine) a run without events never needs.
         self.churn = config.churn if config.churn else None
         self.proactive_migration = config.proactive_migration
         #: Optional rack composition (None = flat fleet, bit-for-bit the
@@ -1381,11 +1379,13 @@ class _ClusterRun:
     batching -- is the degenerate case: one dispatch per task, on one
     device.
 
-    - **Placement**: a static routing precomputes each job's device
-      (:meth:`ClusterScheduler.route`).  Without churn every job is
-      injected up front at its arrival time, so each device replays its
-      partition in isolation; under churn jobs feed one at a time and
-      divert from a device that stopped accepting work.  Online routings
+    - **Placement**: every job is placed by its ROUTE wake at its
+      arrival instant.  A static routing decides each job's device up
+      front (:meth:`ClusterScheduler.route`); each device counts the
+      placements still to come (``DeviceSim.pending_placements``) and
+      keeps its period chain alive through a drain until they land, so
+      each device replays its partition in isolation.  Under churn a job
+      diverts from a device that stopped accepting work.  Online routings
       place stage 0 on the device admission control chose, else on the
       least live backlog (:meth:`route_online`).
     - **Coalescing**: the first arrival of a batch key opens a window;
@@ -1519,6 +1519,8 @@ class _ClusterRun:
         self.static: Optional[Dict[int, int]] = None
         if self.routing in STATIC_ROUTINGS:
             self.static = scheduler.route([job.source for job in jobs])
+            for index in self.static.values():
+                devices[index].pending_placements += 1
 
         # Fresh ids for merged proxies and later-stage slices, above every
         # offered id so they can never collide with a request.
@@ -1546,21 +1548,8 @@ class _ClusterRun:
         and hand it to its method."""
         queue = self.queue
         churn = self.churn
-        if self.static is not None and churn is None:
-            # Static strategies know every placement up front, so inject
-            # all arrivals immediately (in workload order, like the
-            # single-NPU batch run).  Each device then sees the exact
-            # event sequence of simulating its partition in isolation --
-            # in particular its scheduling-period clock stays anchored at
-            # its first arrival even if the device drains between two
-            # assigned arrivals.
-            for job in self.jobs:
-                self.dispatch(
-                    [job], job.arrival_cycles, self.static[job.source.task_id]
-                )
-        else:
-            for job in self.jobs:
-                self.route_later(job.arrival_cycles, job)
+        for job in self.jobs:
+            self.route_later(job.arrival_cycles, job)
         sampler = self.sampler
         if sampler is not None:
             queue.push(sampler.next_due, _EventKind.SAMPLE, None, None)
@@ -1671,10 +1660,13 @@ class _ClusterRun:
         job, _ = payload
         preferred = None
         if self.static is not None:
-            # Churn: honor the static placement unless its device
-            # stopped accepting work.
+            # The static placement is due: the device's chain no longer
+            # waits for it, whether the job lands there or, under churn,
+            # diverts from a device that stopped accepting work.
             preferred = self.static[job.source.task_id]
-            if not self.devices[preferred].accepts_work:
+            device = self.devices[preferred]
+            device.pending_placements -= 1
+            if not device.accepts_work:
                 preferred = None
         self.enqueue(job, now, preferred)
 

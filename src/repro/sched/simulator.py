@@ -38,7 +38,10 @@ per device, :mod:`repro.workloads.trace`) tractable:
   decision and replays the rest (below).
 
 The period clock is a float chain: anchored one period after the first
-admitted arrival, then ``tick + period_cycles`` repeated.  An
+admitted arrival, then ``tick + period_cycles`` repeated.  It lives while
+the device holds an unfinished task or a placement still to come
+(:attr:`DeviceSim.pending_placements`); the next arrival after a drain
+re-anchors it.  An
 every-period clock fires each instant of it; this one *arms* only the
 next instant at which a tick can change a decision and lets the chain
 sleep through the others.  ``_next_tick`` is the first instant not yet
@@ -74,9 +77,9 @@ Which ticks fire (:meth:`DeviceSim._next_decision_tick`):
   crossings the decision cannot move.  The crossing instant is a lower
   bound from the row's linear token growth: arming early is safe, arming
   late is not;
-- a device that drains (every injected task done) arms one real tick at
-  its next chain instant; that tick decides, as before, whether the
-  chain lives on or the next arrival re-anchors it.
+- a device that drains (every injected task done, no placement pending)
+  arms one real tick at its next chain instant; that tick decides, as
+  before, whether the chain lives on or the next arrival re-anchors it.
 
 Nothing else fires.  In NP mode a busy tick decides nothing, and under
 FCFS/RRB/HPF/SJF it only settles waits and, under DYNAMIC, re-counts
@@ -439,6 +442,11 @@ class DeviceSim:
         #: preemptive migration polls after every device event -- so every
         #: tick of a busy chain must fire.
         self.ticks_read = False
+        #: Placements the cluster's static pass made here whose ROUTE
+        #: wake has not fired yet.  The chain lives and no drain tick is
+        #: armed while any remain, as if those tasks were injected
+        #: already, so how the router feeds a device never moves its clock.
+        self.pending_placements = 0
 
     # ------------------------------------------------------------------
     # Event queue
@@ -943,18 +951,19 @@ class DeviceSim:
             self._running_id = None
         self._wake(now)
         self._arm_decision_tick(now)
-        if self._completed == len(self._runtimes):
+        if self._completed == len(self._runtimes) and not self.pending_placements:
             # Drained: a sleeping chain still owes its next tick, which
             # decides whether the next arrival re-anchors the chain.
             self._arm_period(now)
 
     def _on_period(self, now: float) -> None:
         self._armed_at = None
-        # The chain lives while any injected task is unfinished; once the
-        # device drains, the next admitted arrival re-anchors it.
+        # The chain lives while any injected task is unfinished or a
+        # placement is pending; once the device drains, the next admitted
+        # arrival re-anchors it.
         self._next_tick = (
             now + self.config.scheduler.period_cycles
-            if self._completed < len(self._runtimes)
+            if self._completed < len(self._runtimes) + self.pending_placements
             else None
         )
         # Lazy settlement: period ticks are the one wake that *reads*

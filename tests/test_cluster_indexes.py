@@ -113,7 +113,7 @@ def _assert_identical(reference, indexed, key: str) -> None:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("num_devices", [2, 4, 8])
 def test_indexed_matches_reference_every_routing(factory, num_devices):
-    """All 7 routings x rotating device schedulers on compiled workloads."""
+    """All 6 routings x rotating device schedulers on compiled workloads."""
     workloads = WorkloadGenerator(seed=205).generate_many(2, num_tasks=12)
     for index, workload in enumerate(workloads):
         policy = POLICY_NAMES[index % len(POLICY_NAMES)]

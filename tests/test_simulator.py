@@ -351,3 +351,55 @@ class TestEventQueue:
         else:
             queue.remove(0)
         assert queue.peek() == (7.0, _EventKind.ARRIVAL, 1)
+
+
+
+class TestPendingPlacements:
+    """A placement still to come keeps a drained device's chain alive."""
+
+    @staticmethod
+    def run(upfront, pending=0):
+        """Run two tasks, the second arriving 2.5 periods after the first
+        finished.  ``upfront`` injects both before the run; otherwise the
+        second is injected once the device drained, as its ROUTE wake
+        would, with ``pending`` placements counted until then.  Returns
+        that arrival instant, the event log and the chain's next instant
+        after each arrival."""
+        sim = DeviceSim(
+            SimulationConfig(npu=NPUConfig(), mode=PreemptionMode.DYNAMIC),
+            make_policy("PREMA"),
+        )
+        first, second = synthetic_trace_runtimes(2, seed=3)
+        late = first.profile.total_cycles + 2.5 * (
+            sim.config.scheduler.period_cycles
+        )
+        sim.inject(first, arrival=0.0)
+        if upfront:
+            sim.inject(second, arrival=late)
+        sim.pending_placements = pending
+        log, chain = [], []
+        for drained in (False, True):
+            if drained and not upfront:
+                sim.pending_placements -= pending
+                sim.inject(second, arrival=late)
+            while sim.next_event_time() is not None:
+                log.append((sim.step(), sim.last_event_kind))
+                if sim.last_event_kind is _EventKind.ARRIVAL:
+                    chain.append(sim._next_tick)
+        return late, log, chain
+
+    def test_pending_placement_keeps_the_chain_anchored(self):
+        period = SimulationConfig(npu=NPUConfig()).scheduler.period_cycles
+        late, upfront_log, upfront_chain = self.run(upfront=True)
+        _, fed_log, fed_chain = self.run(upfront=False, pending=1)
+        assert (late, _EventKind.ARRIVAL) in fed_log
+        assert fed_log == upfront_log
+        assert fed_chain == upfront_chain
+        assert fed_chain[1] != late + period
+        # Without the count the drained device fires its drain tick and
+        # the late arrival re-anchors the chain one period after itself.
+        _, bare_log, bare_chain = self.run(upfront=False)
+        assert any(
+            kind is _EventKind.PERIOD and time < late for time, kind in bare_log
+        )
+        assert bare_chain[1] == late + period
