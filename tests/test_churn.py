@@ -25,9 +25,11 @@ import pytest
 
 from repro.npu.config import NPUConfig
 from repro.sched.cluster import (
+    STATIC_ROUTINGS,
     ClusterConfig,
     ClusterScheduler,
     RoutingPolicy,
+    _ClusterRun,
 )
 from repro.sched.faults import (
     CHURN_STREAM_SALT,
@@ -37,6 +39,7 @@ from repro.sched.faults import (
     FleetAvailability,
 )
 from repro.sched.interconnect import Interconnect, InterconnectConfig
+from repro.sched.job import Job
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.policies import make_policy
 from repro.sched.simulator import (
@@ -535,14 +538,19 @@ class TestDeviceFail:
 class TestDeterminismContracts:
     @pytest.mark.parametrize("routing", tuple(RoutingPolicy))
     def test_empty_schedule_is_bit_for_bit_churn_disabled(self, routing):
-        """An empty schedule, and one whose only event falls after the
-        run, are churn disabled.  The second input is a 200-task trace at
-        ~85% load, where static placements often find their device
-        drained: its period chain must not depend on the schedule."""
         trace = hog_trace(40)
         baseline = run_cluster(trace, routing=routing, churn=None)
         empty = run_cluster(trace, routing=routing, churn=ChurnSchedule())
         assert signature(baseline) == signature(empty)
+
+    @pytest.mark.parametrize("routing", tuple(RoutingPolicy))
+    def test_schedule_after_the_run_is_bit_for_bit_churn_disabled(
+        self, routing
+    ):
+        """A schedule whose only event falls after the run never acts, so
+        it decides like no churn.  The trace is 200 tasks at ~85% load,
+        where static placements often find their device drained: its
+        period chain must not depend on the schedule."""
         trace = synthetic_trace_runtimes(
             200,
             seed=0,
@@ -784,6 +792,44 @@ class TestClusterChurnIntegration:
         )
         rea_metrics = assert_conserved(tasks, reactive)
         assert pro_metrics.work_lost_cycles < rea_metrics.work_lost_cycles
+
+    @pytest.mark.parametrize(
+        "routing", [r for r in RoutingPolicy if r in STATIC_ROUTINGS]
+    )
+    def test_static_placements_divert_from_a_dead_device(self, routing):
+        """Each device counts the static placements still to come; every
+        ROUTE wake drops its device's count, also when it diverts the job
+        from a device that stopped accepting work, so none is left."""
+        trace = hog_trace(30, seed=7, num_devices=2)
+        dead_at = max(task.spec.arrival_cycles for task in trace) / 3
+        scheduler = ClusterScheduler(
+            2,
+            SimulationConfig(npu=_CONFIG, mode=PreemptionMode.DYNAMIC),
+            config=ClusterConfig(
+                policy_name="PREMA",
+                routing=routing,
+                churn=ChurnSchedule(events=(
+                    ChurnEvent(1, "fault", dead_at, dead_at, math.inf),
+                )),
+                proactive_migration=False,
+            ),
+        )
+        runtimes = [copy.deepcopy(task) for task in trace]
+        routed = scheduler.route(runtimes)
+        run = _ClusterRun(scheduler, [Job.single(task) for task in runtimes])
+        assert [device.pending_placements for device in run.devices] == [
+            list(routed.values()).count(index) for index in range(2)
+        ]
+        run.loop()
+        assert [device.pending_placements for device in run.devices] == [0, 0]
+        result = run.result()
+        assert_conserved(trace, result)
+        diverted = [
+            task.task_id for task in trace
+            if routed[task.task_id] == 1 and task.spec.arrival_cycles > dead_at
+        ]
+        assert diverted
+        assert all(result.assignments[task_id] == 0 for task_id in diverted)
 
     def test_drain_restores_and_the_device_serves_again(self):
         trace = hog_trace(50, seed=13)

@@ -14,13 +14,20 @@ Three claims under test:
    strategy identical, and devices that receive no work report None.
 """
 
+import copy
+
 import pytest
 
 from repro.core.context import TaskContext
 from repro.core.tokens import Priority
 from repro.models.layers import LayerKind
 from repro.npu.engine import ExecutionProfile, LayerTiming
-from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import (
+    STATIC_ROUTINGS,
+    ClusterConfig,
+    ClusterScheduler,
+    RoutingPolicy,
+)
 from repro.sched.policies import make_policy
 from repro.sched.simulator import (
     NPUSimulator,
@@ -30,6 +37,10 @@ from repro.sched.simulator import (
 from repro.sched.task import TaskRuntime
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.specs import TaskSpec
+from repro.workloads.trace import (
+    DEFAULT_MEAN_INTERARRIVAL_CYCLES,
+    synthetic_trace_runtimes,
+)
 
 
 def synthetic_task(
@@ -278,6 +289,55 @@ class TestMigrationCorrectness:
         ).run(build())
         assert {t.task_id: t.completion_time for t in isolated.tasks} == \
             {t.task_id: t.completion_time for t in cluster.tasks}
+
+    @pytest.mark.parametrize(
+        "routing", [r for r in RoutingPolicy if r in STATIC_ROUTINGS]
+    )
+    def test_static_partitions_replay_in_isolation(self, config, routing):
+        # Static placements land one ROUTE wake at a time; on 4 devices
+        # at ~85% load a device often drains for a period or more before
+        # its next placement, and must still replay its partition as if
+        # all of it were injected up front (waits and tokens too).
+        trace = synthetic_trace_runtimes(
+            200,
+            seed=0,
+            mean_interarrival_cycles=DEFAULT_MEAN_INTERARRIVAL_CYCLES / 4,
+        )
+        sim_config = SimulationConfig(npu=config, mode=PreemptionMode.DYNAMIC)
+        cluster = ClusterScheduler(
+            4, sim_config,
+            config=ClusterConfig(policy_name="PREMA", routing=routing),
+        )
+        result = cluster.run(copy.deepcopy(trace))
+        assignments = cluster.route(trace)
+        partitions = {}
+        for task in trace:
+            partitions.setdefault(assignments[task.task_id], []).append(task)
+        assert len(partitions) == 4
+
+        def outcome(task):
+            return (
+                task.completion_time,
+                task.context.waited_cycles,
+                task.context.tokens,
+            )
+
+        period = sim_config.scheduler.period_cycles
+        isolated, drains = {}, 0
+        for partition in partitions.values():
+            run = NPUSimulator(sim_config, make_policy("PREMA")).run(
+                copy.deepcopy(partition)
+            )
+            drained_at = None
+            for task in sorted(run.tasks, key=lambda t: t.spec.arrival_cycles):
+                if drained_at is not None:
+                    drains += task.spec.arrival_cycles > drained_at + period
+                    drained_at = max(drained_at, task.completion_time)
+                else:
+                    drained_at = task.completion_time
+                isolated[task.task_id] = outcome(task)
+        assert drains > 0
+        assert isolated == {t.task_id: outcome(t) for t in result.tasks}
 
 
 class TestEdgeCases:

@@ -451,21 +451,72 @@ def test_reused_scheduler_repeats_its_run(surface, routing):
     assert digest(second) == digest(first)
 
 
-def diff_pins(patterns):
-    """Print every case whose digest moved; 1 if one falls outside
-    ``patterns`` (a case matches when any glob does), else 0."""
-    stray = 0
-    for name in sorted(CASES):
-        new = digest(run_case(name))
-        old = PINNED.get(name)
+def moved_pins(digests, patterns):
+    """``name: old -> new`` for each case of ``digests`` (name -> digest)
+    whose digest differs from ``PINNED``, and how many of those match
+    none of ``patterns`` (a case matches when any glob does; without
+    patterns none is outside)."""
+    lines, stray = [], 0
+    for name in sorted(digests):
+        new, old = digests[name], PINNED.get(name)
         if new == old:
             continue
         outside = bool(patterns) and not any(
             fnmatch.fnmatch(name, pattern) for pattern in patterns
         )
         stray += outside
-        print(f"{name}: {old} -> {new}{'  (outside pattern)' if outside else ''}")
+        lines.append(
+            f"{name}: {old} -> {new}{'  (outside pattern)' if outside else ''}"
+        )
+    return lines, stray
+
+
+def diff_pins(patterns):
+    """Print every case whose digest moved; 1 if one falls outside
+    ``patterns``, else 0."""
+    lines, stray = moved_pins(
+        {name: digest(run_case(name)) for name in CASES}, patterns
+    )
+    for line in lines:
+        print(line)
     return 1 if stray else 0
+
+
+class TestMovedPins:
+    """``--diff``'s report, over hand-made digests (no case is run)."""
+
+    def test_lists_each_moved_case_as_old_to_new(self):
+        digests = dict(PINNED)
+        digests["churn/random/reactive"] = "0123456789abcdef"
+        lines, stray = moved_pins(digests, [])
+        old = PINNED["churn/random/reactive"]
+        assert lines == [f"churn/random/reactive: {old} -> 0123456789abcdef"]
+        assert stray == 0
+
+    def test_a_moved_case_outside_every_glob_is_stray(self):
+        digests = dict(PINNED)
+        digests["churn/random/reactive"] = "0123456789abcdef"
+        digests["rack/random/4x2"] = "fedcba9876543210"
+        lines, stray = moved_pins(digests, ["churn/*", "outage/*"])
+        assert stray == 1
+        assert lines[0].endswith("0123456789abcdef")
+        assert lines[1].endswith("fedcba9876543210  (outside pattern)")
+
+    def test_moved_cases_inside_any_glob_pass(self):
+        digests = dict(PINNED)
+        digests["churn/random/reactive"] = "0123456789abcdef"
+        digests["outage/round-robin/proactive"] = "fedcba9876543210"
+        lines, stray = moved_pins(digests, ["churn/*", "outage/*"])
+        assert len(lines) == 2
+        assert stray == 0
+
+    def test_a_case_missing_from_the_pins_is_reported(self):
+        lines, stray = moved_pins({"churn/new/case": "0123456789abcdef"}, [])
+        assert lines == ["churn/new/case: None -> 0123456789abcdef"]
+        assert stray == 0
+
+    def test_held_pins_report_nothing(self):
+        assert moved_pins(dict(PINNED), ["churn/*"]) == ([], 0)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from repro.sched.faults import ChurnEvent, ChurnSchedule
 from repro.sched.job import BatchConfig
 from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
-from repro.serving.slo import DEFAULT_SLOS
+from repro.serving import AdmissionConfig, AdmissionController
+from repro.serving.slo import DEFAULT_SLOS, QoSClass, ServiceLevel, SLOPolicy
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.specs import TaskSpec
 from repro.workloads.trace import (
@@ -287,6 +288,50 @@ class TestClusterSampling:
         assert sorted(task.task_id for task in result.lost_tasks) == [0, 1]
         times = [at for at, _ in sampler.series("cluster.utilization")]
         assert times == [0.0, 5e4, 1e5, 1.5e5]
+
+    def test_run_ends_at_the_admission_reject_of_its_last_job(self, config):
+        """An admission reject that settles the last job ends the run as
+        well: the second task's deadline is shorter than its estimate,
+        the device drained long before it arrives, and the fault queued
+        at 1e9 never fires, so sampling stops at the reject (2.2e6)."""
+        slos = SLOPolicy(
+            levels={
+                **DEFAULT_SLOS.levels,
+                QoSClass.INTERACTIVE: ServiceLevel(
+                    QoSClass.INTERACTIVE, slowdown_target=4.0,
+                    deadline_cycles=1e5,
+                ),
+            }
+        )
+        tasks = [
+            synthetic_runtime(
+                TaskSpec(
+                    task_id=i, benchmark="CNN-AN", batch=1,
+                    priority=priority, arrival_cycles=arrival,
+                ),
+                1e6,
+            )
+            for i, (priority, arrival) in enumerate(
+                ((Priority.LOW, 0.0), (Priority.HIGH, 2.2e6))
+            )
+        ]
+        sampler = MetricsSampler(interval_cycles=5e5)
+        result = ClusterScheduler(
+            2,
+            SimulationConfig(npu=config, mode=PreemptionMode.DYNAMIC),
+            config=ClusterConfig(
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                admission=AdmissionController(AdmissionConfig(slos=slos)),
+                churn=ChurnSchedule(
+                    events=(ChurnEvent(0, "fault", 1e9, 1e9, 2e9),)
+                ),
+                metrics_sampler=sampler,
+            ),
+        ).run(tasks)
+        assert [task.task_id for task in result.rejected_tasks] == [1]
+        assert tasks[0].completion_time < 2.2e6
+        times = [at for at, _ in sampler.series("cluster.utilization")]
+        assert times == [0.0, 5e5, 1e6, 1.5e6, 2e6]
 
     def test_rack_series_recorded(self, factory, config):
         sampler = self.run_sampled(
