@@ -21,9 +21,9 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import enum
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.core.tokens import Priority, initial_tokens
+from repro.core.tokens import PRIORITY_TOKENS, Priority, initial_tokens
 
 
 class TaskState(enum.Enum):
@@ -102,6 +102,37 @@ class TaskContext:
             self.waited_cycles += delta
             self.waited_since_grant += delta
         self.last_update_cycles = now_cycles
+
+    def replay_ticks(self, ticks: Sequence[float], grants: bool) -> None:
+        """Replay skipped period ticks on this READY row.
+
+        At each of ``ticks`` (ascending), :meth:`accrue_wait` and then,
+        when ``grants`` and the estimate is positive, Algorithm 2's grant
+        (:func:`~repro.core.tokens.token_increment` into
+        :meth:`grant_tokens`): the same float operations in the same
+        order, so the row ends bit-identical to ticking it one by one.  A
+        tick before ``last_update_cycles`` accrues nothing.
+        """
+        estimated = self.estimated_cycles
+        grants = grants and estimated > 0
+        weight = PRIORITY_TOKENS[self.priority]
+        last = self.last_update_cycles
+        waited = self.waited_cycles
+        since = self.waited_since_grant
+        tokens = self.tokens
+        for tick in ticks:
+            delta = tick - last
+            if delta > 0:
+                waited += delta
+                since += delta
+                last = tick
+            if grants:
+                tokens += weight * (since / estimated)
+                since = 0.0
+        self.last_update_cycles = last
+        self.waited_cycles = waited
+        self.waited_since_grant = since
+        self.tokens = tokens
 
 
 def _state_get(self: TaskContext) -> TaskState:

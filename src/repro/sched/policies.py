@@ -31,8 +31,6 @@ Two selection surfaces exist:
   lifecycle hooks (``on_admit``/``on_dispatch``/``on_requeue``/
   ``on_remove``) and rebuilt wholesale at each period re-rank
   (``on_period``), when every ready row's token count moves at once.
-  ``grant_tokens`` grants one tick's tokens without the rebuild, for the
-  simulator's replay of skipped ticks.
   Every selection rule ranks by a strict total order (ties break on task
   id), so the structures return exactly the row the reference scan
   returns -- they change the cost of a wake from O(ready) to O(log
@@ -75,15 +73,6 @@ class Policy:
 
     def on_period(self, table: ContextTable) -> None:
         """Hook invoked at each scheduling-period tick."""
-
-    def grant_tokens(self, table: ContextTable) -> None:
-        """One tick's token grants (Algorithm 2 lines 5-8), without
-        resyncing the selection structures.
-
-        The simulator replays skipped ticks with this; a replay in
-        which a row may cross a token level ends with :meth:`on_period`,
-        which grants and resyncs.
-        """
 
     def on_admit(self, context: TaskContext, now: float) -> None:
         """Hook: ``context`` joined this device's table (READY).
@@ -233,13 +222,14 @@ class _TokenBuckets:
     or above the maximum row's bucket, so selection inspects at most
     ``NUM_CANDIDATE_BUCKETS`` heap tops.  Token counts move at every
     period tick.  A fired tick rebuilds the structure wholesale.  Ticks
-    the simulator replays grant without rebuilding (:meth:`Policy.
-    grant_tokens`); while a task runs under a preemptive mode they are
-    planned so that no row crosses a level, so every row stays in its
+    the simulator skips and replays grant on the rows alone
+    (:meth:`~repro.core.context.TaskContext.replay_ticks`).  While a task
+    runs under a preemptive mode they are planned so that no row crosses
+    a level (the replay raises if one does), so every row stays in its
     bucket and the max-heap's top -- its key possibly stale, but never
     above the row's count -- still lies in the maximum's bucket, which
     is all the threshold reads.  A replay that may cross (NP mode, a
-    checkpoint trap) rebuilds at its last tick.
+    checkpoint trap) ends with ``on_period``, which rebuilds.
     """
 
     __slots__ = ("_select_key", "_buckets", "_max_heap", "_bucket_of")
@@ -503,11 +493,8 @@ class TokenPolicy(_IncrementalReadyPolicy):
     def _structure(self):
         return self._buckets
 
-    def grant_tokens(self, table: ContextTable) -> None:
-        self._core.grant_periodic_tokens(table)
-
     def on_period(self, table: ContextTable) -> None:
-        self.grant_tokens(table)
+        self._core.grant_periodic_tokens(table)
         # Every ready row's tokens may have moved: period re-ranks
         # invalidate the buckets wholesale -- and are the settlement
         # point where the cluster ledger learns the new counts.
@@ -640,11 +627,8 @@ class PremaPolicy(_IncrementalReadyPolicy):
     def _structure(self):
         return self._buckets
 
-    def grant_tokens(self, table: ContextTable) -> None:
-        self.core.grant_periodic_tokens(table)
-
     def on_period(self, table: ContextTable) -> None:
-        self.grant_tokens(table)
+        self.core.grant_periodic_tokens(table)
         ready = table.ready()
         self._buckets.rebuild(ready)
         if self._ledger is not None:

@@ -47,16 +47,24 @@ next instant at which a tick can change a decision and lets the chain
 sleep through the others.  ``_next_tick`` is the first instant not yet
 processed.  At the next read of waits or tokens -- every device event,
 before its handler; :meth:`DeviceSim.remove_task`; :meth:`DeviceSim.fail`
--- the device *replays* each skipped instant in chain order, with the
-chain's own float steps (never ``anchor + k * period``, which rounds
-differently): settle waits to the instant, grant Algorithm 2's tokens,
-and re-run that tick's decision against the span's fixed candidate,
-which refreshes the running task's ``executed_cycles`` and counts a DRAIN
-re-decision.  Waits, tokens, progress, preemptions and the DRAIN count
+-- the device *replays* the skipped span.  It lists the span's instants
+once, with the chain's own float steps (never ``anchor + k * period``,
+which rounds differently).  Between two events a READY row's waits and
+grants read that row alone (Algorithm 2 grants priority times waited
+over estimated time), so each row walks the instants on its own
+(:meth:`~repro.core.context.TaskContext.replay_ticks`), settling and
+granting with the float operations of a tick-by-tick clock.  The span's
+preemption checks are then decided once (:meth:`DeviceSim._hold_span`):
+its ticks fall into a run inside the time quota, a run at which the
+candidate outranks the running task, and the rest, so one Algorithm-3
+choice and a bisection count its DRAIN re-decisions, and the running
+task's ``executed_cycles`` is left at the span's last tick past the
+quota.  Waits, tokens, progress, preemptions and the DRAIN count
 therefore stay bit-identical to the every-period clock.  A skipped tick
 at the reading event's own instant replays first only when that event
 is a DISPATCH, the one device kind that ranks after PERIOD.  A replayed
-tick that would dispatch or preempt is a planning bug and raises.
+tick that would dispatch or preempt is a planning bug and raises, and
+so is a row that changes token bucket in a span whose decision is held.
 
 Which ticks fire (:meth:`DeviceSim._next_decision_tick`):
 
@@ -101,6 +109,7 @@ Preemption modes:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
 import heapq
@@ -111,7 +120,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.context import ContextTable, TaskContext, TaskState
 from repro.core.mechanism import MechanismChoice, select_mechanism
 from repro.core.scheduler import SchedulerConfig
-from repro.core.tokens import PRIORITY_TOKENS, TOKEN_LEVELS
+from repro.core.tokens import PRIORITY_TOKENS, TOKEN_LEVELS, candidate_bucket
 from repro.npu.config import NPUConfig
 from repro.npu.preemption import (
     CheckpointMechanism,
@@ -1099,8 +1108,9 @@ class DeviceSim:
 
         The ready set, the running task and the candidate are those of
         the whole span (any change is an event, and events replay first),
-        so the candidate is selected once.  Grants leave the policy's
-        structures as they were; see ``rebuild`` below.
+        so each ready row replays the span on its own
+        (:meth:`TaskContext.replay_ticks`) and the span is decided once
+        (:meth:`_hold_span`).
         """
         tick = self._next_tick
         if tick is None or tick > until or (tick == until and not inclusive):
@@ -1113,6 +1123,11 @@ class DeviceSim:
                 tick += period
             self._next_tick = tick
             return
+        ticks = []
+        while tick < until or (inclusive and tick == until):
+            ticks.append(tick)
+            tick += period
+        self._next_tick = tick
         ready = table.ready()
         policy = self.policy
         grants = policy.uses_tokens
@@ -1121,44 +1136,85 @@ class DeviceSim:
             if self._running_id is not None
             else None
         )
-        candidate = None
-        if running is not None and self.config.mode is not PreemptionMode.NP:
-            candidate = policy.select_ready(table)
-        # With a candidate the span was planned around every token-level
-        # crossing, so each row is still in its bucket; otherwise (NP
-        # mode, a trap in flight) replayed grants may cross, and the last
-        # replayed tick must rebuild the buckets.
-        rebuild = grants and candidate is None
-        while True:
+        holds = running is not None and self.config.mode is not PreemptionMode.NP
+        if grants and not holds:
+            # No decision to hold (NP mode, a trap in flight), so nothing
+            # planned around token-level crossings: the last tick grants
+            # through on_period, which rebuilds the token buckets.
+            head, last = ticks[:-1], ticks[-1]
             for row in ready:
-                row.accrue_wait(tick)
-            following = tick + period
-            last = following > until or (following == until and not inclusive)
-            if grants:
-                if last and rebuild:
-                    policy.on_period(table)
-                else:
-                    policy.grant_tokens(table)
-            if running is None:
-                if (
-                    self._reserved_task_id is None
-                    and tick >= self._npu_reserved_until
+                row.replay_ticks(head, True)
+                row.accrue_wait(last)
+            policy.on_period(table)
+        else:
+            for row in ready:
+                tokens = row.tokens
+                row.replay_ticks(ticks, grants)
+                if row.tokens != tokens and (
+                    candidate_bucket(row.tokens) != candidate_bucket(tokens)
                 ):
                     raise RuntimeError(
-                        f"device {self.device_id}: skipped tick at {tick} "
-                        "would dispatch"
+                        f"device {self.device_id}: task {row.task_id} crossed "
+                        f"a token level in the ticks skipped up to {ticks[-1]}"
                     )
-            elif candidate is not None and not self._keeps_running(
-                tick, running, candidate
+        if holds:
+            self._hold_span(ticks, running)
+        elif (
+            running is None
+            and self._reserved_task_id is None
+            and ticks[-1] >= self._npu_reserved_until
+        ):
+            first = ticks[bisect.bisect_left(ticks, self._npu_reserved_until)]
+            raise RuntimeError(
+                f"device {self.device_id}: skipped tick at {first} "
+                "would dispatch"
+            )
+
+    def _hold_span(self, ticks: List[float], running: TaskRuntime) -> None:
+        """The preemption checks of the skipped ``ticks``, decided once.
+
+        No row changed token bucket in the span (:meth:`_replay` checks),
+        so the candidate and the token threshold are those of every tick,
+        and the per-tick outcomes of :meth:`_keeps_running` come in three
+        runs: ticks inside the time quota, then ticks at which the
+        candidate outranks the running task, then the rest.  The outrank
+        test can only turn false and a DRAIN choice stays DRAIN, because
+        the running task's remaining time only shrinks.  So the first
+        outranking tick decides the mechanism, a bisection finds the end
+        of its run, and every tick of that run counts a DRAIN.
+        """
+        start = 0
+        dispatched = running.dispatch_time
+        if self.policy.uses_tokens and dispatched is not None:
+            period = self.config.scheduler.period_cycles
+            while start < len(ticks) and ticks[start] - dispatched < period:
+                start += 1
+        if start == len(ticks):
+            return
+        context = running.context
+        table = self._table
+        candidate = self.policy.select_ready(table)
+        outranks = self.policy.outranks_running
+        context.executed_cycles = running.progress_at(ticks[start])
+        if outranks(candidate, context, table):
+            if (
+                self.config.mode is not PreemptionMode.DYNAMIC
+                or select_mechanism(context, candidate) != MechanismChoice.DRAIN
             ):
                 raise RuntimeError(
-                    f"device {self.device_id}: skipped tick at {tick} "
+                    f"device {self.device_id}: skipped tick at {ticks[start]} "
                     "would preempt"
                 )
-            tick = following
-            if last:
-                break
-        self._next_tick = tick
+            low, high = start + 1, len(ticks)
+            while low < high:
+                middle = (low + high) // 2
+                context.executed_cycles = running.progress_at(ticks[middle])
+                if outranks(candidate, context, table):
+                    low = middle + 1
+                else:
+                    high = middle
+            self._drain_decisions += low - start
+        context.executed_cycles = running.progress_at(ticks[-1])
 
     def _accrue_ready(self, now: float) -> None:
         """Settle waiting time for every ready row up to ``now``.

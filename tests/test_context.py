@@ -1,9 +1,13 @@
 """The inference task context table (Fig 4)."""
 
+import copy
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.context import ContextTable, TaskContext, TaskState
-from repro.core.tokens import Priority
+from repro.core.tokens import Priority, token_increment
 
 
 def make_row(task_id=0, priority=Priority.MEDIUM, **kwargs):
@@ -54,6 +58,85 @@ class TestTaskContext:
     def test_rejects_negative_task_id(self):
         with pytest.raises(ValueError):
             make_row(task_id=-1)
+
+
+_FIELDS = ("last_update_cycles", "waited_cycles", "waited_since_grant", "tokens")
+
+
+def _tick_by_tick(row, ticks, grants):
+    """The per-tick replay ``replay_ticks`` must reproduce bit for bit."""
+    for tick in ticks:
+        row.accrue_wait(tick)
+        if grants and row.estimated_cycles > 0:
+            row.grant_tokens(
+                token_increment(
+                    row.priority, row.waited_since_grant, row.estimated_cycles
+                )
+            )
+
+
+@st.composite
+def _replays(draw):
+    """A row and the chain instants of one skipped span."""
+    period = draw(st.floats(min_value=1.0, max_value=1e6))
+    tick = draw(st.floats(min_value=0.0, max_value=1e10))
+    ticks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        ticks.append(tick)
+        tick += period  # the chain's own steps, as the clock takes them
+    # The baseline may sit on a tick, before the span, or after its first
+    # ticks (a preempted victim re-enters at its boundary commit).
+    last_update = draw(
+        st.one_of(
+            st.sampled_from(ticks) if ticks else st.nothing(),
+            st.floats(
+                min_value=ticks[0] - 3 * period if ticks else 0.0,
+                max_value=tick + period,
+            ),
+        )
+    )
+    row = make_row(
+        priority=draw(st.sampled_from(tuple(Priority))),
+        tokens=draw(st.floats(min_value=0.5, max_value=20.0)),
+        waited_cycles=draw(st.floats(min_value=0.0, max_value=1e9)),
+        waited_since_grant=draw(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e8))
+        ),
+        estimated_cycles=draw(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=-1e6, max_value=0.0),
+                st.floats(min_value=1.0, max_value=1e9),
+            )
+        ),
+        last_update_cycles=last_update,
+    )
+    return row, ticks, draw(st.booleans())
+
+
+class TestReplayTicks:
+    @given(case=_replays())
+    @example(
+        # A future baseline with a grant still owed: the first tick grants
+        # the owed wait and accrues nothing.
+        case=(
+            make_row(
+                estimated_cycles=1e6,
+                waited_since_grant=5e5,
+                last_update_cycles=250.0,
+            ),
+            [100.0, 200.0, 300.0, 400.0],
+            True,
+        )
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_tick_by_tick(self, case):
+        row, ticks, grants = case
+        reference = copy.copy(row)
+        _tick_by_tick(reference, ticks, grants)
+        row.replay_ticks(ticks, grants)
+        for name in _FIELDS:
+            assert getattr(row, name) == getattr(reference, name), name
 
 
 class TestContextTable:

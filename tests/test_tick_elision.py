@@ -21,6 +21,13 @@ device arms when it drains, letting a doomed device's clock sleep,
 skipping the token-bucket rebuild after a replay, dropping the tick
 armed after ``remove_task``, dropping the tick after a reserved DISPATCH,
 and arming a token-level crossing one tick late.
+
+``DeviceSim._replay`` replays a skipped span row by row and decides it
+once.  :class:`CheckedReplayDeviceSim` runs every replay twice from the
+same state, row-wise and through :func:`reference_replay` (the per-tick
+loop it replaced), and requires the same resulting state; it catches a
+replay that leaves the running task's progress at the first tick past
+the time quota instead of the last, which the oracle draws miss.
 """
 
 import contextlib
@@ -35,6 +42,7 @@ from hypothesis import strategies as st
 
 from helpers_golden import _encode_cluster_v2, _encode_result
 from repro.analysis.runner import FIG13_SETUPS
+from repro.core.scheduler import PremaPolicyCore
 from repro.npu.config import NPUConfig
 from repro.obs import MetricsSampler
 from repro.sched import cluster as cluster_module
@@ -112,6 +120,130 @@ class TwiceWakingDeviceSim(DeviceSim):
         drains = self._drain_decisions
         super()._wake(now)
         self._drain_decisions = drains
+
+
+_CORE = PremaPolicyCore()
+_ROW_FIELDS = ("last_update_cycles", "waited_cycles", "waited_since_grant", "tokens")
+
+
+def reference_replay(sim, until, inclusive):
+    """The per-tick replay of ``sim``'s skipped ticks before ``until``.
+
+    Each tick settles every ready row, grants the table's tokens and
+    re-runs the tick's preemption check against the span's candidate.
+    """
+    tick = sim._next_tick
+    if tick is None or tick > until or (tick == until and not inclusive):
+        return
+    period = sim.config.scheduler.period_cycles
+    table = sim._table
+    if not table.has_ready:
+        while tick < until or (inclusive and tick == until):
+            tick += period
+        sim._next_tick = tick
+        return
+    ready = table.ready()
+    policy = sim.policy
+    grants = policy.uses_tokens
+    running = (
+        sim._runtimes[sim._running_id] if sim._running_id is not None else None
+    )
+    candidate = None
+    if running is not None and sim.config.mode is not PreemptionMode.NP:
+        candidate = policy.select_ready(table)
+    # Without a candidate nothing planned around token-level crossings, so
+    # the last tick grants through on_period, which rebuilds the buckets.
+    rebuild = grants and candidate is None
+    while True:
+        for row in ready:
+            row.accrue_wait(tick)
+        following = tick + period
+        last = following > until or (following == until and not inclusive)
+        if grants:
+            if last and rebuild:
+                policy.on_period(table)
+            else:
+                _CORE.grant_periodic_tokens(table)
+        if running is None:
+            if sim._reserved_task_id is None and tick >= sim._npu_reserved_until:
+                raise RuntimeError(f"skipped tick at {tick} would dispatch")
+        elif candidate is not None and not sim._keeps_running(
+            tick, running, candidate
+        ):
+            raise RuntimeError(f"skipped tick at {tick} would preempt")
+        tick = following
+        if last:
+            break
+    sim._next_tick = tick
+
+
+def _raised(replay, until, inclusive):
+    try:
+        replay(until, inclusive)
+    except RuntimeError as error:
+        return error
+    return None
+
+
+class CheckedReplayDeviceSim(DeviceSim):
+    """Checks each replay of a span with a ready row against
+    :func:`reference_replay`, run from the same state."""
+
+    #: Replays checked since the count was last reset.
+    checked = 0
+
+    def _replay(self, until, inclusive):
+        tick = self._next_tick
+        if (
+            tick is None
+            or tick > until
+            or (tick == until and not inclusive)
+            or not self._table.has_ready
+        ):
+            super()._replay(until, inclusive)
+            return
+        saved = self._replay_state()
+        rowwise = _raised(super()._replay, until, inclusive)
+        replayed = self._replay_state()
+        self._restore(saved)
+        reference = _raised(
+            lambda *span: reference_replay(self, *span), until, inclusive
+        )
+        assert (rowwise is None) == (reference is None), (rowwise, reference)
+        if reference is not None:
+            raise reference
+        assert replayed == self._replay_state(), (until, inclusive)
+        CheckedReplayDeviceSim.checked += 1
+
+    def _replay_state(self):
+        running = self.running_task
+        return (
+            [
+                (row.task_id,) + tuple(getattr(row, name) for name in _ROW_FIELDS)
+                for row in self._table.ready()
+            ],
+            None if running is None else running.context.executed_cycles,
+            self._drain_decisions,
+            self._next_tick,
+        )
+
+    def _restore(self, state):
+        rows, executed, self._drain_decisions, self._next_tick = state
+        for task_id, *values in rows:
+            row = self._table[task_id]
+            for name, value in zip(_ROW_FIELDS, values):
+                setattr(row, name, value)
+        if executed is not None:
+            self.running_task.context.executed_cycles = executed
+
+
+class LateCrossingDeviceSim(DeviceSim):
+    """Arms every planned tick one period late, token-level crossings
+    included."""
+
+    def _token_decision_tick(self, now, running):
+        tick = super()._token_decision_tick(now, running)
+        return None if tick is None else tick + self.config.scheduler.period_cycles
 
 
 @contextlib.contextmanager
@@ -299,6 +431,51 @@ def test_fig13_setups_match_ticking_oracle(factory):
             assert _encode_result(elided) == _encode_result(oracle), setup.label
             assert elided.preemption_count == oracle.preemption_count
             assert elided.drain_decisions == oracle.drain_decisions
+
+
+def test_fig13_replays_match_per_tick_replay(factory):
+    CheckedReplayDeviceSim.checked = 0
+    workloads = WorkloadGenerator(
+        seed=13, arrival_window_cycles=_NPU.ms_to_cycles(8.0)
+    ).generate_many(10, num_tasks=8)
+    with devices_built_from(CheckedReplayDeviceSim):
+        for setup in FIG13_SETUPS:
+            for workload in workloads:
+                setup.build_simulator(_NPU).run(factory.build_workload(workload))
+    assert CheckedReplayDeviceSim.checked > 0
+
+
+@given(case=_cases)
+@example(
+    case=_case(
+        RoutingPolicy.WORK_STEALING, "PREMA", _MODES[3], "proactive",
+        racks=False, seed=7, load=1.5, bursty=True, num_tasks=64,
+    )
+)
+@example(
+    case=_case(
+        RoutingPolicy.WORK_STEALING, "PREMA", _MODES[1], "proactive",
+        racks=True, seed=5809, load=0.8, bursty=True, fabric="slow_bus",
+        num_tasks=42,
+    )
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_cluster_replays_match_per_tick_replay(case):
+    with devices_built_from(CheckedReplayDeviceSim):
+        _cluster_run(case)
+
+
+def test_replay_refuses_a_skipped_token_level_crossing(factory):
+    """Deciding a span once rests on no row changing token bucket inside
+    it, so a planner that arms the crossings late must fail loudly."""
+    config = SimulationConfig(npu=_NPU, mode=PreemptionMode.DYNAMIC)
+    for workload in WorkloadGenerator(seed=13).generate_many(10, num_tasks=8):
+        with devices_built_from(LateCrossingDeviceSim), pytest.raises(
+            RuntimeError, match=r"task \d+ crossed a token level"
+        ):
+            NPUSimulator(config, make_policy("PREMA")).run(
+                factory.build_workload(workload)
+            )
 
 
 def test_doomed_device_polls_its_evacuation_at_its_ticks():
