@@ -28,6 +28,7 @@ import argparse
 import io
 import json
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -175,6 +176,8 @@ def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(argv)
+    # A terminated run still kills its perfbench child and removes the trees.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     root = Path(_git(
         "rev-parse", "--show-toplevel", cwd=Path(__file__).resolve().parent
     ).decode().strip())
