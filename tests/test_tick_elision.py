@@ -32,6 +32,7 @@ the time quota instead of the last, which the oracle draws miss.
 
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -207,7 +208,7 @@ class CheckedReplayDeviceSim(DeviceSim):
         replayed = self._replay_state()
         self._restore(saved)
         reference = _raised(
-            lambda *span: reference_replay(self, *span), until, inclusive
+            functools.partial(reference_replay, self), until, inclusive
         )
         assert (rowwise is None) == (reference is None), (rowwise, reference)
         if reference is not None:
