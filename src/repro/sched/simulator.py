@@ -109,7 +109,6 @@ Preemption modes:
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import enum
 import heapq
@@ -1164,7 +1163,7 @@ class DeviceSim:
             and self._reserved_task_id is None
             and ticks[-1] >= self._npu_reserved_until
         ):
-            first = ticks[bisect.bisect_left(ticks, self._npu_reserved_until)]
+            first = next(t for t in ticks if t >= self._npu_reserved_until)
             raise RuntimeError(
                 f"device {self.device_id}: skipped tick at {first} "
                 "would dispatch"
