@@ -181,8 +181,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     root = Path(_git(
         "rev-parse", "--show-toplevel", cwd=Path(__file__).resolve().parent
     ).decode().strip())
-    with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
-        trees = {side: Path(scratch) / side for side in ("base", "head")}
+    with tempfile.TemporaryDirectory(prefix="ab-") as workdir:
+        trees = {side: Path(workdir) / side for side in ("base", "head")}
         commits = {
             side: export(root, revision, trees[side])
             for side, revision in (("base", args.base), ("head", args.head))
