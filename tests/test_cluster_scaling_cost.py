@@ -42,35 +42,36 @@ def _config() -> SimulationConfig:
 
 
 def _us_per_event(num_devices: int, seed: int = 31) -> float:
-    best = float("inf")
-    for attempt in range(2):  # best-of-2 absorbs scheduler hiccups
-        runtimes = synthetic_trace_runtimes(
-            num_devices * TASKS_PER_DEVICE,
-            seed=seed + attempt,
-            mean_interarrival_cycles=(
-                DEFAULT_MEAN_INTERARRIVAL_CYCLES / num_devices
-            ),
-        )
-        scheduler = ClusterScheduler(
-            num_devices=num_devices,
-            simulation_config=_config(),
-            config=ClusterConfig(
-                policy_name="PREMA",
-                routing=RoutingPolicy.WORK_STEALING,
-                seed=seed,
-            ),
-        )
-        start = time.perf_counter()
-        result = scheduler.run(runtimes)
-        elapsed = time.perf_counter() - start
-        assert len(result.tasks) == num_devices * TASKS_PER_DEVICE
-        best = min(best, 1e6 * elapsed / result.events_processed)
-    return best
+    runtimes = synthetic_trace_runtimes(
+        num_devices * TASKS_PER_DEVICE,
+        seed=seed,
+        mean_interarrival_cycles=DEFAULT_MEAN_INTERARRIVAL_CYCLES / num_devices,
+    )
+    scheduler = ClusterScheduler(
+        num_devices=num_devices,
+        simulation_config=_config(),
+        config=ClusterConfig(
+            policy_name="PREMA",
+            routing=RoutingPolicy.WORK_STEALING,
+            seed=seed,
+        ),
+    )
+    start = time.perf_counter()
+    result = scheduler.run(runtimes)
+    elapsed = time.perf_counter() - start
+    assert len(result.tasks) == num_devices * TASKS_PER_DEVICE
+    return 1e6 * elapsed / result.events_processed
 
 
 def test_per_event_cost_flat_from_4_to_64_devices():
-    small = _us_per_event(4)
-    large = _us_per_event(64)
+    # Each fleet's minimum of 3 runs on the same trace, the two fleets
+    # alternating, so a burst of host load slows both alike instead of
+    # passing for growth.
+    timings = {4: [], 64: []}
+    for _ in range(3):
+        for num_devices in timings:
+            timings[num_devices].append(_us_per_event(num_devices))
+    small, large = min(timings[4]), min(timings[64])
     assert large <= small * MAX_PER_EVENT_GROWTH, (
         f"per-event cost grew {large / small:.1f}x from 4 to 64 devices "
         f"({small:.1f} -> {large:.1f} us/event): the cluster control "
