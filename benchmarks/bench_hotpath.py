@@ -169,7 +169,6 @@ def measure_cluster(
     seed: int = 33,
     routing: RoutingPolicy = RoutingPolicy.WORK_STEALING,
     admission: bool = False,
-    use_indexes: Optional[bool] = None,
     batching: Optional[BatchConfig] = None,
     churn: Optional[ChurnSchedule] = None,
     racks: Optional[RackTopology] = None,
@@ -219,7 +218,6 @@ def measure_cluster(
             routing=routing,
             seed=seed,
             admission=controller,
-            use_indexes=use_indexes,
             batching=batching,
             churn=churn,
             racks=racks,
@@ -373,13 +371,8 @@ def run(tier: str = "full") -> Dict[str, object]:
         record["normalized"] = record["tasks_per_sec"] / calibration_ops
         results[f"single_bursty_{FULL_TIERS[-1]}"] = record
         results["cluster_ws_4dev_2000"] = measure_cluster(2000)
-        # 256 devices, indexed vs the preserved pre-index linear-scan
-        # loop: the before/after headline (~40x at this tier).
         results["cluster_ws_256dev_2560"] = measure_cluster(
             2560, num_devices=256, seed=41
-        )
-        results["cluster_ws_256dev_2560_linear"] = measure_cluster(
-            2560, num_devices=256, seed=41, use_indexes=False
         )
     return {
         "meta": {

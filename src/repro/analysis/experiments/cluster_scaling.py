@@ -118,11 +118,10 @@ def run_cluster_scaling(
 
 @dataclasses.dataclass(frozen=True)
 class ControlPlaneRow:
-    """One (devices, loop variant) control-plane cost measurement."""
+    """One fleet size's control-plane cost measurement."""
 
     num_devices: int
     routing: str
-    indexed: bool
     tasks: int
     events: int
     seconds: float
@@ -132,7 +131,6 @@ class ControlPlaneRow:
 
 def run_control_plane_scaling(
     device_counts: Sequence[int] = (4, 64, 256),
-    linear_device_counts: Sequence[int] = (4, 256),
     tasks_per_device: int = 10,
     routing: RoutingPolicy = RoutingPolicy.WORK_STEALING,
     seed: int = 47,
@@ -142,74 +140,58 @@ def run_control_plane_scaling(
     Synthetic open-arrival traces (no model building) at *fixed
     per-device load* -- the arrival rate scales with the fleet -- so
     per-device scheduler work per event is constant and any growth in
-    the measured per-event cost is control-plane overhead.  The indexed
-    loop (`_ClusterIndexes`, O(log d) per event) runs at every device
-    count; the preserved pre-index linear-scan loop
-    (``use_indexes=False``: O(d x live) routing, O(d^2) steal scans)
-    runs at the endpoints of ``linear_device_counts`` as the
-    before/after comparison.  Both read the next device event from the
+    the measured per-event cost is control-plane overhead: the
+    O(log d) indexes (`_ClusterIndexes`) every fleet size runs, and the
     fleet's shared event queue.
     """
     rows: List[ControlPlaneRow] = []
     for num_devices in device_counts:
-        variants = [True]
-        if num_devices in linear_device_counts:
-            variants.append(False)
-        for indexed in variants:
-            num_tasks = num_devices * tasks_per_device
-            runtimes = synthetic_trace_runtimes(
-                num_tasks,
-                seed=seed,
-                mean_interarrival_cycles=(
-                    DEFAULT_MEAN_INTERARRIVAL_CYCLES / num_devices
-                ),
-            )
-            scheduler = ClusterScheduler(
+        num_tasks = num_devices * tasks_per_device
+        runtimes = synthetic_trace_runtimes(
+            num_tasks,
+            seed=seed,
+            mean_interarrival_cycles=(
+                DEFAULT_MEAN_INTERARRIVAL_CYCLES / num_devices
+            ),
+        )
+        scheduler = ClusterScheduler(
+            num_devices=num_devices,
+            simulation_config=SimulationConfig(
+                npu=NPUConfig(),
+                mode=PreemptionMode.DYNAMIC,
+                mechanism="CHECKPOINT",
+            ),
+            config=ClusterConfig(
+                policy_name="PREMA", routing=routing, seed=seed
+            ),
+        )
+        start = time.perf_counter()
+        result = scheduler.run(runtimes)
+        seconds = time.perf_counter() - start
+        rows.append(
+            ControlPlaneRow(
                 num_devices=num_devices,
-                simulation_config=SimulationConfig(
-                    npu=NPUConfig(),
-                    mode=PreemptionMode.DYNAMIC,
-                    mechanism="CHECKPOINT",
-                ),
-                config=ClusterConfig(
-                    policy_name="PREMA",
-                    routing=routing,
-                    seed=seed,
-                    use_indexes=indexed,
-                ),
+                routing=routing.value,
+                tasks=num_tasks,
+                events=result.events_processed,
+                seconds=seconds,
+                us_per_event=1e6 * seconds / result.events_processed,
+                tasks_per_sec=num_tasks / seconds,
             )
-            start = time.perf_counter()
-            result = scheduler.run(runtimes)
-            seconds = time.perf_counter() - start
-            rows.append(
-                ControlPlaneRow(
-                    num_devices=num_devices,
-                    routing=routing.value,
-                    indexed=indexed,
-                    tasks=num_tasks,
-                    events=result.events_processed,
-                    seconds=seconds,
-                    us_per_event=1e6 * seconds / result.events_processed,
-                    tasks_per_sec=num_tasks / seconds,
-                )
-            )
+        )
     return rows
 
 
 def format_control_plane(rows: Sequence[ControlPlaneRow]) -> str:
     return format_table(
-        ("devices", "routing", "loop", "tasks", "events", "us_per_event",
+        ("devices", "routing", "tasks", "events", "us_per_event",
          "tasks_per_sec"),
         [
-            (r.num_devices, r.routing,
-             "indexed" if r.indexed else "linear-scan", r.tasks, r.events,
-             r.us_per_event, r.tasks_per_sec)
+            (r.num_devices, r.routing, r.tasks, r.events, r.us_per_event,
+             r.tasks_per_sec)
             for r in rows
         ],
-        title=(
-            "Cluster control plane: per-event cost vs fleet size "
-            "(O(log d) indexes vs the pre-index linear scans)"
-        ),
+        title="Cluster control plane: per-event cost vs fleet size",
     )
 
 

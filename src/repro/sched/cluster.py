@@ -54,6 +54,10 @@ each device's event sequence is identical to simulating its partition in
 isolation, so pre-existing results remain bit-for-bit reproducible.  The
 loop serves jobs (:mod:`repro.sched.job`): a task is a single-slice job,
 and router batching and pipeline-sharded gangs ride the same loop.
+At every fleet size the loop's routing searches and steal/migrate walks
+read O(log d) indexes over the fleet (:class:`_ClusterIndexes`), which
+decide exactly like a scan of every device; ``verify_indexes=True``
+checks that in-run.
 
 An optional SLA-aware frontend (:mod:`repro.serving`) can sit in front of
 the online routings: arrivals then pass through a PCS-style admission
@@ -173,13 +177,6 @@ PRIORITY_DRIVEN_POLICIES = frozenset({"HPF", "TOKEN", "PREMA"})
 #: (the admission predictor's ``sjf_within_cycles`` refinement).
 SHORTEST_FIRST_POLICIES = frozenset({"SJF", "TOKEN", "PREMA"})
 
-#: Fleet size at which the O(log d) control plane pays for itself.  The
-#: indexed and linear control planes are decision-identical, so the
-#: default is a pure cost choice: below this, enumerating the fleet is
-#: cheaper than maintaining the index (measured crossover ~4-8 devices;
-#: the paper's 1-4 NPU node settings keep the linear scans).
-INDEXED_CONTROL_PLANE_MIN_DEVICES = 8
-
 
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
@@ -190,8 +187,8 @@ class ClusterConfig:
 
     ``interconnect`` None means a PCIe-gen3 bus at the NPU clock;
     ``global_tokens`` None means "on exactly for PREEMPTIVE_MIGRATION";
-    ``use_indexes`` None means "on from
-    ``INDEXED_CONTROL_PLANE_MIN_DEVICES`` devices up".
+    ``verify_indexes`` cross-checks every read of the control-plane
+    indexes against the reference scans and raises on a divergence.
     """
 
     policy_name: str = "PREMA"
@@ -200,7 +197,6 @@ class ClusterConfig:
     interconnect: Optional[InterconnectConfig] = None
     global_tokens: Optional[bool] = None
     admission: Optional[AdmissionController] = None
-    use_indexes: Optional[bool] = None
     verify_indexes: bool = False
     #: Router-level batching / pipeline sharding (repro.sched.job).  None
     #: keeps the task-per-dispatch behavior bit-for-bit.
@@ -220,10 +216,8 @@ class ClusterConfig:
     #: aggregate-backlog rack, then least-backlog device within it), the
     #: fabric grows an oversubscribed uplink tier (see
     #: ``InterconnectConfig.uplink_oversubscription``), and steal /
-    #: migrate / evacuation source selection becomes locality-aware.
-    #: Requires the indexed control plane (the rack frontend *is* an
-    #: index structure); a single-rack topology replays the flat cluster
-    #: decision-for-decision.
+    #: migrate / evacuation source selection becomes locality-aware.  A
+    #: single-rack topology replays the flat cluster decision-for-decision.
     racks: Optional[RackTopology] = None
     #: Starvation-gap threshold (cycles) a cross-rack steal or migration
     #: must clear before leaving the rack: the gain of moving must beat
@@ -499,41 +493,50 @@ class _OrderedIndexSet(list):
 class _ClusterIndexes:
     """O(log d)-per-event control-plane indexes over a device fleet.
 
-    Two structures replace the cluster loop's per-event linear scans
-    (the next device event needs none: it is the head of the fleet's
-    shared :class:`~repro.sched.simulator.EventQueue`).  Each is
-    *re-plumbing only*: every consultation returns exactly what
-    the reference scan over all devices returns (the golden suites and
-    ``tests/test_cluster_indexes.py`` pin this), it just stops paying
-    O(d) -- or, for work stealing, O(d^2) -- to find it.
+    Two structures replace per-event linear scans of the fleet (the next
+    device event needs none: it is the head of the fleet's shared
+    :class:`~repro.sched.simulator.EventQueue`).  Each is *re-plumbing
+    only*: every consultation returns exactly what the reference scan
+    over all devices returns (the golden suites and ``verify`` mode pin
+    this), it just stops paying O(d) -- or, for work stealing, O(d^2) --
+    to find it.
 
     - **Backlog-bound heap** -- a lazy-deletion min-heap of ``(backlog
       lower bound, device)`` entries keyed on
-      :meth:`DeviceSim.backlog_lower_bound`, refreshed at every device
-      mutation (inject / step / migration edges).  Routing runs a
-      best-first search: pop candidates in bound order, compute the
-      *exact* ``predicted_backlog(now) + inbound`` for each, and stop as
-      soon as the heap top can no longer beat the best exact key --
-      sound because every unexamined device's exact key is at least its
-      bound key.  The argmin (ties to the lowest index) is therefore
-      identical to the full scan's, float-for-float, while only devices
-      whose bound undercuts the winner are ever touched.
+      :meth:`DeviceSim.backlog_lower_bound`.  Routing runs a best-first
+      search: pop candidates in bound order, compute the *exact*
+      ``predicted_backlog(now) + inbound`` for each, and stop as soon as
+      the heap top can no longer beat the best exact key -- sound
+      because every unexamined device's exact key is at least its bound
+      key.  The argmin (ties to the lowest index) is therefore identical
+      to the full scan's, float-for-float, while only devices whose
+      bound undercuts the winner are ever touched.
     - **Candidate device sets** -- ``idle_candidates`` (devices whose
       time-independent idle clauses hold, a superset of the truly idle),
       ``steal_candidates`` (devices holding queued work), and
-      ``source_candidates`` (queued or preempted work).  ``_steal`` /
-      ``_migrate`` iterate these in device order and re-check the exact
+      ``source_candidates`` (queued or preempted work).  ``steal`` /
+      ``migrate`` iterate these in device order and re-check the exact
       time-dependent predicates per candidate, so the common no-idle
       event costs O(1) instead of an O(d) fleet enumeration.
 
+    Both are updated where they are read.  :meth:`refresh` only marks a
+    mutated device; :meth:`settle_bounds` re-keys the marked devices'
+    bounds before a routing search, and :meth:`settle_sets` re-files them
+    in the candidate sets before a steal or migrate walk.  The two marks
+    are apart because most runs read one structure only: a run whose
+    admission filters by class never reads the bounds, and one that
+    neither steals nor migrates never reads the sets.  Every settle is
+    timed under the profiler's ``index`` section.
+
     With ``verify=True`` every consultation additionally runs the
-    reference scan and raises on any divergence (the property tests'
-    index-vs-linear-scan harness).
+    reference scan and raises on any divergence.
     """
 
-    #: Trace sink (class attr = no per-instance cost when unobserved);
-    #: the scheduler rebinds it right after construction when tracing.
+    #: Trace sink and hot-path profiler (class attrs = no per-instance
+    #: cost when unobserved); the run rebinds them right after
+    #: construction when observed.
     tracer = NULL_TRACER
+    profiler = None
 
     def __init__(self, devices: Sequence[DeviceSim], verify: bool = False) -> None:
         self._devices = devices
@@ -541,7 +544,7 @@ class _ClusterIndexes:
         num = len(devices)
         self._backlog_bound: List[float] = [0.0] * num
         # Pre-seeded with every device at bound 0.0 (an ascending list is
-        # already a valid heap); refresh() only pushes on bound *moves*.
+        # already a valid heap); a settle only pushes on bound *moves*.
         self._backlog_heap: List[Tuple[float, int]] = [
             (0.0, index) for index in range(num)
         ]
@@ -555,48 +558,89 @@ class _ClusterIndexes:
         self.steal_candidates_of: List[_OrderedIndexSet] = [
             self.steal_candidates
         ] * num
-        for device in devices:
-            self.refresh(device)
+        #: Devices mutated since their bound, and since their set
+        #: membership, was last recomputed: every device until the first
+        #: settles.
+        self._stale_bounds: Set[int] = set(range(num))
+        self._stale_sets: Set[int] = set(range(num))
 
     # ------------------------------------------------------------------
     # Backlog index + candidate sets
     # ------------------------------------------------------------------
     def refresh(self, device: DeviceSim) -> None:
-        """Re-key every per-device structure after a device mutation.
-
-        O(live) for the backlog bound (the same cost one reference-scan
-        visit paid), O(1) set updates.  Must run after every ``step``,
-        ``inject``, and ``remove_task`` so the bound invariant (bound <=
-        exact backlog at any later instant) and the candidate supersets
-        stay valid.
-        """
+        """Mark ``device`` mutated.  Must run after every ``step``,
+        ``inject``, ``remove_task`` and availability change, so the next
+        settle restores the bound invariant (bound <= exact backlog at any
+        later instant) and the candidate supersets."""
         index = device.device_id
-        # A non-accepting device (churn: doomed or down) sinks to the
-        # bottom of the backlog heap so best-first routing never reaches
-        # it while any accepting device exists; restore re-keys it live.
-        bound = (
-            device.backlog_lower_bound() if device.accepts_work else math.inf
-        )
-        old = self._backlog_bound[index]
-        if bound != old:
-            # An unchanged bound leaves the device's resident heap entry
-            # valid (entries are validated by value), so only actual
-            # moves pay a push.
-            self._backlog_bound[index] = bound
-            self._bound_moved(index, old, bound)
-        if device.maybe_idle:
-            self.idle_candidates.add(index)
-        else:
-            self.idle_candidates.discard(index)
-        if device.has_queued:
-            self.steal_candidates.add(index)
-            self.source_candidates.add(index)
-        else:
-            self.steal_candidates.discard(index)
-            if device.has_preempted:
-                self.source_candidates.add(index)
+        self._stale_bounds.add(index)
+        self._stale_sets.add(index)
+
+    def settle_bounds(self) -> None:
+        """Re-key the backlog bound of every device marked since the last
+        settle (O(live) each, the cost one reference-scan visit pays)."""
+        stale = self._stale_bounds
+        if not stale:
+            return
+        profiler = self.profiler
+        start_ns = time.perf_counter_ns() if profiler is not None else 0
+        devices = self._devices
+        bounds = self._backlog_bound
+        for index in stale:
+            device = devices[index]
+            # A non-accepting device (churn: doomed or down) sinks to the
+            # bottom of the backlog heap so best-first routing never
+            # reaches it while any accepting device exists; restore
+            # re-keys it live.
+            bound = (
+                device.backlog_lower_bound() if device.accepts_work else math.inf
+            )
+            old = bounds[index]
+            if bound != old:
+                # An unchanged bound leaves the device's resident heap
+                # entry valid (entries are validated by value), so only
+                # actual moves pay a push.
+                bounds[index] = bound
+                self._bound_moved(index, old, bound)
+        stale.clear()
+        if profiler is not None:
+            profiler.add("index", time.perf_counter_ns() - start_ns)
+
+    def settle_sets(self) -> None:
+        """Re-file every device marked since the last settle in the
+        candidate sets (O(1) each).  Steal and migrate run it before they
+        walk the sets and after each move."""
+        stale = self._stale_sets
+        if not stale:
+            return
+        profiler = self.profiler
+        start_ns = time.perf_counter_ns() if profiler is not None else 0
+        self._file(stale)
+        stale.clear()
+        if profiler is not None:
+            profiler.add("index", time.perf_counter_ns() - start_ns)
+
+    def _file(self, stale: Set[int]) -> None:
+        """File the devices ``stale`` names in the candidate sets."""
+        devices = self._devices
+        idle = self.idle_candidates
+        steal = self.steal_candidates
+        source = self.source_candidates
+        for index in stale:
+            device = devices[index]
+            if device.maybe_idle:
+                idle.add(index)
             else:
-                self.source_candidates.discard(index)
+                idle.discard(index)
+            if device.has_queued:
+                steal.add(index)
+                source.add(index)
+            else:
+                steal.discard(index)
+                if device.has_preempted:
+                    source.add(index)
+                else:
+                    source.discard(index)
 
     def _bound_moved(self, index: int, old: float, new: float) -> None:
         """Push device ``index``'s moved bound onto the flat backlog heap
@@ -611,13 +655,14 @@ class _ClusterIndexes:
     def route_min_backlog(self, now: float, inbound) -> Tuple[int, float]:
         """Device with the least ``predicted_backlog(now) + inbound(d)``;
         ties break to the lowest device index.  Returns (device, its
-        exact backlog) -- the same pair the linear scan derives.
+        exact backlog) -- the same pair the reference scan derives.
 
         Best-first search over the bound heap: examined candidates get
         their exact backlog computed (and are re-pushed unchanged); the
         search stops once the top bound entry cannot beat the best exact
         key, which covers every unexamined device since exact >= bound.
         """
+        self.settle_bounds()
         best_key, best_backlog = self._best_first(self._backlog_heap, now, inbound)
         if best_key is None:
             raise RuntimeError("backlog index has no live device entries")
@@ -699,20 +744,24 @@ class _ClusterIndexes:
 class _RackIndexes(_ClusterIndexes):
     """The two-tier rack frontend over the per-device control plane.
 
-    Adds a :class:`~repro.sched.rack.RackRouter` on top of the PR-5
-    indexes: every device-bound move ``refresh`` observes is folded into
-    the device's rack aggregate (O(log r)) instead of the flat backlog
-    heap, which nothing reads here, and routing picks the rack with the
-    least aggregate corrected backlog before running the per-device
-    best-first search *within* that rack only.  The
-    class-aware admission fallback narrows its linear scan to the chosen
-    rack the same way ("predict against the chosen rack's surviving
-    capacity").
+    Adds a :class:`~repro.sched.rack.RackRouter` on top of the flat
+    indexes: every device-bound move is folded into the device's rack
+    aggregate (O(log r)) instead of the flat backlog heap, which nothing
+    reads here, and routing picks the rack with the least aggregate
+    corrected backlog before running the per-device best-first search
+    *within* that rack only.  The class-aware admission fallback narrows
+    its linear scan to the chosen rack the same way ("predict against
+    the chosen rack's surviving capacity").
+
+    Unlike the flat indexes, :meth:`refresh` settles a device at once:
+    the rack aggregates are running float sums, so the order of their
+    updates decides between near-equal racks, and it must follow the
+    mutations, not the reads.  Nothing is left for the reads to settle.
 
     Work stealing reads one steal-candidate set per rack
-    (``steal_candidates_of``), kept by :meth:`refresh` with the same
-    ``has_queued`` predicate as the fleet-wide set, so a thief probes
-    only its own rack's victims.
+    (``steal_candidates_of``), kept with the same ``has_queued``
+    predicate as the fleet-wide set, so a thief probes only its own
+    rack's victims.
 
     A single-rack topology is decision-identical to the flat indexes:
     the rack pick is trivial and the rack's device heap holds the whole
@@ -730,33 +779,35 @@ class _RackIndexes(_ClusterIndexes):
                 f"rack topology covers {topology.num_devices} devices, "
                 f"fleet has {len(devices)}"
             )
-        # The base initializer runs refresh() per device, so the per-rack
-        # sets exist first; the router attaches afterwards, reconciles
-        # any bound that moved during construction (devices start empty,
-        # so normally none do) and from then on takes every bound move.
+        super().__init__(devices, verify=verify)
         self._rack_of = topology.rack_of
         self._rack_steal_candidates = [
             _OrderedIndexSet() for _ in range(topology.num_racks)
         ]
-        super().__init__(devices, verify=verify)
         self.steal_candidates_of = [
             self._rack_steal_candidates[rack] for rack in topology.rack_of
         ]
+        # The router starts from the all-zero bounds and takes every bound
+        # move from here on, the first settle's included.
         self._router = RackRouter(topology, self._backlog_bound)
         self.topology = topology
-        for index, bound in enumerate(self._backlog_bound):
-            if bound != 0.0:
-                self._router.update(index, 0.0, bound)
         self._bound_moved = self._router.update
+        self.settle_bounds()
+        self.settle_sets()
 
     def refresh(self, device: DeviceSim) -> None:
         super().refresh(device)
-        index = device.device_id
-        rack_steal = self._rack_steal_candidates[self._rack_of[index]]
-        if device.has_queued:
-            rack_steal.add(index)
-        else:
-            rack_steal.discard(index)
+        self.settle_bounds()
+        self.settle_sets()
+
+    def _file(self, stale: Set[int]) -> None:
+        super()._file(stale)
+        for index in stale:
+            rack_steal = self._rack_steal_candidates[self._rack_of[index]]
+            if self._devices[index].has_queued:
+                rack_steal.add(index)
+            else:
+                rack_steal.discard(index)
 
     def verify_candidate_sets(self, now: float) -> None:
         """The base check, plus: each per-rack set is exactly the
@@ -786,6 +837,7 @@ class _RackIndexes(_ClusterIndexes):
         frontend ranks racks by aggregate, not devices by exact
         backlog); with one rack the two coincide exactly.
         """
+        self.settle_bounds()
         rack = self.pick_rack()
         tracer = self.tracer
         if tracer.enabled:
@@ -900,7 +952,7 @@ class _ChurnRuntime:
                 self._active_event[index] = transition.event
             if self.proactive:
                 device.stop_accepting(now)
-                run.refresh(device)
+                run.indexes.refresh(device)
                 self._evacuate(index, now)
         elif transition.phase == "down":
             self.fleet.apply(transition)
@@ -910,7 +962,7 @@ class _ChurnRuntime:
                 run.fabric.cancel_transfers_to(index, now)
             run.inflight[index].clear()
             orphans = device.fail(now)
-            run.refresh(device)
+            run.indexes.refresh(device)
             for runtime in orphans:
                 entry = run.slice_map.get(runtime.task_id)
                 if entry is None:
@@ -931,7 +983,7 @@ class _ChurnRuntime:
             self._active_event.pop(index, None)
             self._forced.pop(index, None)
             device.accepts_work = True
-            run.refresh(device)
+            run.indexes.refresh(device)
             parked, self.parked = self.parked, []
             for job in parked:
                 run.enqueue(job, now)
@@ -1063,7 +1115,7 @@ class _ChurnRuntime:
             return  # checkpoint would land dead bytes; ride it out
         src.force_checkpoint(now)
         forced.add(running.task_id)
-        run.refresh(src)
+        run.indexes.refresh(src)
         # Revisit at durability: the checkpoint becomes shippable then.
         self.fleet.push_check(free_at, src_index)
 
@@ -1109,12 +1161,10 @@ class ClusterScheduler:
     One shared event loop drives every device; dispatch decisions fire at
     task-arrival events (and, under work stealing, at device-idle edges
     after any event).  The control plane runs on the O(log d)
-    :class:`_ClusterIndexes` for fleets of
-    ``INDEXED_CONTROL_PLANE_MIN_DEVICES`` and larger (it decides exactly
-    like the linear scans, so the default is purely the measured cost
-    crossover); ``use_indexes`` forces either control plane, and
-    ``verify_indexes=True`` runs both on every consultation and raises
-    on any divergence.
+    :class:`_ClusterIndexes` (the :class:`_RackIndexes` frontend on a
+    racked fleet) at every fleet size; ``verify_indexes=True`` also runs
+    the reference scans on every consultation and raises on any
+    divergence.
     """
 
     def __init__(
@@ -1167,20 +1217,9 @@ class ClusterScheduler:
         #: Optional SLA-aware frontend (repro.serving).  None preserves
         #: the admit-everything behavior bit-for-bit.
         self.admission = config.admission
-        #: O(log d) control plane (_ClusterIndexes).  Defaults on for
-        #: fleets of INDEXED_CONTROL_PLANE_MIN_DEVICES and larger (the
-        #: measured crossover); False falls back to the pre-index linear
-        #: scans -- bit-for-bit identical decisions, kept as the
-        #: equivalence reference and benchmark baseline.
-        use_indexes = config.use_indexes
-        if use_indexes is None:
-            use_indexes = num_devices >= INDEXED_CONTROL_PLANE_MIN_DEVICES
-        self.use_indexes = use_indexes
         #: Cross-check every index consultation against the reference
-        #: scan (property-test harness; implies use_indexes).
+        #: scan (property-test harness).
         self.verify_indexes = config.verify_indexes
-        if config.verify_indexes:
-            self.use_indexes = True
         #: Router-level batching / pipeline sharding (None = off).
         self.batching = config.batching
         #: Device churn schedule (None = always-healthy fleet, bit-for-bit
@@ -1191,9 +1230,7 @@ class ClusterScheduler:
         self.churn = config.churn if config.churn else None
         self.proactive_migration = config.proactive_migration
         #: Optional rack composition (None = flat fleet, bit-for-bit the
-        #: pre-rack behavior).  Racks require the indexed control plane:
-        #: the two-tier frontend *is* an index structure, and the linear
-        #: loops have no rack-aware counterpart.
+        #: pre-rack behavior).
         self.racks = config.racks
         self.rack_of: Optional[Tuple[int, ...]] = None
         self.cross_rack_threshold: float = 0.0
@@ -1203,12 +1240,6 @@ class ClusterScheduler:
                     f"rack topology covers {self.racks.num_devices} "
                     f"devices, fleet has {num_devices}"
                 )
-            if config.use_indexes is False:
-                raise ValueError(
-                    "rack composition runs on the indexed control plane; "
-                    "use_indexes=False is incompatible with racks"
-                )
-            self.use_indexes = True
             self.rack_of = self.racks.rack_of
             # Locality threshold for cross-rack steals/migrations: the
             # starvation gap must clear at least the uncontended cost of
@@ -1487,19 +1518,18 @@ class _ClusterRun:
         ):
             for device in devices:
                 device.ticks_read = True
-        # The O(log d) control plane; None runs the reference linear
-        # scans (decision-identical).
-        self.indexes = None
-        if scheduler.use_indexes:
-            if scheduler.racks is not None:
-                self.indexes = _RackIndexes(
-                    devices, scheduler.racks, verify=scheduler.verify_indexes
-                )
-            else:
-                self.indexes = _ClusterIndexes(
-                    devices, verify=scheduler.verify_indexes
-                )
-            self.indexes.tracer = tracer
+        # The O(log d) control plane, behind the rack frontend on a
+        # racked fleet.
+        indexes: _ClusterIndexes
+        if scheduler.racks is not None:
+            indexes = _RackIndexes(
+                devices, scheduler.racks, verify=scheduler.verify_indexes
+            )
+        else:
+            indexes = _ClusterIndexes(devices, verify=scheduler.verify_indexes)
+        indexes.tracer = tracer
+        indexes.profiler = self.profiler
+        self.indexes = indexes
         self.assignments: Dict[int, int] = {}
         self.migrations: List[MigrationRecord] = []
         #: Per-device in-flight deliveries (checkpoints, activations):
@@ -1594,15 +1624,7 @@ class _ClusterRun:
         settle the slice it finished, and poll for moves."""
         device = self.devices[index]
         now = device.step()
-        indexes = self.indexes
-        if indexes is not None:
-            profiler = self.profiler
-            if profiler is None:
-                indexes.refresh(device)
-            else:
-                start_ns = time.perf_counter_ns()
-                indexes.refresh(device)
-                profiler.add("index", time.perf_counter_ns() - start_ns)
+        self.indexes.refresh(device)
 
         completed = device.last_completed
         if completed is not None:
@@ -1630,9 +1652,9 @@ class _ClusterRun:
             # Migration opportunities additionally appear when a
             # preemption commits (PERIOD/DISPATCH wakes) and when a
             # checkpoint becomes durable (the reserved DISPATCH at trap
-            # end), so check after every event; with the indexes that
-            # check is an O(1) idle-candidate peek, and only
-            # actually-idle devices trigger a candidate walk.
+            # end), so check after every event; that check is an O(1)
+            # idle-candidate peek, and only actually-idle devices
+            # trigger a candidate walk.
             self.migrate(now)
 
         churn = self.churn
@@ -1888,8 +1910,8 @@ class _ClusterRun:
                 )
             ]
         # Stage 0 lands where admission placed it (or the static route),
-        # else on the least live backlog -- through the backlog index and
-        # the rack router when present.
+        # else on the least live backlog -- through the backlog index, and
+        # the rack router on a racked fleet.
         if preferred is None:
             preferred = self.route_online(now)
         slice_ids = [proxy.task_id]
@@ -1908,7 +1930,7 @@ class _ClusterRun:
             owner.slices[0].device_id = preferred
         device = self.devices[preferred]
         device.inject(stage0, arrival=now)
-        self.refresh(device)
+        self.indexes.refresh(device)
         self.assignments[proxy.task_id] = preferred
         self.slice_map[proxy.task_id] = (gang, 0)
         for job in members:
@@ -1990,7 +2012,7 @@ class _ClusterRun:
             gang.owner.slices[nxt].device_id = dst
         device = self.devices[dst]
         device.inject(runtime, arrival=arrival)
-        self.refresh(device)
+        self.indexes.refresh(device)
         self.assignments[slice_id] = dst
         self.slice_map[slice_id] = (gang, nxt)
 
@@ -2045,11 +2067,6 @@ class _ClusterRun:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def refresh(self, device: DeviceSim) -> None:
-        """Re-key ``device`` in the indexes after a mutation."""
-        if self.indexes is not None:
-            self.indexes.refresh(device)
-
     def inbound(
         self, device: int, now: float, min_priority: Optional[int] = None
     ) -> float:
@@ -2094,23 +2111,15 @@ class _ClusterRun:
 
         In-flight checkpoint migrations count toward their destination's
         backlog -- the node agent routed them, so it knows they are
-        coming even though the device has not admitted them yet.  With
-        indexes the argmin comes from the backlog-bound best-first
-        search (identical float semantics, candidate devices only).
+        coming even though the device has not admitted them yet.  The
+        argmin comes from the backlog-bound best-first search (identical
+        float semantics to the full scan, candidate devices only).
         """
         profiler = self.profiler
         start_ns = time.perf_counter_ns() if profiler is not None else 0
-        indexes = self.indexes
-        if indexes is not None:
-            index, _ = indexes.route_min_backlog(
-                now, lambda d: self.inbound(d, now)
-            )
-        else:
-            devices = self.devices
-            index = self.least_backlog(
-                (d for d in range(len(devices)) if devices[d].accepts_work),
-                now,
-            )
+        index, _ = self.indexes.route_min_backlog(
+            now, lambda d: self.inbound(d, now)
+        )
         if profiler is not None:
             profiler.add("route", time.perf_counter_ns() - start_ns)
         tracer = self.tracer
@@ -2164,7 +2173,7 @@ class _ClusterRun:
         start_ns = time.perf_counter_ns() if profiler is not None else 0
         filtered = min_priority is not None or sjf_within is not None
         indexes = self.indexes
-        if indexes is not None and not filtered:
+        if not filtered:
             best_index, best_backlog = indexes.route_min_backlog(
                 now, lambda d: self.inbound(d, now)
             )
@@ -2177,12 +2186,7 @@ class _ClusterRun:
             # whole fleet when flat, the chosen rack under the two-tier
             # frontend (admission predicts against the rack's surviving
             # capacity, per the rack composition contract).
-            candidates = (
-                indexes.admission_candidates()
-                if indexes is not None
-                else range(len(devices))
-            )
-            for index in candidates:
+            for index in indexes.admission_candidates():
                 device = devices[index]
                 if not device.accepts_work:
                     continue  # churn: never predict against a doomed device
@@ -2254,13 +2258,12 @@ class _ClusterRun:
         devices holding stealable tasks; stolen task: largest estimated
         remaining work (ties to the lowest task id).
 
-        With indexes, thieves come from the idle-candidate set (a
-        superset of the truly idle; `is_idle(now)` still decides) and
-        victims from the thief's rack's steal-candidate set, both walked
-        in ascending device order like the reference fleet enumeration
-        -- the common nobody-idle event is an O(1) set peek instead of an
-        O(d) scan, and a steal never touches a device without queued
-        work.
+        Thieves come from the idle-candidate set (a superset of the
+        truly idle; `is_idle(now)` still decides) and victims from the
+        thief's rack's steal-candidate set, both walked in ascending
+        device order like the reference fleet enumeration -- the common
+        nobody-idle event is an O(1) set peek instead of an O(d) scan,
+        and a steal never touches a device without queued work.
 
         Under a rack topology victim selection is locality-aware: an
         in-rack victim always wins, and a cross-rack victim is taken
@@ -2272,58 +2275,48 @@ class _ClusterRun:
         holds no queued work cannot steal, so it is skipped before its
         idle check and the cross-rack scan never runs.
         """
+        indexes = self.indexes
+        indexes.settle_sets()
         profiler = self.profiler
         start_ns = time.perf_counter_ns() if profiler is not None else 0
         devices = self.devices
-        indexes = self.indexes
         rack_of = self.scheduler.rack_of
         rack_local = self.scheduler.cross_rack_threshold == math.inf
-        verify = indexes is not None and indexes.verify
-        thieves: Sequence[int] = range(len(devices))
-        if indexes is not None:
-            if verify:
-                indexes.verify_candidate_sets(now)
-            # No idle thief or no device holding queued work: nothing to
-            # move.  The second peek is what keeps the common
-            # everyone-idle event O(1) on large fleets -- without it each
-            # such event walks every idle device to find no victims.
-            thieves = (
-                indexes.idle_candidates.ordered()
-                if indexes.idle_candidates and indexes.steal_candidates
-                else ()
-            )
-            fleet_victims = indexes.steal_candidates
-            rack_victims = indexes.steal_candidates_of
+        verify = indexes.verify
+        if verify:
+            indexes.verify_candidate_sets(now)
+        fleet_victims = indexes.steal_candidates
+        rack_victims = indexes.steal_candidates_of
+        # No idle thief or no device holding queued work: nothing to
+        # move.  The second peek is what keeps the common everyone-idle
+        # event O(1) on large fleets -- without it each such event walks
+        # every idle device to find no victims.
+        thieves = (
+            indexes.idle_candidates.ordered()
+            if indexes.idle_candidates and fleet_victims
+            else ()
+        )
         for thief_index in thieves:
             thief = devices[thief_index]
-            if indexes is None:
-                victim = self.fleet_victim(thief_index, now)
-            else:
-                victim = None
-                local = rack_victims[thief_index]
-                # Once earlier thieves have stolen the last queued task,
-                # the remaining idle thieves skip both scans.
-                if (
-                    (local or not rack_local)
-                    and thief.is_idle(now)
-                    and fleet_victims
-                ):
-                    remote: Optional[Iterable[int]] = None
-                    if rack_of is not None and not rack_local:
-                        rack = rack_of[thief_index]
-                        remote = (
-                            index
-                            for index in fleet_victims
-                            if rack_of[index] != rack
-                        )
-                    victim = self.choose_victim(thief_index, now, local, remote)
-                if verify:
-                    reference = self.fleet_victim(thief_index, now)
-                    if victim != reference:
-                        raise AssertionError(
-                            f"thief {thief_index} stole {victim and victim[0]}, "
-                            f"fleet-wide reference scan {reference and reference[0]}"
-                        )
+            victim = None
+            local = rack_victims[thief_index]
+            # Once earlier thieves have stolen the last queued task, the
+            # remaining idle thieves skip both scans.
+            if (local or not rack_local) and thief.is_idle(now) and fleet_victims:
+                remote: Optional[Iterable[int]] = None
+                if rack_of is not None and not rack_local:
+                    rack = rack_of[thief_index]
+                    remote = (
+                        index for index in fleet_victims if rack_of[index] != rack
+                    )
+                victim = self.choose_victim(thief_index, now, local, remote)
+            if verify:
+                reference = self.fleet_victim(thief_index, now)
+                if victim != reference:
+                    raise AssertionError(
+                        f"thief {thief_index} stole {victim and victim[0]}, "
+                        f"fleet-wide reference scan {reference and reference[0]}"
+                    )
             if victim is None:
                 continue
             victim_index, _, victim_tasks = victim
@@ -2334,8 +2327,9 @@ class _ClusterRun:
             )
             victim_device.remove_task(stolen.task_id, now)
             thief.inject(stolen, arrival=now)
-            self.refresh(victim_device)
-            self.refresh(thief)
+            indexes.refresh(victim_device)
+            indexes.refresh(thief)
+            indexes.settle_sets()  # later thieves read the moved sets
             self.assignments[stolen.task_id] = thief_index
             self.migrations.append(
                 MigrationRecord(
@@ -2387,9 +2381,9 @@ class _ClusterRun:
         return victim
 
     def fleet_victim(self, thief_index: int, now: float) -> Optional[_Victim]:
-        """The reference steal scan over the whole fleet: the linear
-        loop's victim, and the ``verify_indexes`` oracle for the indexed
-        one.  None unless the thief is idle."""
+        """The reference steal scan over the whole fleet, the
+        ``verify_indexes`` oracle for :meth:`steal`'s victim.  None
+        unless the thief is idle."""
         devices = self.devices
         if not devices[thief_index].is_idle(now):
             return None
@@ -2422,10 +2416,10 @@ class _ClusterRun:
         take the highest priority, then most tokens (the most
         slowdown-compensated row), then longest estimated remaining work.
         This is what lets a preempted high-priority victim resume on a
-        sibling NPU instead of waiting behind its preemptor.  With
-        indexes, thieves walk the idle-candidate set and sources the
-        migration-source set (devices holding queued *or* preempted
-        work), in ascending device order like the reference enumeration.
+        sibling NPU instead of waiting behind its preemptor.  Thieves
+        walk the idle-candidate set and sources the migration-source set
+        (devices holding queued *or* preempted work), in ascending device
+        order like the reference enumeration.
 
         Under a rack topology source selection is locality-aware: only
         when no in-rack source yields an eligible task does the thief
@@ -2435,24 +2429,24 @@ class _ClusterRun:
         ``delivery`` later, and the threshold keeps marginal wins from
         flooding the uplink.
         """
+        indexes = self.indexes
+        indexes.settle_sets()
         profiler = self.profiler
         start_ns = time.perf_counter_ns() if profiler is not None else 0
         devices = self.devices
-        indexes = self.indexes
         fabric = self.fabric
         rack_of = self.scheduler.rack_of
         threshold = self.scheduler.cross_rack_threshold
-        thieves: Sequence[int] = range(len(devices))
-        if indexes is not None:
-            if indexes.verify:
-                indexes.verify_candidate_sets(now)
-            # Same O(1) early-outs as steal: no thief, or no device
-            # holding queued/preempted work, means no move this event.
-            thieves = (
-                indexes.idle_candidates.ordered()
-                if indexes.idle_candidates and indexes.source_candidates
-                else ()
-            )
+        if indexes.verify:
+            indexes.verify_candidate_sets(now)
+        sources = indexes.source_candidates
+        # Same O(1) early-outs as steal: no thief, or no device holding
+        # queued/preempted work, means no move this event.
+        thieves = (
+            indexes.idle_candidates.ordered()
+            if indexes.idle_candidates and sources
+            else ()
+        )
         for thief_index in thieves:
             if not devices[thief_index].is_idle(now):
                 continue
@@ -2465,11 +2459,6 @@ class _ClusterRun:
             best: Optional[TaskRuntime] = None
             best_key: Optional[Tuple[bool, float, float, float, int]] = None
             best_source = 0
-            sources: Sequence[int] = (
-                indexes.source_candidates.ordered()
-                if indexes is not None
-                else range(len(devices))
-            )
             for index in sources:
                 if index == thief_index:
                     continue
@@ -2513,6 +2502,7 @@ class _ClusterRun:
             if best is None:
                 continue
             self.ship(best_source, thief_index, best.task_id, now, "migrate")
+            indexes.settle_sets()  # later thieves read the moved sets
         if profiler is not None:
             profiler.add("migrate", time.perf_counter_ns() - start_ns)
 
@@ -2552,8 +2542,8 @@ class _ClusterRun:
         task.migration_count += 1
         task.migrated_bytes_total += payload
         dst.inject(task, arrival=record.end_cycles)
-        self.refresh(src)
-        self.refresh(dst)
+        self.indexes.refresh(src)
+        self.indexes.refresh(dst)
         self.assignments[task.task_id] = dst_index
         self.inflight[dst_index].append(
             (record.end_cycles, task.context.estimated_remaining_cycles,

@@ -1,22 +1,18 @@
-"""Index-vs-linear-scan equivalence of the O(log d) cluster control plane.
+"""Index-vs-reference-scan equivalence of the O(log d) cluster control plane.
 
 The cluster loop's indexes (`_ClusterIndexes`: the backlog-bound
 best-first router and the idle/steal/source candidate sets) promise
 *re-plumbing, not re-scheduling*: every consultation must return exactly
-what the reference scan over the whole fleet returns.  The reference
-loop is kept alive behind ``use_indexes=False``, which makes the
-property direct to state: the same workload run through both loops must
-produce identical results, bit for bit -- placements, migrations,
-transfers, timelines, waits, and tokens alike (the two loops execute the
-*same* float operations, so not even the 1e-9 golden tolerance is
-needed here).
+what the reference scan over the whole fleet returns.  Every fleet size
+runs the indexes, and ``verify_indexes=True`` cross-checks every single
+consultation (routing argmin, candidate-set coverage, each thief's
+victim) against the reference scan inside the run and raises on the
+first divergence, which pins equivalence at event granularity.
 
-``verify_indexes=True`` additionally cross-checks every single
-consultation (routing argmin, candidate-set coverage) against the linear
-scan inside the run and raises on the first divergence, which pins
-equivalence at event granularity rather than end-of-run granularity.
-Both loops read the next device event from the fleet's one shared
-event queue.
+The end-to-end tests run each workload twice, verified and plain, and
+require identical results, bit for bit -- placements, migrations,
+transfers, timelines, waits, and tokens alike: the reference scans only
+read device state, so verification must not move a decision.
 """
 
 import pytest
@@ -28,6 +24,7 @@ from repro.sched.cluster import (
     ClusterScheduler,
     ONLINE_ROUTINGS,
     RoutingPolicy,
+    _ClusterIndexes,
 )
 from repro.sched.policies import POLICY_NAMES, make_policy
 from repro.sched.simulator import DeviceSim, PreemptionMode, SimulationConfig
@@ -55,7 +52,6 @@ def _run_synthetic(
     seed: int = 17,
     num_tasks: int = 128,
     policy: str = "PREMA",
-    use_indexes: bool = True,
     verify: bool = False,
     admission: bool = False,
 ):
@@ -86,34 +82,33 @@ def _run_synthetic(
             routing=routing,
             seed=seed,
             admission=controller,
-            use_indexes=use_indexes,
             verify_indexes=verify,
         ),
     )
     return scheduler.run(runtimes)
 
 
-def _assert_identical(reference, indexed, key: str) -> None:
+def _assert_identical(plain, verified, key: str) -> None:
     """Full-result identity, reusing the golden encoding (plus the raw
     assignment map and the admission outcome populations)."""
-    assert indexed.assignments == reference.assignments, key
-    assert indexed.events_processed == reference.events_processed, key
+    assert verified.assignments == plain.assignments, key
+    assert verified.events_processed == plain.events_processed, key
     assert (
-        helpers_golden._encode_cluster_v2(indexed)
-        == helpers_golden._encode_cluster_v2(reference)
+        helpers_golden._encode_cluster_v2(verified)
+        == helpers_golden._encode_cluster_v2(plain)
     ), key
     assert (
-        sorted(t.task_id for t in indexed.rejected_tasks)
-        == sorted(t.task_id for t in reference.rejected_tasks)
+        sorted(t.task_id for t in verified.rejected_tasks)
+        == sorted(t.task_id for t in plain.rejected_tasks)
     ), key
 
 
 # ----------------------------------------------------------------------
-# Indexed loop == reference loop, end to end
+# Verified runs: every consultation == the reference scan, end to end
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("num_devices", [2, 4, 8])
 def test_indexed_matches_reference_every_routing(factory, num_devices):
-    """All 6 routings x rotating device schedulers on compiled workloads."""
+    """All routings x rotating device schedulers on compiled workloads."""
     workloads = WorkloadGenerator(seed=205).generate_many(2, num_tasks=12)
     for index, workload in enumerate(workloads):
         policy = POLICY_NAMES[index % len(POLICY_NAMES)]
@@ -127,7 +122,7 @@ def test_indexed_matches_reference_every_routing(factory, num_devices):
         )
         for routing in RoutingPolicy:
             results = {}
-            for use_indexes in (False, True):
+            for verify in (False, True):
                 scheduler = ClusterScheduler(
                     num_devices=num_devices,
                     simulation_config=config,
@@ -135,10 +130,10 @@ def test_indexed_matches_reference_every_routing(factory, num_devices):
                         policy_name=policy,
                         routing=routing,
                         seed=index,
-                        use_indexes=use_indexes,
+                        verify_indexes=verify,
                     ),
                 )
-                results[use_indexes] = scheduler.run(
+                results[verify] = scheduler.run(
                     factory.build_workload(workload)
                 )
             _assert_identical(
@@ -154,10 +149,8 @@ def test_indexed_matches_reference_every_routing(factory, num_devices):
 def test_indexed_matches_reference_64_devices(routing):
     """The datacenter tier: 64 devices on a synthetic open-arrival trace."""
     results = {
-        use_indexes: _run_synthetic(
-            64, routing, seed=29, num_tasks=256, use_indexes=use_indexes
-        )
-        for use_indexes in (False, True)
+        verify: _run_synthetic(64, routing, seed=29, num_tasks=256, verify=verify)
+        for verify in (False, True)
     }
     assert len(results[True].tasks) == 256
     _assert_identical(results[False], results[True], f"64dev/{routing.value}")
@@ -168,23 +161,23 @@ def test_indexed_matches_reference_64_devices(routing):
     [
         # FCFS honors no class filter -> admission placement runs on the
         # backlog index; PREMA activates both filters -> the class-aware
-        # linear fallback.  Both must match the reference loop exactly.
+        # linear fallback.  Both must match the reference scan exactly.
         "FCFS",
         "PREMA",
     ],
 )
 def test_indexed_matches_reference_with_admission(policy):
     results = {
-        use_indexes: _run_synthetic(
+        verify: _run_synthetic(
             8,
             RoutingPolicy.ONLINE_PREDICTED,
             seed=41,
             num_tasks=160,
             policy=policy,
-            use_indexes=use_indexes,
+            verify=verify,
             admission=True,
         )
-        for use_indexes in (False, True)
+        for verify in (False, True)
     }
     _assert_identical(results[False], results[True], f"admission/{policy}")
 
@@ -196,6 +189,7 @@ def test_indexed_matches_reference_with_admission(policy):
     "num_devices,routing,num_tasks",
     [
         (2, RoutingPolicy.WORK_STEALING, 96),
+        (4, RoutingPolicy.WORK_STEALING, 96),
         (8, RoutingPolicy.WORK_STEALING, 160),
         (4, RoutingPolicy.PREEMPTIVE_MIGRATION, 96),
         (64, RoutingPolicy.ONLINE_PREDICTED, 256),
@@ -209,6 +203,26 @@ def test_verify_mode_cross_checks_every_consultation(
     )
     assert len(result.tasks) == num_tasks
     assert all(task.is_done for task in result.tasks)
+
+
+@pytest.mark.parametrize(
+    "routing",
+    [RoutingPolicy.WORK_STEALING, RoutingPolicy.PREEMPTIVE_MIGRATION],
+)
+def test_verify_mode_catches_a_skipped_device_refresh(monkeypatch, routing):
+    """The flat indexes re-file only the devices ``refresh`` marked, so
+    a refresh that skips device 1 leaves it out of the candidate sets
+    once it holds queued work; the verified steal or migrate walk (the
+    same 4-device inputs pass verification unpatched) must name it."""
+    refresh = _ClusterIndexes.refresh
+
+    def forgetful(self, device):
+        if device.device_id != 1:
+            refresh(self, device)
+
+    monkeypatch.setattr(_ClusterIndexes, "refresh", forgetful)
+    with pytest.raises(AssertionError, match="device 1 with .* missing from"):
+        _run_synthetic(4, routing, seed=53, num_tasks=96, verify=True)
 
 
 def test_verify_mode_cross_checks_admission_placement():

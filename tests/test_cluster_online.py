@@ -380,9 +380,9 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             cluster.route([synthetic_task(0, 0.0, 1.0, 1.0)])
 
-    @pytest.mark.parametrize("use_indexes", [False, True])
+    @pytest.mark.parametrize("verify_indexes", [False, True])
     def test_unfinished_task_raises_instead_of_returning(
-        self, monkeypatch, use_indexes
+        self, monkeypatch, verify_indexes
     ):
         """A task whose COMPLETE is swallowed must fail the run by name,
         not come back unfinished inside ``ClusterResult.tasks``."""
@@ -401,7 +401,7 @@ class TestEdgeCases:
             config=ClusterConfig(
                 policy_name="FCFS",
                 routing=RoutingPolicy.WORK_STEALING,
-                use_indexes=use_indexes,
+                verify_indexes=verify_indexes,
             ),
         )
         with pytest.raises(RuntimeError, match=r"unsettled tasks: \[2\]"):

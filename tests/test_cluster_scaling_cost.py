@@ -9,10 +9,9 @@ measured cost from 4 to 64 devices must stay within a small constant --
 the pre-index loop's O(d) next-event scan, O(d x live) routing scan, and
 O(d) termination sum made it grow roughly linearly instead.
 
-Runs the *default* configuration, which resolves the control plane per
-fleet size (linear loop below INDEXED_CONTROL_PLANE_MIN_DEVICES,
-indexes at and above it) -- the flatness claim is about what users get
-without tuning anything.
+Runs the default configuration: every fleet size, the 4-device side
+included, runs the one indexed control plane, so the flatness claim is
+about what users get without tuning anything.
 """
 
 import time

@@ -379,7 +379,6 @@ class TestClusterConfig:
         assert scheduler.policy_name == "PREMA"
         assert scheduler.routing is RoutingPolicy.LEAST_LOADED
         assert scheduler.interconnect.name == "pcie-gen3"
-        assert not scheduler.use_indexes  # below the 8-device threshold
         assert scheduler.batching is None
 
     def test_batching_requires_online_routing(self):

@@ -39,6 +39,7 @@ from repro.sched.cluster import (
     RoutingPolicy,
     _ClusterIndexes,
     _ClusterRun,
+    _RackIndexes,
 )
 from repro.sched.faults import ChurnSchedule
 from repro.sched.interconnect import (
@@ -133,18 +134,6 @@ class TestTopology:
                 config=ClusterConfig(
                     routing=RoutingPolicy.ONLINE_PREDICTED,
                     racks=RackTopology.uniform(2, 2),
-                ),
-            )
-
-    def test_scheduler_rejects_linear_loop_with_racks(self):
-        with pytest.raises(ValueError, match="use_indexes"):
-            ClusterScheduler(
-                4,
-                _config(),
-                config=ClusterConfig(
-                    routing=RoutingPolicy.ONLINE_PREDICTED,
-                    racks=RackTopology.uniform(2, 2),
-                    use_indexes=False,
                 ),
             )
 
@@ -268,7 +257,8 @@ def _steal_fixture(threshold):
 
 def _steal(scheduler, devices):
     """The moves one steal pass at t=0 makes over hand-loaded devices,
-    on the reference fleet-scan path of a run of ``scheduler``."""
+    through rack indexes built over them (verified against the
+    fleet-wide reference scan) in a run of ``scheduler``."""
     spec = TaskSpec(
         task_id=999,
         benchmark="syn999",
@@ -278,7 +268,7 @@ def _steal(scheduler, devices):
     )
     run = _ClusterRun(scheduler, [Job.single(synthetic_runtime(spec, 1.0))])
     run.devices = devices
-    run.indexes = None
+    run.indexes = _RackIndexes(devices, scheduler.racks, verify=True)
     run.steal(0.0)
     return run.migrations
 
@@ -659,8 +649,6 @@ def test_only_flat_fleets_feed_the_flat_backlog_heap(monkeypatch):
 
 
 def test_verify_mode_catches_a_stale_rack_steal_set(monkeypatch):
-    from repro.sched.cluster import _RackIndexes
-
     refresh = _RackIndexes.refresh
 
     def forgetful(self, device):
@@ -674,7 +662,7 @@ def test_verify_mode_catches_a_stale_rack_steal_set(monkeypatch):
 
 @pytest.mark.parametrize("threshold", [math.inf, None], ids=["inf", "default"])
 def test_verify_mode_catches_a_wrong_victim(monkeypatch, threshold):
-    from repro.sched.cluster import _OrderedIndexSet, _RackIndexes
+    from repro.sched.cluster import _OrderedIndexSet
 
     init = _RackIndexes.__init__
 
