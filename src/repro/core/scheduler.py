@@ -107,22 +107,9 @@ class PremaPolicyCore:
         into the threshold, like :meth:`select_candidate`.
         """
         pool = list(ready) + [running]
-        return self.should_preempt_given_max(
-            candidate,
-            running,
-            max(max(row.tokens for row in pool), external_max_tokens),
+        threshold = candidate_threshold(
+            max(max(row.tokens for row in pool), external_max_tokens)
         )
-
-    def should_preempt_given_max(
-        self,
-        candidate: TaskContext,
-        running: TaskContext,
-        max_pool_tokens: float,
-    ) -> bool:
-        """O(1) form of :meth:`should_preempt` for callers that already
-        track the maximum token count over ready + running (the
-        incremental policy structures do)."""
-        threshold = candidate_threshold(max_pool_tokens)
         if running.tokens <= threshold:
             # The running task has fallen out of the candidate group.
             return True

@@ -80,9 +80,10 @@ def candidate_bucket(tokens: float) -> int:
     ``tokens`` clears ``candidate_threshold(max_tokens)`` iff its bucket
     is >= the bucket of ``max_tokens`` (assuming ``tokens > 0``, which
     holds for every simulator-managed row -- initial tokens come from the
-    priority levels and grants are non-negative).  Incremental schedulers
-    keep one priority structure per bucket so the candidate group of
-    Algorithm 2 line 9 is the union of the top buckets, never a scan.
+    priority levels and grants are non-negative).  So while no ready row
+    changes bucket, the candidate group of Algorithm 2 line 9 and its
+    threshold stay put: the simulator plans its period ticks around
+    bucket changes and decides a skipped span once.
     """
     bucket = 0
     for level in TOKEN_LEVELS:
@@ -114,7 +115,7 @@ class ClusterTokenLedger:
     queue (or is mid-migration between two of them).
 
     The max is answered from a lazy-deletion heap (amortized O(log n) per
-    update), the same technique as the policies' priority structures.
+    update).
     """
 
     def __init__(self) -> None:

@@ -18,39 +18,21 @@ should preempt the running task under a preemptive scheduler.  FCFS and
 RRB have no urgency ordering, so they never preempt (they exist as
 non-preemptive baselines).
 
-Two selection surfaces exist:
-
-- ``select(ready)`` / ``outranks(candidate, running, ready)`` operate on
-  an explicit ready list -- the reference semantics, used directly by
-  tests and ad-hoc callers.
-- ``select_ready(table)`` / ``outranks_running(candidate, running,
-  table)`` are the simulator's hot path.  Policies with an ordering
-  (HPF, SJF, TOKEN, PREMA) back these with **incrementally maintained
-  priority structures** (lazy-deletion heaps; token policies bucket rows
-  by the Algorithm-2 candidate threshold grid), updated through the
-  lifecycle hooks (``on_admit``/``on_dispatch``/``on_requeue``/
-  ``on_remove``) and rebuilt wholesale at each period re-rank
-  (``on_period``), when every ready row's token count moves at once.
-  Every selection rule ranks by a strict total order (ties break on task
-  id), so the structures return exactly the row the reference scan
-  returns -- they change the cost of a wake from O(ready) to O(log
-  ready), never the decision.
+The rules are written against a ready list: ``select(ready)`` and
+``outranks(candidate, running, ready)``.  The simulator calls
+``select_ready(table)`` and ``outranks_running(candidate, running,
+table)``, which apply the same rules to ``table.ready()``, the context
+table's id-sorted ready index.  A scan is the whole cost: the paper
+sizes the task context table for 16 co-located tasks (Sec VI-F).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.core.context import ContextTable, TaskContext, TaskState
+from repro.core.context import ContextTable, TaskContext
 from repro.core.scheduler import PremaPolicyCore, SchedulerConfig
-from repro.core.tokens import (
-    NUM_CANDIDATE_BUCKETS,
-    ClusterTokenLedger,
-    candidate_bucket,
-    candidate_threshold,
-)
+from repro.core.tokens import ClusterTokenLedger, candidate_threshold
 
 
 class Policy:
@@ -61,15 +43,6 @@ class Policy:
     uses_predictor: bool = False
     #: Does the policy maintain tokens on period ticks?
     uses_tokens: bool = False
-    #: Cluster-global token ledger (token policies only; None = the
-    #: per-device threshold semantics of the single-NPU paper setting).
-    _ledger: Optional[ClusterTokenLedger] = None
-
-    def _ledger_max(self, local_max: float) -> float:
-        """Fold the cluster ledger's maximum into a local token maximum."""
-        if self._ledger is None:
-            return local_max
-        return max(local_max, self._ledger.ready_max_tokens())
 
     def on_period(self, table: ContextTable) -> None:
         """Hook invoked at each scheduling-period tick."""
@@ -102,14 +75,8 @@ class Policy:
         raise NotImplementedError
 
     def select_ready(self, table: ContextTable) -> Optional[TaskContext]:
-        """Hot-path selection against the live table.
-
-        Equivalent to ``select(table.ready())`` whenever the lifecycle
-        hooks above are honored (the simulator always does); policies
-        with incremental structures override this with an O(log n) path
-        that validates its pick and falls back to the reference scan on
-        any detectable staleness.
-        """
+        """The simulator's selection: ``select`` over the table's ready
+        queue."""
         return self.select(table.ready())
 
     def outranks(
@@ -132,10 +99,8 @@ class Policy:
         running: TaskContext,
         table: ContextTable,
     ) -> bool:
-        """Hot-path preemption check against the live table.
-
-        Equivalent to ``outranks(candidate, running, table.ready())``.
-        """
+        """The simulator's preemption check: ``outranks`` against the
+        table's ready queue."""
         return self.outranks(candidate, running, table.ready())
 
     def reset(self) -> None:
@@ -143,239 +108,6 @@ class Policy:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-# ----------------------------------------------------------------------
-# Incremental priority structures
-# ----------------------------------------------------------------------
-class _LazyMinHeap:
-    """Min-heap over context rows with O(1) lazy deletion.
-
-    ``_live`` maps task id -> (key, row) for resident rows; heap entries
-    are (key, task_id, tie) and are validated against ``_live`` when they
-    surface, so ``discard`` never searches the heap.  Keys must be stable
-    while a row is resident (re-adding with a fresh key supersedes the
-    stale entries).  The integer tie-breaker keeps tuple comparison away
-    from the unorderable row objects when duplicate (key, id) entries
-    coexist.
-    """
-
-    __slots__ = ("_key", "_heap", "_live", "_tie")
-
-    def __init__(self, key: Callable[[TaskContext], object]) -> None:
-        self._key = key
-        self._heap: List[Tuple[object, int, int]] = []
-        self._live: Dict[int, Tuple[object, TaskContext]] = {}
-        self._tie = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def add(self, row: TaskContext) -> None:
-        key = self._key(row)
-        self._live[row.task_id] = (key, row)
-        heapq.heappush(self._heap, (key, row.task_id, next(self._tie)))
-        if len(self._heap) > 64 and len(self._heap) > 2 * len(self._live):
-            self._compact()
-
-    def discard(self, task_id: int) -> None:
-        self._live.pop(task_id, None)
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self._live.clear()
-
-    def rebuild(self, rows: Sequence[TaskContext]) -> None:
-        self.clear()
-        for row in rows:
-            self.add(row)
-
-    def peek(self) -> Optional[TaskContext]:
-        """The live row with the smallest key (None when empty)."""
-        heap = self._heap
-        live = self._live
-        while heap:
-            key, task_id, _ = heap[0]
-            entry = live.get(task_id)
-            if entry is not None and entry[0] == key:
-                return entry[1]
-            heapq.heappop(heap)
-        return None
-
-    def _compact(self) -> None:
-        """Drop accumulated stale entries (amortized O(1) per operation)."""
-        self._heap = [
-            (key, task_id, next(self._tie))
-            for task_id, (key, _row) in self._live.items()
-        ]
-        heapq.heapify(self._heap)
-
-
-class _TokenBuckets:
-    """Candidate-group structure for the token policies (Algorithm 2).
-
-    Ready rows are bucketed by :func:`candidate_bucket` -- the number of
-    priority token levels strictly below their token count -- with one
-    lazy min-heap per bucket ordered by the policy's selection key, plus
-    one lazy max-heap on token count.  The candidate group ("tokens above
-    the dynamic threshold") is then exactly the union of the buckets at
-    or above the maximum row's bucket, so selection inspects at most
-    ``NUM_CANDIDATE_BUCKETS`` heap tops.  Token counts move at every
-    period tick.  A fired tick rebuilds the structure wholesale.  Ticks
-    the simulator skips and replays grant on the rows alone
-    (:meth:`~repro.core.context.TaskContext.replay_ticks`).  While a task
-    runs under a preemptive mode they are planned so that no row crosses
-    a level (the replay raises if one does), so every row stays in its
-    bucket and the max-heap's top -- its key possibly stale, but never
-    above the row's count -- still lies in the maximum's bucket, which
-    is all the threshold reads.  A replay that may cross (NP mode, a
-    checkpoint trap) ends with ``on_period``, which rebuilds.
-    """
-
-    __slots__ = ("_select_key", "_buckets", "_max_heap", "_bucket_of")
-
-    def __init__(self, select_key: Callable[[TaskContext], object]) -> None:
-        self._select_key = select_key
-        self._buckets = [
-            _LazyMinHeap(select_key) for _ in range(NUM_CANDIDATE_BUCKETS)
-        ]
-        self._max_heap = _LazyMinHeap(
-            lambda row: (-row.tokens, row.task_id)
-        )
-        self._bucket_of: Dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._bucket_of)
-
-    def add(self, row: TaskContext) -> None:
-        bucket = candidate_bucket(row.tokens)
-        self._bucket_of[row.task_id] = bucket
-        self._buckets[bucket].add(row)
-        self._max_heap.add(row)
-
-    def discard(self, task_id: int) -> None:
-        bucket = self._bucket_of.pop(task_id, None)
-        if bucket is not None:
-            self._buckets[bucket].discard(task_id)
-            self._max_heap.discard(task_id)
-
-    def clear(self) -> None:
-        for bucket in self._buckets:
-            bucket.clear()
-        self._max_heap.clear()
-        self._bucket_of.clear()
-
-    def rebuild(self, rows: Sequence[TaskContext]) -> None:
-        self.clear()
-        for row in rows:
-            self.add(row)
-
-    def max_tokens_row(self) -> Optional[TaskContext]:
-        return self._max_heap.peek()
-
-    def _best_in(self, buckets) -> Optional[TaskContext]:
-        best: Optional[TaskContext] = None
-        best_key: object = None
-        for bucket in buckets:
-            row = bucket.peek()
-            if row is None:
-                continue
-            key = self._select_key(row)
-            if best is None or key < best_key:  # type: ignore[operator]
-                best, best_key = row, key
-        return best
-
-    def select(self, external_max_tokens: float = 0.0) -> Optional[TaskContext]:
-        """Best candidate row, or None to fall back to the reference scan.
-
-        ``external_max_tokens`` raises the threshold to a cluster-global
-        maximum (ledger-aware policies).  When that cluster maximum
-        excludes every local row, the Algorithm-2 fallback serves the
-        best local row outright -- exactly the reference semantics, still
-        from bucket-top peeks.
-        """
-        top = self._max_heap.peek()
-        if top is None:
-            return None
-        effective_max = max(top.tokens, external_max_tokens)
-        threshold = candidate_threshold(effective_max)
-        start = candidate_bucket(effective_max)
-        best = self._best_in(self._buckets[start:])
-        if best is not None and best.tokens > threshold:
-            return best
-        if external_max_tokens > top.tokens:
-            # The threshold is driven by a remote device's maximum and no
-            # local row clears it: serve the best local row regardless
-            # (the device must not idle on account of a remote task).
-            return self._best_in(self._buckets)
-        # Degenerate token states (non-positive counts) exist only in
-        # hand-built tables; let the caller rescan.
-        return None
-
-
-class _IncrementalReadyPolicy(Policy):
-    """Lifecycle plumbing shared by the structure-backed policies.
-
-    Structures are advisory with two safety nets for callers that drive
-    ``select_ready`` without the lifecycle hooks (or mutate row states
-    directly): a population-count check rebuilds the structure from the
-    table before use, and every fast-path pick is validated to be a
-    READY row still resident in the table (stale picks trigger a rebuild
-    and fall back to the reference scan).  What the nets cannot promise
-    to catch is hookless mutation that leaves both the count and the
-    structure's top pick intact -- ranking-input edits (tokens,
-    estimates) on resident ready rows, or count-preserving paired
-    membership changes where the stale pick stays valid.  The simulator
-    always speaks the full hook protocol, and direct ``select()``
-    callers bypass the structures entirely.
-    """
-
-    def _structure(self):
-        raise NotImplementedError
-
-    def on_admit(self, context: TaskContext, now: float) -> None:
-        self._structure().add(context)
-        if self._ledger is not None:
-            self._ledger.activate(context.task_id, context.tokens)
-
-    def on_remove(self, context: TaskContext, now: float) -> None:
-        self._structure().discard(context.task_id)
-        if self._ledger is not None:
-            self._ledger.deactivate(context.task_id)
-
-    def on_dispatch(self, context: TaskContext) -> None:
-        self._structure().discard(context.task_id)
-        if self._ledger is not None:
-            self._ledger.deactivate(context.task_id)
-
-    def on_requeue(self, context: TaskContext) -> None:
-        self._structure().add(context)
-        if self._ledger is not None:
-            self._ledger.activate(context.task_id, context.tokens)
-
-    def reset(self) -> None:
-        self._structure().clear()
-
-    def _sync(self, table: ContextTable) -> None:
-        structure = self._structure()
-        if len(structure) != table.ready_count:
-            structure.rebuild(table.ready())
-
-    def _validated(
-        self, row: Optional[TaskContext], table: ContextTable
-    ) -> Optional[TaskContext]:
-        """Accept a fast-path pick only if it is still a live ready row."""
-        if (
-            row is not None
-            and row.state is TaskState.READY
-            and row.task_id in table
-            and table[row.task_id] is row
-        ):
-            return row
-        if row is not None:
-            # Stale structure despite matching counts: resync for next time.
-            self._structure().rebuild(table.ready())
-        return None
 
 
 class FcfsPolicy(Policy):
@@ -432,30 +164,15 @@ class RoundRobinPolicy(Policy):
         self._last_model = ""
 
 
-class HpfPolicy(_IncrementalReadyPolicy):
+class HpfPolicy(Policy):
     """High-priority first; FCFS among equal priorities."""
 
     name = "HPF"
-
-    def __init__(self) -> None:
-        self._heap = _LazyMinHeap(
-            lambda row: (-int(row.priority), row.task_id)
-        )
-
-    def _structure(self):
-        return self._heap
 
     def select(self, ready: Sequence[TaskContext]) -> Optional[TaskContext]:
         if not ready:
             return None
         return min(ready, key=lambda row: (-int(row.priority), row.task_id))
-
-    def select_ready(self, table: ContextTable) -> Optional[TaskContext]:
-        if not table.has_ready:
-            return None
-        self._sync(table)
-        row = self._validated(self._heap.peek(), table)
-        return row if row is not None else self.select(table.ready())
 
     def outranks(
         self,
@@ -465,19 +182,17 @@ class HpfPolicy(_IncrementalReadyPolicy):
     ) -> bool:
         return int(candidate.priority) > int(running.priority)
 
-    def outranks_running(
-        self,
-        candidate: TaskContext,
-        running: TaskContext,
-        table: ContextTable,
-    ) -> bool:
-        return self.outranks(candidate, running)
 
+class _TokenPolicy(Policy):
+    """Period grants and the cluster ledger, shared by TOKEN and PREMA.
 
-class TokenPolicy(_IncrementalReadyPolicy):
-    """Token-based candidate group, naive FCFS among candidates (Sec VI-A)."""
+    ``ledger`` is the cluster-global token ledger (None: the per-device
+    threshold semantics of the single-NPU paper setting).  Its entries
+    follow the row through the ready queue: registered on admit and
+    requeue, dropped on dispatch and removal, and settled to the granted
+    counts at every period tick.
+    """
 
-    name = "TOKEN"
     uses_predictor = True
     uses_tokens = True
 
@@ -486,23 +201,43 @@ class TokenPolicy(_IncrementalReadyPolicy):
         core: Optional[PremaPolicyCore] = None,
         ledger: Optional[ClusterTokenLedger] = None,
     ) -> None:
-        self._core = core or PremaPolicyCore()
+        self.core = core or PremaPolicyCore()
         self._ledger = ledger
-        self._buckets = _TokenBuckets(lambda row: row.task_id)
 
-    def _structure(self):
-        return self._buckets
+    def _ledger_max(self, local_max: float) -> float:
+        """Fold the cluster ledger's maximum into a local token maximum
+        (0.0 gives the ledger's own maximum, or 0.0 without a ledger)."""
+        if self._ledger is None:
+            return local_max
+        return max(local_max, self._ledger.ready_max_tokens())
 
     def on_period(self, table: ContextTable) -> None:
-        self._core.grant_periodic_tokens(table)
-        # Every ready row's tokens may have moved: period re-ranks
-        # invalidate the buckets wholesale -- and are the settlement
-        # point where the cluster ledger learns the new counts.
-        ready = table.ready()
-        self._buckets.rebuild(ready)
+        self.core.grant_periodic_tokens(table)
         if self._ledger is not None:
-            for row in ready:
+            for row in table.ready():
                 self._ledger.activate(row.task_id, row.tokens)
+
+    def on_admit(self, context: TaskContext, now: float) -> None:
+        if self._ledger is not None:
+            self._ledger.activate(context.task_id, context.tokens)
+
+    def on_remove(self, context: TaskContext, now: float) -> None:
+        if self._ledger is not None:
+            self._ledger.deactivate(context.task_id)
+
+    def on_dispatch(self, context: TaskContext) -> None:
+        if self._ledger is not None:
+            self._ledger.deactivate(context.task_id)
+
+    def on_requeue(self, context: TaskContext) -> None:
+        if self._ledger is not None:
+            self._ledger.activate(context.task_id, context.tokens)
+
+
+class TokenPolicy(_TokenPolicy):
+    """Token-based candidate group, naive FCFS among candidates (Sec VI-A)."""
+
+    name = "TOKEN"
 
     def select(self, ready: Sequence[TaskContext]) -> Optional[TaskContext]:
         if not ready:
@@ -514,16 +249,6 @@ class TokenPolicy(_IncrementalReadyPolicy):
         if not candidates:
             candidates = list(ready)
         return min(candidates, key=lambda row: row.task_id)
-
-    def select_ready(self, table: ContextTable) -> Optional[TaskContext]:
-        if not table.has_ready:
-            return None
-        self._sync(table)
-        external = (
-            self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
-        )
-        row = self._validated(self._buckets.select(external), table)
-        return row if row is not None else self.select(table.ready())
 
     def outranks(
         self,
@@ -540,37 +265,12 @@ class TokenPolicy(_IncrementalReadyPolicy):
         )
         return running.tokens <= threshold < candidate.tokens
 
-    def outranks_running(
-        self,
-        candidate: TaskContext,
-        running: TaskContext,
-        table: ContextTable,
-    ) -> bool:
-        self._sync(table)
-        top = self._buckets.max_tokens_row()
-        ready_max = top.tokens if top is not None else running.tokens
-        threshold = candidate_threshold(
-            self._ledger_max(max(ready_max, running.tokens))
-        )
-        return running.tokens <= threshold < candidate.tokens
 
-
-class SjfPolicy(_IncrementalReadyPolicy):
+class SjfPolicy(Policy):
     """Shortest estimated job first: latency-optimal, priority-blind."""
 
     name = "SJF"
     uses_predictor = True
-
-    def __init__(self) -> None:
-        # estimated_remaining_cycles is stable while a row sits in the
-        # ready queue (progress only moves while running, and a preempted
-        # row re-enters through on_requeue with a fresh key).
-        self._heap = _LazyMinHeap(
-            lambda row: (row.estimated_remaining_cycles, row.task_id)
-        )
-
-    def _structure(self):
-        return self._heap
 
     def select(self, ready: Sequence[TaskContext]) -> Optional[TaskContext]:
         if not ready:
@@ -578,13 +278,6 @@ class SjfPolicy(_IncrementalReadyPolicy):
         return min(
             ready, key=lambda row: (row.estimated_remaining_cycles, row.task_id)
         )
-
-    def select_ready(self, table: ContextTable) -> Optional[TaskContext]:
-        if not table.has_ready:
-            return None
-        self._sync(table)
-        row = self._validated(self._heap.peek(), table)
-        return row if row is not None else self.select(table.ready())
 
     def outranks(
         self,
@@ -597,62 +290,16 @@ class SjfPolicy(_IncrementalReadyPolicy):
             < running.estimated_remaining_cycles
         )
 
-    def outranks_running(
-        self,
-        candidate: TaskContext,
-        running: TaskContext,
-        table: ContextTable,
-    ) -> bool:
-        return self.outranks(candidate, running)
 
-
-class PremaPolicy(_IncrementalReadyPolicy):
+class PremaPolicy(_TokenPolicy):
     """The full PREMA policy (Algorithm 2) via the core implementation."""
 
     name = "PREMA"
-    uses_predictor = True
-    uses_tokens = True
-
-    def __init__(
-        self,
-        core: Optional[PremaPolicyCore] = None,
-        ledger: Optional[ClusterTokenLedger] = None,
-    ) -> None:
-        self.core = core or PremaPolicyCore()
-        self._ledger = ledger
-        self._buckets = _TokenBuckets(
-            lambda row: (row.estimated_remaining_cycles, row.task_id)
-        )
-
-    def _structure(self):
-        return self._buckets
-
-    def on_period(self, table: ContextTable) -> None:
-        self.core.grant_periodic_tokens(table)
-        ready = table.ready()
-        self._buckets.rebuild(ready)
-        if self._ledger is not None:
-            for row in ready:
-                self._ledger.activate(row.task_id, row.tokens)
 
     def select(self, ready: Sequence[TaskContext]) -> Optional[TaskContext]:
         if not ready:
             return None
-        table_like = _ReadyView(ready)
-        external = (
-            self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
-        )
-        return self.core.select_candidate(table_like, external)
-
-    def select_ready(self, table: ContextTable) -> Optional[TaskContext]:
-        if not table.has_ready:
-            return None
-        self._sync(table)
-        external = (
-            self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
-        )
-        row = self._validated(self._buckets.select(external), table)
-        return row if row is not None else self.select(table.ready())
+        return self.core.select_candidate(_ReadyView(ready), self._ledger_max(0.0))
 
     def outranks(
         self,
@@ -660,35 +307,23 @@ class PremaPolicy(_IncrementalReadyPolicy):
         running: TaskContext,
         ready: Sequence[TaskContext] = (),
     ) -> bool:
-        external = (
-            self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
-        )
-        return self.core.should_preempt(candidate, running, ready, external)
-
-    def outranks_running(
-        self,
-        candidate: TaskContext,
-        running: TaskContext,
-        table: ContextTable,
-    ) -> bool:
-        self._sync(table)
-        top = self._buckets.max_tokens_row()
-        ready_max = top.tokens if top is not None else running.tokens
-        return self.core.should_preempt_given_max(
-            candidate,
-            running,
-            self._ledger_max(max(ready_max, running.tokens)),
+        return self.core.should_preempt(
+            candidate, running, ready, self._ledger_max(0.0)
         )
 
 
 class _ReadyView:
-    """Adapter presenting a ready list through the ContextTable interface."""
+    """Adapter presenting a ready list through the ContextTable interface.
+
+    The core ranks by a strict total order (ties break on task id), so
+    the list's order does not matter.
+    """
 
     def __init__(self, ready: Sequence[TaskContext]) -> None:
-        self._ready = list(ready)
+        self._ready = ready
 
-    def ready(self) -> List[TaskContext]:
-        return sorted(self._ready, key=lambda row: row.task_id)
+    def ready(self) -> Sequence[TaskContext]:
+        return self._ready
 
 
 POLICY_NAMES = ("FCFS", "RRB", "HPF", "TOKEN", "SJF", "PREMA")

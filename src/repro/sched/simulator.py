@@ -19,10 +19,10 @@ run share one with the run's own wakes (router arrivals, batch flushes,
 availability transitions, metric samples), whose head is the run's next
 wake of any kind.
 
-Per-event cost is O(log n) or amortized O(1) in the *live* task
-population -- it does not grow with the number of tasks the device has
-ever seen, which is what makes open-arrival traces (thousands of requests
-per device, :mod:`repro.workloads.trace`) tractable:
+Per-event cost depends on the *live* task population only -- it does
+not grow with the number of tasks the device has ever seen, which is
+what makes open-arrival traces (thousands of requests per device,
+:mod:`repro.workloads.trace`) tractable:
 
 - pending due arrivals sit in a min-heap (`is_idle` peeks instead of
   scanning the event queue);
@@ -31,9 +31,8 @@ per device, :mod:`repro.workloads.trace`) tractable:
 - waiting/token accounting settles lazily from ``last_update_cycles`` at
   its read points (period ticks, dispatch, migration) instead of walking
   the ready queue at every wake;
-- ready-queue selection goes through the policies' incremental priority
-  structures (:mod:`repro.sched.policies`) and the context table's
-  incremental ready index;
+- ready-queue selection scans the context table's incremental ready
+  index (:mod:`repro.sched.policies`), never the completed rows;
 - the scheduling-period clock fires only the ticks that can change a
   decision and replays the rest (below).
 
@@ -1127,35 +1126,27 @@ class DeviceSim:
             ticks.append(tick)
             tick += period
         self._next_tick = tick
-        ready = table.ready()
-        policy = self.policy
-        grants = policy.uses_tokens
+        grants = self.policy.uses_tokens
         running = (
             self._runtimes[self._running_id]
             if self._running_id is not None
             else None
         )
+        # With no decision to hold (NP mode, a trap in flight) nothing was
+        # planned around token-level crossings, so a row may cross one.
         holds = running is not None and self.config.mode is not PreemptionMode.NP
-        if grants and not holds:
-            # No decision to hold (NP mode, a trap in flight), so nothing
-            # planned around token-level crossings: the last tick grants
-            # through on_period, which rebuilds the token buckets.
-            head, last = ticks[:-1], ticks[-1]
-            for row in ready:
-                row.replay_ticks(head, True)
-                row.accrue_wait(last)
-            policy.on_period(table)
-        else:
-            for row in ready:
-                tokens = row.tokens
-                row.replay_ticks(ticks, grants)
-                if row.tokens != tokens and (
-                    candidate_bucket(row.tokens) != candidate_bucket(tokens)
-                ):
-                    raise RuntimeError(
-                        f"device {self.device_id}: task {row.task_id} crossed "
-                        f"a token level in the ticks skipped up to {ticks[-1]}"
-                    )
+        for row in table.ready():
+            tokens = row.tokens
+            row.replay_ticks(ticks, grants)
+            if (
+                holds
+                and row.tokens != tokens
+                and candidate_bucket(row.tokens) != candidate_bucket(tokens)
+            ):
+                raise RuntimeError(
+                    f"device {self.device_id}: task {row.task_id} crossed "
+                    f"a token level in the ticks skipped up to {ticks[-1]}"
+                )
         if holds:
             self._hold_span(ticks, running)
         elif (

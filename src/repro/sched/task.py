@@ -161,9 +161,8 @@ class TaskRuntime:
         """Return the task to the ready queue after a preemption.
 
         Resets the wait-accounting baseline to the boundary commit and
-        refreshes accounted progress; the simulator re-inserts the row
-        into the policy's priority structures (``on_requeue``) right
-        after, so ranking keys are recomputed exactly once per preemption.
+        refreshes accounted progress; the simulator calls the policy's
+        ``on_requeue`` right after.
         """
         if self.context.state != TaskState.RUNNING:
             raise RuntimeError(f"task {self.task_id} not running")

@@ -1,16 +1,16 @@
-"""Fast-path self-healing under migration-induced staleness.
+"""Selection under migration-induced staleness and the cluster ledger.
 
-The PR 2 lazy-deletion heaps / token buckets are advisory: the simulator
-keeps them honest through the lifecycle hooks, but a migration can yank
-a task out of a device *between* hook-driven updates (the "task leaves
-one device mid-re-rank" race).  These tests force exactly that staleness
-and assert the safety nets -- the population-count resync and the
-validated-pick fallback -- still produce the reference scan's pick.
+A migration can take a task out of a device *between* the policy's
+lifecycle hooks (the "task leaves one device mid-re-rank" race), or swap
+rows behind them.  ``select_ready`` reads the live table, so these tests
+force exactly that staleness and assert its pick is still the reference
+scan's.
 
-The ledger-aware paths get the same treatment: with a cluster-global
-token maximum in play, the fast bucket selection and the reference scan
-must agree in every regime, including the fallback where no local row
-clears the cluster-wide threshold.
+The ledger-aware rules get the same treatment: with a cluster-global
+token maximum in play, ``select_ready`` / ``outranks_running`` and the
+reference rules over an explicit ready list must agree in every regime,
+including the fallback where no local row clears the cluster-wide
+threshold.
 """
 
 import pytest
@@ -48,8 +48,7 @@ def admitted(policy, rows):
 class TestDepartureMidRerank:
     def test_hookless_departure_self_heals(self, policy_factory):
         """A task leaves the device without on_remove (migration racing a
-        re-rank): the count mismatch triggers a rebuild and the pick
-        equals the reference scan."""
+        re-rank): the pick equals the reference scan."""
         policy = policy_factory()
         rows = [
             make_row(0, estimated=5e6, priority=Priority.LOW),
@@ -66,8 +65,7 @@ class TestDepartureMidRerank:
 
     def test_count_preserving_swap_self_heals(self, policy_factory):
         """Departure + arrival with no hooks keeps the population count
-        identical, so only pick validation can catch it -- and does,
-        because the stale pick is no longer resident."""
+        identical; the pick still equals the reference scan."""
         policy = policy_factory()
         rows = [
             make_row(0, estimated=5e6, priority=Priority.LOW),
@@ -81,7 +79,7 @@ class TestDepartureMidRerank:
         table.add(replacement)  # no on_admit: structure never sees it
         healed = policy.select_ready(table)
         assert healed is policy.select(table.ready())
-        # And the heal is durable: the next pick needs no fallback.
+        # And the next pick agrees as well.
         assert policy.select_ready(table) is policy.select(table.ready())
 
     def test_departed_pick_does_not_resurface(self, policy_factory):
@@ -117,7 +115,7 @@ class TestLedgerConsistency:
     def test_remote_max_raises_local_threshold(self, policy_factory):
         """With a token-9 row on the other device, no local token-1 row
         clears the cluster threshold; the fallback still serves the best
-        local row, identically on the fast and reference paths."""
+        local row, identically through select_ready and select."""
         ledger = ClusterTokenLedger()
         local, local_table, _, _ = self._two_devices(policy_factory, ledger)
         fast = local.select_ready(local_table)
@@ -138,8 +136,8 @@ class TestLedgerConsistency:
 
     def test_remote_departure_lowers_threshold_again(self, policy_factory):
         """The remote high-token task dispatches (ledger deactivate):
-        local selection falls back to the local threshold, fast path and
-        reference agreeing throughout."""
+        local selection falls back to the local threshold, select_ready
+        and select agreeing throughout."""
         ledger = ClusterTokenLedger()
         local, local_table, remote, remote_table = self._two_devices(
             policy_factory, ledger
@@ -152,9 +150,8 @@ class TestLedgerConsistency:
         assert fast is local.select(local_table.ready())
 
     def test_mid_migration_staleness_with_ledger(self, policy_factory):
-        """Hookless departure *while* the ledger holds a remote max:
-        both safety nets compose -- rebuild + ledger-aware fallback still
-        equal the reference."""
+        """Hookless departure *while* the ledger holds a remote max: the
+        ledger-aware fallback still equals the reference."""
         ledger = ClusterTokenLedger()
         local, local_table, _, _ = self._two_devices(policy_factory, ledger)
         pick = local.select_ready(local_table)
@@ -164,8 +161,8 @@ class TestLedgerConsistency:
 
     def test_outranks_running_respects_remote_max(self, policy_factory):
         """A running token-1 task is below the cluster threshold set by a
-        remote token-9 row: the fast preemption check and the reference
-        agree a token-3 candidate outranks it."""
+        remote token-9 row: outranks_running and the reference agree a
+        token-3 candidate outranks it."""
         ledger = ClusterTokenLedger()
         local, local_table, _, _ = self._two_devices(policy_factory, ledger)
         running = make_row(5, tokens=1.0, estimated=6e6, priority=Priority.LOW)

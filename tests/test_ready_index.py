@@ -1,10 +1,10 @@
-"""Incremental ready index + policy priority structures.
+"""The context table's incremental ready index, and policy selection on it.
 
-Seeded lifecycle property tests: drive a ContextTable and the policies'
-incremental structures through randomized admit/dispatch/requeue/remove/
-period-grant sequences (the exact hook protocol DeviceSim speaks) and
-assert at every step that the O(log n) fast paths answer identically to
-the reference scans over ``table.ready()``.
+Seeded lifecycle property tests: drive a ContextTable and the policies
+through randomized admit/dispatch/requeue/remove/period-grant sequences
+(the exact hook protocol DeviceSim speaks) and assert at every step that
+the simulator's entry points (``select_ready``, ``outranks_running``)
+answer identically to the reference rules over ``table.ready()``.
 """
 
 import random
@@ -218,7 +218,7 @@ def test_outranks_running_matches_reference(policy_name):
 
 def test_select_ready_detects_stale_pick_at_equal_counts():
     """Paired external mutations that keep the ready count unchanged must
-    not let the fast path return a stale (non-READY / evicted) row."""
+    not let select_ready return a stale (non-READY / evicted) row."""
     for policy_name in ("HPF", "SJF", "TOKEN", "PREMA"):
         policy = make_policy(policy_name)
         table = ContextTable()
@@ -242,7 +242,7 @@ def test_select_ready_detects_stale_pick_at_equal_counts():
 
 def test_select_ready_without_hooks_self_heals():
     """Driving select_ready with no lifecycle hooks (or after direct state
-    mutation) must still return the reference answer via resync."""
+    mutation) must still return the reference answer."""
     for policy_name in ("HPF", "SJF", "TOKEN", "PREMA"):
         policy = make_policy(policy_name)
         table = ContextTable()
@@ -252,7 +252,7 @@ def test_select_ready_without_hooks_self_heals():
         picked = policy.select_ready(table)
         reference = make_policy(policy_name).select(table.ready())
         assert picked is not None and picked.task_id == reference.task_id
-        # Mutate states behind the policy's back; it must resync.
+        # Mutate states behind the policy's back; it must follow.
         rows[picked.task_id].state = TaskState.DONE
         picked2 = policy.select_ready(table)
         reference2 = make_policy(policy_name).select(table.ready())

@@ -12,15 +12,15 @@ exact floats), plus the preemption and drain counters.
 
 The draws cover routing x device policy x NP / STATIC-CHECKPOINT /
 STATIC-KILL / DYNAMIC x churn (none / proactive / reactive) x fabric
-(PCIe gen3 / a slow shared bus) x racks x indexed (verified) or linear
-control plane x metrics sampler x router
-batching and 2-stage sharding (online routings), on traces of at most
-64 tasks.  Each of these breaks the suite: re-arming a woken chain at
-``now + period`` instead of walking it, dropping the tick a sleeping
-device arms when it drains, letting a doomed device's clock sleep,
-skipping the token-bucket rebuild after a replay, dropping the tick
-armed after ``remove_task``, dropping the tick after a reserved DISPATCH,
-and arming a token-level crossing one tick late.
+(PCIe gen3 / a slow shared bus) x racks x verified indexes or not x the
+cluster token ledger (always on under preemptive migration) x metrics
+sampler x router batching and 2-stage sharding (online routings), on
+traces of at most 64 tasks.  Each of these breaks the suite: re-arming a
+woken chain at ``now + period`` instead of walking it, dropping the tick
+a sleeping device arms when it drains, letting a doomed device's clock
+sleep, dropping the tick armed after ``remove_task``, dropping the tick
+after a reserved DISPATCH, and arming a token-level crossing one tick
+late.
 
 ``DeviceSim._replay`` replays a skipped span row by row and decides it
 once.  :class:`CheckedReplayDeviceSim` runs every replay twice from the
@@ -152,19 +152,13 @@ def reference_replay(sim, until, inclusive):
     candidate = None
     if running is not None and sim.config.mode is not PreemptionMode.NP:
         candidate = policy.select_ready(table)
-    # Without a candidate nothing planned around token-level crossings, so
-    # the last tick grants through on_period, which rebuilds the buckets.
-    rebuild = grants and candidate is None
     while True:
         for row in ready:
             row.accrue_wait(tick)
         following = tick + period
         last = following > until or (following == until and not inclusive)
         if grants:
-            if last and rebuild:
-                policy.on_period(table)
-            else:
-                _CORE.grant_periodic_tokens(table)
+            _CORE.grant_periodic_tokens(table)
         if running is None:
             if sim._reserved_task_id is None and tick >= sim._npu_reserved_until:
                 raise RuntimeError(f"skipped tick at {tick} would dispatch")
@@ -315,10 +309,14 @@ def _cluster_run(case):
             racks=racks,
             metrics_sampler=sampler,
             batching=batching,
-            # The indexed control plane learns each device's head event
-            # from its change notifications; verifying checks every peek
-            # against a scan of the devices.  Racks always index.
+            # Checks every read of the control-plane indexes (backlog
+            # bounds, steal and migrate candidate sets, rack sums)
+            # against a scan of the devices.
             verify_indexes=case["indexes"],
+            # A ledger device keeps every tick while a row is READY, so
+            # no replay it makes has a ledger entry to settle.  None is
+            # the default: a ledger under preemptive migration only.
+            global_tokens=True if case["global_tokens"] else None,
         ),
     )
     result = scheduler.run(trace)
@@ -347,6 +345,7 @@ _cases = st.fixed_dictionaries(
         "fabric": st.sampled_from(tuple(_FABRICS)),
         "racks": st.booleans(),
         "indexes": st.booleans(),
+        "global_tokens": st.booleans(),
         "sampler": st.booleans(),
         # Applies to the online routings only.
         "batching": st.sampled_from(tuple(_BATCHING)),
@@ -369,6 +368,7 @@ def _case(routing, policy, mode, churn, racks, seed, load, bursty, **rest):
         "fabric": rest.get("fabric", "pcie_gen3"),
         "racks": racks,
         "indexes": rest.get("indexes", False),
+        "global_tokens": rest.get("global_tokens", False),
         "sampler": rest.get("sampler", False),
         "batching": rest.get("batching", "none"),
         "num_tasks": rest.get("num_tasks", 8),
@@ -380,8 +380,9 @@ def _case(routing, policy, mode, churn, racks, seed, load, bursty, **rest):
 
 @given(case=_cases)
 @example(
-    # NP-TOKEN with churn orphans re-injected: replayed grants move rows
-    # across bucket edges, so the buckets must be rebuilt after a replay.
+    # NP-TOKEN with churn orphans re-injected: with no decision held,
+    # replayed grants move rows across token levels, which the replay
+    # must grant through without raising.
     case=_case(
         RoutingPolicy.ROUND_ROBIN, "TOKEN", _MODES[0], "proactive",
         racks=False, seed=30, load=0.8, bursty=False,
