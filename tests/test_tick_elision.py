@@ -309,9 +309,9 @@ def _cluster_run(case):
             racks=racks,
             metrics_sampler=sampler,
             batching=batching,
-            # Checks every read of the control-plane indexes (backlog
-            # bounds, steal and migrate candidate sets, rack sums)
-            # against a scan of the devices.
+            # Checks every read of the control-plane indexes (the
+            # least-backlog pick, the steal and migrate candidate sets,
+            # the rack sums) against a scan of the devices.
             verify_indexes=case["indexes"],
             # A ledger device keeps every tick while a row is READY, so
             # no replay it makes has a ledger entry to settle.  None is
@@ -404,6 +404,17 @@ def _case(routing, policy, mode, churn, racks, seed, load, bursty, **rest):
         RoutingPolicy.WORK_STEALING, "PREMA", _MODES[1], "proactive",
         racks=True, seed=5809, load=0.8, bursty=True, fabric="slow_bus",
         num_tasks=42,
+    )
+)
+@example(
+    # NP-PREMA under a cluster ledger: its replays grant without settling
+    # the ledger, which holds only because a ledger device fires every
+    # tick while a row is READY.  A ledger device that sleeps moves this
+    # run's decisions.
+    case=_case(
+        RoutingPolicy.ONLINE_PREDICTED, "PREMA", _MODES[0], "none",
+        racks=False, seed=1, load=1.5, bursty=False, num_tasks=32,
+        global_tokens=True,
     )
 )
 @settings(max_examples=150, deadline=None, derandomize=True)
