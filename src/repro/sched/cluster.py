@@ -2194,9 +2194,7 @@ class _ClusterRun:
                     now, min_priority=min_priority,
                     sjf_within_cycles=sjf_within,
                 ) + self.inbound(index, now, min_priority=min_priority)
-                total_backlog = device.predicted_backlog(now) + self.inbound(
-                    index, now
-                )
+                total_backlog = device.predicted_backlog(now) + self.inbound(index, now)
                 key = (class_backlog, total_backlog, index)
                 if best_key is None or key < best_key:
                     best_key = key

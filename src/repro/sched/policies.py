@@ -22,8 +22,8 @@ The rules are written against a ready list: ``select(ready)`` and
 ``outranks(candidate, running, ready)``.  The simulator calls
 ``select_ready(table)`` and ``outranks_running(candidate, running,
 table)``, which apply the same rules to ``table.ready()``, the context
-table's id-sorted ready index.  A scan is the whole cost: the paper
-sizes the task context table for 16 co-located tasks (Sec VI-F).
+table's id-sorted ready index.  A scan is cheap at the depth the paper
+sizes the task context table for, 16 co-located tasks (Sec VI-F).
 """
 
 from __future__ import annotations
