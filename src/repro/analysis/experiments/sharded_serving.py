@@ -1,7 +1,7 @@
 """Extension experiment: pipeline-sharded, router-batched serving.
 
-The PR-6 job surface gives the cluster router two levers the paper's
-one-task-one-device dispatch lacks:
+The cluster router's batching config (``BatchConfig``) gives it two
+levers the paper's one-task-one-device dispatch lacks:
 
 - **Router batching**: compatible queued requests for the same model
   coalesce into one dispatch (``max + alpha * (sum - max)`` marginal

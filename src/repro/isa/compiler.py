@@ -89,12 +89,6 @@ class CompiledModel:
     def total_tiles(self) -> int:
         return sum(layer.total_tiles for layer in self.layers)
 
-    @property
-    def total_weight_bytes(self) -> int:
-        # Weight elements are summed per layer; shared embeddings across
-        # unrolled time steps still re-stream per step on this NPU.
-        return sum(layer.weight_elems for layer in self.layers) * 2
-
     def gemm_layers(self) -> List[CompiledLayer]:
         return [layer for layer in self.layers if layer.is_gemm_layer]
 

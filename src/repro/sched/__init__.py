@@ -7,8 +7,9 @@
 - :mod:`repro.sched.cluster` -- event-driven multi-NPU cluster scheduling
   with static/online/work-stealing/checkpoint-migration routing, router
   batching, and pipeline-sharded gang dispatch.
-- :mod:`repro.sched.job` -- the job surface: gang-of-slices execution
-  (:class:`Job`, :class:`DeviceSlice`, :class:`BatchConfig`).
+- :mod:`repro.sched.job` -- how a router dispatch becomes a gang of
+  stage slices (:class:`StagePlan`) and how batching merges requests
+  (:class:`BatchConfig`).
 - :mod:`repro.sched.interconnect` -- modeled inter-NPU fabric (bandwidth,
   latency, per-link FIFO contention) checkpoint migrations cross; racks
   add an oversubscribed uplink tier above the rack-local links.
@@ -38,13 +39,7 @@ from repro.sched.faults import (
     DeviceAvailability,
     FleetAvailability,
 )
-from repro.sched.job import (
-    BatchConfig,
-    DeviceSlice,
-    Job,
-    JobState,
-    StagePlan,
-)
+from repro.sched.job import BatchConfig, StagePlan
 from repro.sched.interconnect import (
     Interconnect,
     InterconnectConfig,
@@ -85,9 +80,6 @@ __all__ = [
     "RoutingPolicy",
     "MigrationRecord",
     "BatchRecord",
-    "Job",
-    "JobState",
-    "DeviceSlice",
     "StagePlan",
     "BatchConfig",
     "Interconnect",

@@ -52,8 +52,9 @@ Routing strategies (:class:`RoutingPolicy`):
 All strategies run through the same event loop; for the static strategies
 each device's event sequence is identical to simulating its partition in
 isolation, so pre-existing results remain bit-for-bit reproducible.  The
-loop serves jobs (:mod:`repro.sched.job`): a task is a single-slice job,
-and router batching and pipeline-sharded gangs ride the same loop.
+loop serves requests: each router dispatch is a gang of stage slices
+(:mod:`repro.sched.job`), a plain task a one-stage gang, so router
+batching and pipeline-sharded gangs ride the same loop.
 At every fleet size the loop's routing searches and steal/migrate walks
 read O(log d) indexes over the fleet (:class:`_ClusterIndexes`), which
 decide exactly like a scan of every device; ``verify_indexes=True``
@@ -70,6 +71,7 @@ preserved bit-for-bit.  See ``docs/serving.md``.
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 import enum
 import heapq
@@ -99,8 +101,6 @@ from repro.sched.interconnect import (
 )
 from repro.sched.job import (
     BatchConfig,
-    Job,
-    JobState,
     StagePlan,
     batch_key,
     merge_runtimes,
@@ -132,38 +132,16 @@ class RoutingPolicy(enum.Enum):
     PREEMPTIVE_MIGRATION = "preemptive-migration"
 
 
-#: The single source of truth for routing classification.  Every member
-#: of :class:`RoutingPolicy` MUST appear here exactly once; the module
-#: refuses to import otherwise, so adding a routing can never silently
-#: miss a static/online classification again.
-_ROUTING_KIND: Dict[RoutingPolicy, str] = {
-    RoutingPolicy.ROUND_ROBIN: "static",
-    RoutingPolicy.LEAST_LOADED: "static",
-    RoutingPolicy.RANDOM: "static",
-    RoutingPolicy.ONLINE_PREDICTED: "online",
-    RoutingPolicy.WORK_STEALING: "online",
-    RoutingPolicy.PREEMPTIVE_MIGRATION: "online",
-}
-
-_UNCLASSIFIED = [p for p in RoutingPolicy if p not in _ROUTING_KIND]
-if _UNCLASSIFIED:  # pragma: no cover - tripped only by a bad enum edit
-    raise RuntimeError(
-        "RoutingPolicy members missing a static/online classification in "
-        f"_ROUTING_KIND: {[p.value for p in _UNCLASSIFIED]}"
-    )
-_BAD_KINDS = {kind for kind in _ROUTING_KIND.values()} - {"static", "online"}
-if _BAD_KINDS:  # pragma: no cover - tripped only by a bad table edit
-    raise RuntimeError(f"unknown routing kinds in _ROUTING_KIND: {_BAD_KINDS}")
-
 #: Strategies resolved by one up-front routing pass (arrival order).
-STATIC_ROUTINGS = frozenset(
-    policy for policy, kind in _ROUTING_KIND.items() if kind == "static"
-)
+STATIC_ROUTINGS = frozenset({
+    RoutingPolicy.ROUND_ROBIN,
+    RoutingPolicy.LEAST_LOADED,
+    RoutingPolicy.RANDOM,
+})
 
-#: Strategies deciding per-arrival against live device state.
-ONLINE_ROUTINGS = frozenset(
-    policy for policy, kind in _ROUTING_KIND.items() if kind == "online"
-)
+#: Strategies deciding per-arrival against live device state: every
+#: other routing, so the two sets partition the enum by construction.
+ONLINE_ROUTINGS = frozenset(RoutingPolicy) - STATIC_ROUTINGS
 
 #: Policies whose ready-queue order serves higher priorities first, so a
 #: higher-priority arrival does not wait behind queued lower-priority
@@ -320,9 +298,6 @@ class ClusterResult:
     #: Total device events processed across the fleet (introspection /
     #: benchmarking: per-event control-plane cost = wall time / this).
     events_processed: int = 0
-    #: The jobs this run executed, when driven through the job surface
-    #: (run_jobs / batching).  Empty for plain task runs.
-    jobs: Tuple[Job, ...] = ()
     #: One record per router dispatch when the run batches or shards
     #: (solo dispatches included, so mean batch size is directly
     #: computable).  Empty for a plain task stream.
@@ -916,9 +891,9 @@ class _ChurnRuntime:
         #: Transition instants ride on the fleet's tracer.
         self.fleet.tracer = run.tracer
         self.proactive = proactive
-        #: Jobs with nowhere to go while no device accepts (re-placed at
-        #: the next restore; lost if the fleet never recovers).
-        self.parked: List[Job] = []
+        #: Requests with nowhere to go while no device accepts (re-placed
+        #: at the next restore; lost if the fleet never recovers).
+        self.parked: List[TaskRuntime] = []
         #: The churn event whose warning window a device is inside.
         self._active_event: Dict[int, ChurnEvent] = {}
         #: Tasks already force-checkpointed in the current window, per
@@ -970,7 +945,7 @@ class _ChurnRuntime:
                 if run.plain:
                     # A task restarts from scratch on a live device (or
                     # parks until a restore).
-                    run.dispatch(entry[0].jobs, now)
+                    run.dispatch(entry[0].members, now)
                 else:
                     # A gang has exactly one live slice at a time
                     # (stages are sequential, and an in-flight successor
@@ -985,8 +960,8 @@ class _ChurnRuntime:
             device.accepts_work = True
             run.indexes.refresh(device)
             parked, self.parked = self.parked, []
-            for job in parked:
-                run.enqueue(job, now)
+            for task in parked:
+                run.enqueue(task, now)
         else:  # "check": revisit a still-doomed device's evacuation
             if self.proactive and self.fleet.state(index) in (
                 DeviceAvailability.WARNED,
@@ -1123,35 +1098,31 @@ class _ChurnRuntime:
 class _GangRun:
     """One in-flight router dispatch: a proxy runtime cut into stage slices.
 
-    ``jobs`` are the member jobs this dispatch serves (one for a solo or
-    pre-cut dispatch, several for a coalesced batch).  ``proxy`` is the
-    runtime the devices actually execute -- a member's own runtime, or
-    the merged batch runtime.  ``owner`` is set only for a pre-cut
-    multi-stage job so its :class:`~repro.sched.job.DeviceSlice` records
-    can be filled in as stages materialize.
+    ``members`` are the request runtimes this dispatch serves (one for a
+    solo dispatch, several for a coalesced batch).  ``proxy`` is the
+    runtime the devices actually execute -- the lone member itself, or
+    the merged batch runtime.
     """
 
-    __slots__ = ("jobs", "owner", "proxy", "plans", "slice_ids", "devices",
+    __slots__ = ("members", "proxy", "plans", "slice_ids", "devices",
                  "runtimes", "lost")
 
     def __init__(
         self,
-        jobs: List[Job],
-        owner: Optional[Job],
+        members: List[TaskRuntime],
         proxy: TaskRuntime,
         plans: List[StagePlan],
         slice_ids: List[int],
         devices: List[int],
     ) -> None:
-        self.jobs = jobs
-        self.owner = owner
+        self.members = members
         self.proxy = proxy
         self.plans = plans
         self.slice_ids = slice_ids
         self.devices = devices
         self.runtimes: List[Optional[TaskRuntime]] = [None] * len(plans)
         #: Set when a device failure destroyed one of this gang's slices
-        #: (churn); the gang's jobs are then accounted LOST.
+        #: (churn); the gang's members are then accounted lost.
         self.lost = False
 
 
@@ -1318,55 +1289,20 @@ class ClusterScheduler:
         return assignments
 
     # ------------------------------------------------------------------
-    # Execution: the public surfaces
+    # Execution
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[TaskRuntime]) -> ClusterResult:
-        """Serve a task stream (the per-request surface).
-
-        Each task is wrapped as a single-slice job (:meth:`Job.single`,
-        zero-copy) and served by the cluster event loop; with
-        ``ClusterConfig.batching`` set the router may coalesce and shard
-        those dispatches.  Without batching the wrappers are internal:
-        the result carries no ``jobs`` and no ``batches``.
-        """
-        if not tasks:
-            raise ValueError("need at least one task")
-        result = self._run_gangs([Job.single(task) for task in tasks])
-        if self.batching is None:
-            return dataclasses.replace(result, jobs=())
-        return result
-
-    def run_jobs(self, jobs: Sequence[Job]) -> ClusterResult:
-        """Serve a job stream (the gang-of-slices surface).
-
-        Every job leaves with its state, dispatch and completion times
-        filled in, and the result carries the jobs.  Static routings
-        place single-slice jobs only: a multi-slice job's later stages
-        are placed against live device backlogs.
-        """
-        if not jobs:
-            raise ValueError("need at least one job")
-        if self.routing in STATIC_ROUTINGS and any(
-            job.num_stages > 1 for job in jobs
-        ):
-            raise ValueError(
-                "multi-slice jobs dispatch against live device backlogs; "
-                f"use an online routing, not {self.routing.value}"
-            )
-        return self._run_gangs(jobs)
-
-    # ------------------------------------------------------------------
-    # Execution: the cluster event loop
-    # ------------------------------------------------------------------
-    def _run_gangs(self, jobs: Sequence[Job]) -> ClusterResult:
-        """Serve ``jobs`` through the cluster event loop.
+        """Serve a task stream through the cluster event loop.
 
         Builds one :class:`_ClusterRun`, which holds every piece of this
         run's state (none stays on the scheduler, so one scheduler can
         serve many runs), runs its loop to the last settlement, and
-        returns its result.
+        returns its result.  With ``ClusterConfig.batching`` set the
+        router may coalesce and shard the dispatches.
         """
-        run = _ClusterRun(self, jobs)
+        if not tasks:
+            raise ValueError("need at least one task")
+        run = _ClusterRun(self, tasks)
         run.loop()
         return run.result()
 
@@ -1392,8 +1328,8 @@ class ClusterScheduler:
 
 
 class _ClusterRun:
-    """One :meth:`ClusterScheduler.run` / ``run_jobs`` call: its state and
-    the cluster event loop over it (place, coalesce, shard, settle).
+    """One :meth:`ClusterScheduler.run` call: its state and the cluster
+    event loop over it (place, coalesce, shard, settle).
 
     Every wake of the run is an entry of one
     :class:`~repro.sched.simulator.EventQueue`: the device events, and
@@ -1406,16 +1342,15 @@ class _ClusterRun:
     device state of its instant.  :meth:`loop` pops the head and hands
     it to its method: :meth:`device_event`, :meth:`churn_transition`,
     :meth:`batch_flush`, :meth:`arrival`, :meth:`admission_arrival` or
-    :meth:`sample_due`.  A plain task stream -- single-slice jobs, no
-    batching -- is the degenerate case: one dispatch per task, on one
-    device.
+    :meth:`sample_due`.  A plain task stream -- no batching -- is the
+    degenerate case: one one-stage dispatch per task, on one device.
 
-    - **Placement**: every job is placed by its ROUTE wake at its
-      arrival instant.  A static routing decides each job's device up
+    - **Placement**: every task is placed by its ROUTE wake at its
+      arrival instant.  A static routing decides each task's device up
       front (:meth:`ClusterScheduler.route`); each device counts the
       placements still to come (``DeviceSim.pending_placements``) and
       keeps its period chain alive through a drain until they land, so
-      each device replays its partition in isolation.  Under churn a job
+      each device replays its partition in isolation.  Under churn a task
       diverts from a device that stopped accepting work.  Online routings
       place stage 0 on the device admission control chose, else on the
       least live backlog (:meth:`route_online`).
@@ -1440,30 +1375,32 @@ class _ClusterRun:
     """
 
     __slots__ = (
-        "scheduler", "jobs", "routing", "batching", "plain", "coalesce",
+        "scheduler", "tasks", "routing", "batching", "plain", "coalesce",
         "tracer", "sampler", "profiler", "admission", "prediction_filters",
         "records_start", "static", "ledger", "fabric", "devices", "indexes",
         "assignments", "migrations", "inflight", "next_id",
         "open_batches", "open_flush", "slice_map", "batch_records",
-        "rejected_jobs", "lost_jobs", "settled", "churn", "queue",
+        "rejected", "lost", "settled", "churn", "queue",
     )
 
-    def __init__(self, scheduler: ClusterScheduler, jobs: Sequence[Job]) -> None:
+    def __init__(
+        self, scheduler: ClusterScheduler, tasks: Sequence[TaskRuntime]
+    ) -> None:
         # A duplicate id would overwrite its twin's assignment and slice
         # entry and leave the settlement count short, hanging the loop.
         seen: Set[int] = set()
-        for job in jobs:
-            for member in job.requests:
-                if member.task_id in seen:
-                    raise ValueError(f"duplicate task id {member.task_id}")
-                seen.add(member.task_id)
+        for task in tasks:
+            if task.task_id in seen:
+                raise ValueError(f"duplicate task id {task.task_id}")
+            seen.add(task.task_id)
         self.scheduler = scheduler
-        self.jobs = jobs
+        #: The offered requests, in the caller's order.
+        self.tasks = tasks
         self.routing = scheduler.routing
         batching = self.batching = scheduler.batching
         #: A plain task stream keeps the per-task semantics: no batch
         #: records, and churn orphans restart instead of losing a gang.
-        self.plain = batching is None and all(job.is_single for job in jobs)
+        self.plain = batching is None
         self.coalesce = (
             batching is not None
             and batching.max_batch > 1
@@ -1487,7 +1424,6 @@ class _ClusterRun:
         # cancel_transfers_to() needs it even in reactive mode).
         needs_fabric = (
             self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
-            or any(job.num_stages > 1 for job in jobs)
             or (batching is not None and batching.shard_stages > 1)
             or scheduler.churn is not None
         )
@@ -1548,21 +1484,22 @@ class _ClusterRun:
         self.prediction_filters = scheduler.admission_prediction_filters()
         self.static: Optional[Dict[int, int]] = None
         if self.routing in STATIC_ROUTINGS:
-            self.static = scheduler.route([job.source for job in jobs])
+            self.static = scheduler.route(tasks)
             for index in self.static.values():
                 devices[index].pending_placements += 1
 
         # Fresh ids for merged proxies and later-stage slices, above every
         # offered id so they can never collide with a request.
-        self.next_id = 1 + max(max(seen), max(job.job_id for job in jobs))
-        self.open_batches: Dict[Tuple, List[Job]] = {}
+        self.next_id = 1 + max(seen)
+        self.open_batches: Dict[Tuple, List[TaskRuntime]] = {}
         #: Open batch key -> push order of its window's FLUSH wake.
         self.open_flush: Dict[Tuple, int] = {}
         #: Live slice id -> (its gang, stage index).
         self.slice_map: Dict[int, Tuple[_GangRun, int]] = {}
         self.batch_records: List[BatchRecord] = []
-        self.rejected_jobs: List[Job] = []
-        self.lost_jobs: List[Job] = []
+        #: Refused and lost requests, in the order they were settled so.
+        self.rejected: List[TaskRuntime] = []
+        self.lost: List[TaskRuntime] = []
         self.settled = 0
         self.churn: Optional[_ChurnRuntime] = None
         if scheduler.churn is not None:
@@ -1578,8 +1515,8 @@ class _ClusterRun:
         and hand it to its method."""
         queue = self.queue
         churn = self.churn
-        for job in self.jobs:
-            self.route_later(job.arrival_cycles, job)
+        for task in self.tasks:
+            self.route_later(task.spec.arrival_cycles, task)
         sampler = self.sampler
         if sampler is not None:
             queue.push(sampler.next_due, _EventKind.SAMPLE, None, None)
@@ -1595,7 +1532,7 @@ class _ClusterRun:
             _EventKind.SAMPLE: self.sample_due,
         }
         device_event = self.device_event
-        total_jobs = len(self.jobs)
+        total = len(self.tasks)
         while True:
             head = queue.peek()
             if head is None:
@@ -1603,17 +1540,17 @@ class _ClusterRun:
                 # coming: lost.
                 if churn is not None:
                     parked, churn.parked = churn.parked, []
-                    for job in parked:
-                        self.lose(job)
+                    for task in parked:
+                        self.lose(task)
                 break
             wake = wakes.get(head[1])
             if wake is not None:
                 wake(*queue.take())
             else:
                 device_event(head[2])
-            # Any wake may settle the last job: a completion, a churn
-            # loss or an admission rejection.
-            if self.settled >= total_jobs:
+            # Any wake may settle the last request: a completion, a
+            # churn loss or an admission rejection.
+            if self.settled >= total:
                 break
 
     # ------------------------------------------------------------------
@@ -1677,38 +1614,40 @@ class _ClusterRun:
         del self.open_flush[key]
         self.dispatch(self.open_batches.pop(key), now)
 
-    def arrival(self, now: float, payload: Tuple[Job, int]) -> None:
+    def arrival(self, now: float, payload: Tuple[TaskRuntime, int]) -> None:
         """Route an arrival (no admission control)."""
-        job, _ = payload
+        task, _ = payload
         preferred = None
         if self.static is not None:
             # The static placement is due: the device's chain no longer
-            # waits for it, whether the job lands there or, under churn,
+            # waits for it, whether the task lands there or, under churn,
             # diverts from a device that stopped accepting work.
-            preferred = self.static[job.source.task_id]
+            preferred = self.static[task.task_id]
             device = self.devices[preferred]
             device.pending_placements -= 1
             if not device.accepts_work:
                 preferred = None
-        self.enqueue(job, now, preferred)
+        self.enqueue(task, now, preferred)
 
-    def admission_arrival(self, now: float, payload: Tuple[Job, int]) -> None:
+    def admission_arrival(
+        self, now: float, payload: Tuple[TaskRuntime, int]
+    ) -> None:
         """Consider an arrival: accept, defer or reject."""
-        job, attempt = payload
+        task, attempt = payload
         churn = self.churn
         if churn is not None and not churn.any_accepting():
             # Nothing survives to predict against.  Re-consider at the
             # next availability transition (no attempt burned -- the
             # defer budget is for backlog, not outages); with no
-            # transition left the job is lost.
+            # transition left the task is lost.
             next_change = churn.peek_time()
             if next_change is None:
-                self.lose(job)
+                self.lose(task)
             else:
-                self.route_later(max(now, next_change), job, attempt)
+                self.route_later(max(now, next_change), task, attempt)
             return
         # Admission-aware placement + prediction: the decision is scored
-        # against (and the job placed on) the device with the least
+        # against (and the task placed on) the device with the least
         # *class-aware* backlog -- under a preemptive priority policy the
         # arrival will not wait behind queued lower-priority work nor
         # behind same-priority rows a shortest-first rule would serve
@@ -1717,7 +1656,6 @@ class _ClusterRun:
         # (see admission_prediction_filters); under FCFS/RRB the
         # prediction is the plain total backlog.
         admission = self.admission
-        task = job.source
         min_priority, sjf_within = admission.placement_query(
             task, *self.prediction_filters
         )
@@ -1726,11 +1664,7 @@ class _ClusterRun:
         # batch occupies the device for only the marginal fraction of
         # its estimate.
         scale = 1.0
-        if (
-            self.coalesce
-            and job.is_single
-            and batch_key(task.spec) in self.open_batches
-        ):
+        if self.coalesce and batch_key(task.spec) in self.open_batches:
             scale = self.batching.marginal_fraction
         record = admission.decide(
             task, backlog, now, attempt, marginal_scale=scale
@@ -1739,10 +1673,10 @@ class _ClusterRun:
         if tracer.enabled:
             tracer.instant(
                 "admission",
-                f"admission {record.decision.value} j{job.job_id}",
+                f"admission {record.decision.value} j{task.task_id}",
                 now,
                 args={
-                    "job": job.job_id,
+                    "job": task.task_id,
                     "task": task.task_id,
                     "decision": record.decision.value,
                     "backlog": backlog,
@@ -1758,14 +1692,13 @@ class _ClusterRun:
             # feedback-corrected value first, so routing and per-device
             # scheduling see the corrected number.
             admission.admit(task)
-            self.enqueue(job, now, preferred=target)
+            self.enqueue(task, now, preferred=target)
         elif record.decision is AdmissionDecision.DEFER:
             self.route_later(
-                now + admission.config.defer_delay_cycles, job, attempt + 1
+                now + admission.config.defer_delay_cycles, task, attempt + 1
             )
         else:
-            job.state = JobState.REJECTED
-            self.rejected_jobs.append(job)
+            self.rejected.append(task)
             self.settled += 1
 
     def sample_due(self, now: float, _payload: None) -> None:
@@ -1822,40 +1755,45 @@ class _ClusterRun:
     # ------------------------------------------------------------------
     # Actions: placement and settlement
     # ------------------------------------------------------------------
-    def route_later(self, when: float, job: Job, attempt: int = 0) -> None:
+    def route_later(
+        self, when: float, task: TaskRuntime, attempt: int = 0
+    ) -> None:
         """Queue the ROUTE wake that routes (or, under admission control,
-        considers) ``job`` at ``when``.  Same-time router arrivals go in
-        (arrival, job id) order."""
+        considers) ``task`` at ``when``.  Same-time router arrivals go in
+        (arrival, task id) order."""
         self.queue.push(
-            when, _EventKind.ROUTE, (job.arrival_cycles, job.job_id),
-            (job, attempt),
+            when, _EventKind.ROUTE, (task.spec.arrival_cycles, task.task_id),
+            (task, attempt),
         )
 
     def enqueue(
-        self, job: Job, now: float, preferred: Optional[int] = None
+        self, task: TaskRuntime, now: float, preferred: Optional[int] = None
     ) -> None:
-        """Open or join the batch window of a single-slice job when
-        coalescing; otherwise dispatch the job now."""
-        if self.coalesce and job.is_single:
+        """Open or join ``task``'s batch window when coalescing; otherwise
+        dispatch it now."""
+        if self.coalesce:
             batching = self.batching
-            key = batch_key(job.source.spec)
-            open_jobs = self.open_batches.get(key)
-            if open_jobs is not None:
-                open_jobs.append(job)
-                if len(open_jobs) >= batching.max_batch:
+            key = batch_key(task.spec)
+            members = self.open_batches.get(key)
+            if members is not None:
+                members.append(task)
+                if len(members) >= batching.max_batch:
                     del self.open_batches[key]
                     self.queue.cancel(self.open_flush.pop(key))
-                    self.dispatch(open_jobs, now)
+                    self.dispatch(members, now)
                 return
-            self.open_batches[key] = [job]
+            self.open_batches[key] = [task]
             self.open_flush[key] = self.queue.push(
                 now + batching.window_cycles, _EventKind.FLUSH, None, key
             )
             return
-        self.dispatch([job], now, preferred)
+        self.dispatch([task], now, preferred)
 
     def dispatch(
-        self, members: List[Job], now: float, preferred: Optional[int] = None
+        self,
+        members: List[TaskRuntime],
+        now: float,
+        preferred: Optional[int] = None,
     ) -> None:
         """Dispatch ``members`` as one gang: merge a batch into a proxy,
         cut it into stages, reserve a device per stage, inject stage 0."""
@@ -1867,15 +1805,12 @@ class _ClusterRun:
             churn.parked.extend(members)
             return
         batching = self.batching
-        owner: Optional[Job] = None
         if len(members) == 1:
-            proxy = members[0].source
-            if members[0].num_stages > 1:
-                owner = members[0]  # a pre-cut gang: fill its slices
+            proxy = members[0]
         else:
             assert batching is not None
             proxy = merge_runtimes(
-                [job.source for job in members],
+                members,
                 task_id=self.next_id,
                 now=now,
                 marginal_fraction=batching.marginal_fraction,
@@ -1884,11 +1819,9 @@ class _ClusterRun:
             self.next_id += 1
         shard = 1
         # Scheduler-visible decision: shard when the dispatch *looks*
-        # big enough to amortize the boundary DMAs (a pre-cut gang keeps
-        # its own stages).
+        # big enough to amortize the boundary DMAs.
         if (
-            owner is None
-            and batching is not None
+            batching is not None
             and batching.shard_stages > 1
             and proxy.context.estimated_cycles >= batching.min_shard_cycles
         ):
@@ -1896,11 +1829,8 @@ class _ClusterRun:
         plans: List[StagePlan]
         if shard > 1:
             plans = partition_runtime(proxy, shard)
-        elif len(members) == 1:
-            # A solo dispatch runs its job's own stage plans (a
-            # single-stage gang executes the proxy runtime itself).
-            plans = [s.stage for s in members[0].slices]
         else:
+            # A one-stage gang executes the proxy runtime itself.
             plans = [
                 StagePlan(
                     index=0,
@@ -1923,29 +1853,21 @@ class _ClusterRun:
                 self.next_id += 1
                 reserved.append(self.route_stage(now, set(reserved)))
             stage0 = stage_runtime(proxy, plans[0], slice_ids[0], now)
-        gang = _GangRun(members, owner, proxy, plans, slice_ids, reserved)
+        gang = _GangRun(members, proxy, plans, slice_ids, reserved)
         gang.runtimes[0] = stage0
-        if owner is not None:
-            owner.slices[0].runtime = stage0
-            owner.slices[0].device_id = preferred
         device = self.devices[preferred]
         device.inject(stage0, arrival=now)
         self.indexes.refresh(device)
         self.assignments[proxy.task_id] = preferred
         self.slice_map[proxy.task_id] = (gang, 0)
-        for job in members:
-            job.state = JobState.DISPATCHED
         if self.plain:
             return  # a task dispatch: no batch record to keep
-        member_ids = []
-        for job in members:
-            for member in job.requests:
-                member_ids.append(member.task_id)
-                self.assignments.setdefault(member.task_id, reserved[0])
+        for member in members:
+            self.assignments.setdefault(member.task_id, reserved[0])
         self.batch_records.append(
             BatchRecord(
                 proxy_task_id=slice_ids[0],
-                member_task_ids=tuple(member_ids),
+                member_task_ids=tuple(member.task_id for member in members),
                 dispatch_cycles=now,
                 num_stages=len(plans),
                 devices=tuple(reserved),
@@ -1960,7 +1882,7 @@ class _ClusterRun:
                 device=reserved[0],
                 args={
                     "proxy": slice_ids[0],
-                    "members": len(member_ids),
+                    "members": len(members),
                     "stages": len(plans),
                     "devices": list(reserved),
                 },
@@ -1988,9 +1910,8 @@ class _ClusterRun:
             gang.devices[nxt] = dst
         activation = gang.plans[stage].activation_bytes
         slice_id = gang.slice_ids[nxt]
-        fabric = self.fabric
-        if src != dst and fabric is not None:
-            record = fabric.transfer(
+        if src != dst:
+            record = self.fabric.transfer(
                 src, dst, activation, now,
                 task_id=slice_id, purpose="activation",
             )
@@ -2007,9 +1928,6 @@ class _ClusterRun:
             arrival, restore = now, 0.0
         runtime = stage_runtime(gang.proxy, plan, slice_id, arrival, restore)
         gang.runtimes[nxt] = runtime
-        if gang.owner is not None:
-            gang.owner.slices[nxt].runtime = runtime
-            gang.owner.slices[nxt].device_id = dst
         device = self.devices[dst]
         device.inject(runtime, arrival=arrival)
         self.indexes.refresh(device)
@@ -2017,52 +1935,42 @@ class _ClusterRun:
         self.slice_map[slice_id] = (gang, nxt)
 
     def settle(self, gang: _GangRun, now: float) -> None:
-        """The final stage completed: settle every member job."""
+        """The final stage completed: settle every member request."""
         final = gang.runtimes[-1]
         first_dispatch = gang.runtimes[0].first_dispatch_time
-        device = self.assignments[gang.slice_ids[-1]]
         admission = self.admission
         sampler = self.sampler
-        for job in gang.jobs:
-            for member in job.requests:
-                if member is not final:
-                    # Batched or sharded: the member never ran under its
-                    # own id, so its accounting settles from the proxy.
-                    # A solo task completed on its device.
-                    settle_member(member, now, first_dispatch)
-                if admission is not None:
-                    admission.on_complete(member)
-                # Sample per settled *member*, not per merged proxy or
-                # stage slice: tasks.completed and the SLA counters score
-                # each real request exactly once.
-                if sampler is not None:
-                    sampler.task_completed(member)
-            job.state = JobState.DONE
-            job.dispatch_time = first_dispatch
-            job.completion_time = now
-            if gang.owner is None:
-                job.slices[0].device_id = device
-            self.settled += 1
+        for member in gang.members:
+            if member is not final:
+                # Batched or sharded: the member never ran under its own
+                # id, so its accounting settles from the proxy.  A solo
+                # task completed on its device.
+                settle_member(member, now, first_dispatch)
+            if admission is not None:
+                admission.on_complete(member)
+            # Sample per settled *member*, not per merged proxy or stage
+            # slice: tasks.completed and the SLA counters score each real
+            # request exactly once.
+            if sampler is not None:
+                sampler.task_completed(member)
+        self.settled += len(gang.members)
 
-    def lose(self, job: Job) -> None:
-        """Account one job as LOST (no capacity will ever serve it)."""
-        job.state = JobState.LOST
-        self.lost_jobs.append(job)
+    def lose(self, task: TaskRuntime) -> None:
+        """Account one request as lost (no capacity will ever serve it)."""
+        self.lost.append(task)
         self.settled += 1
         if self.admission is not None:
-            for member in job.requests:
-                self.admission.on_lost(member)
+            self.admission.on_lost(task)
 
     def lose_gang(self, gang: _GangRun) -> None:
-        """Account every unfinished job of a destroyed gang as LOST."""
+        """Account every member of a destroyed gang as lost.  A gang's
+        members settle together, so none is finished, and a gang is lost
+        at most once."""
         if gang.lost:
             return
         gang.lost = True
-        for job in gang.jobs:
-            if job.state not in (
-                JobState.DONE, JobState.REJECTED, JobState.LOST
-            ):
-                self.lose(job)
+        for member in gang.members:
+            self.lose(member)
 
     # ------------------------------------------------------------------
     # Routing
@@ -2575,17 +2483,30 @@ class _ClusterRun:
     # Result
     # ------------------------------------------------------------------
     def result(self) -> ClusterResult:
-        """The finished run's :class:`ClusterResult`."""
-        jobs = self.jobs
-        # Every request neither rejected nor lost must have finished,
-        # however the loop ended (its last settlement or quiesce).
-        unsettled = [
-            member.task_id
-            for job in jobs
-            if job.state not in (JobState.REJECTED, JobState.LOST)
-            for member in job.requests
-            if not member.is_done
-        ]
+        """The finished run's :class:`ClusterResult`.
+
+        However the loop ended (its last settlement or quiesce), the
+        offered requests must split into completed, rejected and lost
+        ones with no overlap; raises ``RuntimeError`` naming the ids
+        otherwise.
+        """
+        failures = self.rejected + self.lost
+        failed = collections.Counter(task.task_id for task in failures)
+        twice = sorted(task_id for task_id, count in failed.items() if count > 1)
+        if twice:
+            raise RuntimeError(
+                f"cluster loop ended with tasks rejected or lost twice: {twice}"
+            )
+        done = sorted(task.task_id for task in failures if task.is_done)
+        if done:
+            raise RuntimeError(
+                "cluster loop ended with finished tasks rejected or lost: "
+                f"{done}"
+            )
+        completed = tuple(
+            task for task in self.tasks if task.task_id not in failed
+        )
+        unsettled = [task.task_id for task in completed if not task.is_done]
         if unsettled:
             raise RuntimeError(
                 f"cluster loop ended with unsettled tasks: {unsettled}"
@@ -2608,12 +2529,7 @@ class _ClusterRun:
         if self.admission is not None:
             records = self.admission.records[self.records_start:]
         return ClusterResult(
-            tasks=tuple(
-                member
-                for job in jobs
-                if job.state is JobState.DONE
-                for member in job.requests
-            ),
+            tasks=completed,
             device_results=device_results,
             assignments=self.assignments,
             routing=self.routing.value,
@@ -2621,16 +2537,11 @@ class _ClusterRun:
             timeline=timeline,
             transfers=transfers,
             admission_records=records,
-            rejected_tasks=tuple(
-                member for job in self.rejected_jobs for member in job.requests
-            ),
+            rejected_tasks=tuple(self.rejected),
             events_processed=sum(
                 device.events_processed for device in devices
             ),
-            jobs=tuple(jobs),
             batches=tuple(self.batch_records),
-            lost_tasks=tuple(
-                member for job in self.lost_jobs for member in job.requests
-            ),
+            lost_tasks=tuple(self.lost),
             rack_of=self.scheduler.rack_of,
         )

@@ -1,18 +1,18 @@
-"""Jobs: gangs of device slices over the cluster (the PR-6 API redesign).
+"""Router dispatches as gangs of stage slices: cutting and batching.
 
-PREMA's unit of scheduling is "a task runs on one device".  Production
-fleets run *jobs*: a request (or a router-coalesced batch of requests)
-that owns one or more :class:`DeviceSlice` reservations -- Parcae-style
-gangs whose stages pipeline a model over the interconnect.  This module
-is the job layer's data model; :class:`~repro.sched.cluster.ClusterScheduler`
-drives the lifecycle.
+PREMA's unit of scheduling is "a task runs on one device".  The cluster
+router (:class:`~repro.sched.cluster.ClusterScheduler`) dispatches a
+request, or a router-coalesced batch of requests, as a gang of one or
+more stage slices -- Parcae-style pipelines whose stages run a model
+over the interconnect.  This module holds the pieces a dispatch is built
+from: the stage plans a profile is cut into, the batching knobs and cost
+model, and member settlement.
 
 Design invariants:
 
-- **Single-slice jobs are tasks.**  ``Job.single(runtime)`` wraps a task
-  runtime without copying it; the slice runtime *is* the source runtime.
-  ``ClusterScheduler.run(tasks)`` serves every task this way, so the
-  golden suites pin the single-slice path bit-for-bit.
+- **A plain task is a one-stage gang.**  Its one slice *is* the task's
+  runtime, so ``ClusterScheduler.run(tasks)`` without sharding executes
+  every task as itself, and the golden suites pin that path bit-for-bit.
 - **Slices are ordinary tasks on their device.**  A stage slice is a
   :class:`~repro.sched.task.TaskRuntime` over a stage-cut
   :class:`~repro.npu.engine.ExecutionProfile`; per-device preemption,
@@ -30,7 +30,6 @@ Design invariants:
 from __future__ import annotations
 
 import dataclasses
-import enum
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.context import TaskContext, TaskState
@@ -40,25 +39,9 @@ from repro.sched.interconnect import CONTEXT_ROW_BYTES
 from repro.sched.task import TaskRuntime
 
 
-class JobState(enum.Enum):
-    """Lifecycle of a job at the cluster router."""
-
-    #: Queued at the router (possibly inside an open batch window).
-    PENDING = "pending"
-    #: Slices materialized and injected; at least one stage live.
-    DISPATCHED = "dispatched"
-    #: Final stage completed; member requests settled.
-    DONE = "done"
-    #: Refused by admission control; never executed.
-    REJECTED = "rejected"
-    #: Destroyed by a device failure with no surviving capacity to
-    #: restart on (churn); accounted as offered-but-never-served.
-    LOST = "lost"
-
-
 @dataclasses.dataclass(frozen=True)
 class StagePlan:
-    """One pipeline stage of a job: what executes, and what ships next.
+    """One pipeline stage of a dispatch: what executes, and what ships next.
 
     ``activation_bytes`` is the boundary tensor DMA-ed to the next stage's
     device (0 signals the final stage -- nothing ships).  Cut from the
@@ -82,100 +65,6 @@ class StagePlan:
             raise ValueError("activation_bytes must be >= 0")
 
 
-@dataclasses.dataclass
-class DeviceSlice:
-    """One device reservation of a job's gang.
-
-    ``runtime`` is materialized lazily: stage k's runtime exists only
-    once stage k-1's activations have been shipped (stage 0 at dispatch).
-    ``device_id`` is reserved for the whole gang at dispatch, but a slice
-    may land elsewhere afterwards -- work stealing and checkpoint
-    migration move slices like any other task, and the cluster reads the
-    authoritative placement from its assignment map at stage handoff.
-    A single-slice job's slice gets the device that finished its work
-    when the job settles.
-    """
-
-    stage: StagePlan
-    runtime: Optional[TaskRuntime] = None
-    device_id: Optional[int] = None
-
-    @property
-    def is_live(self) -> bool:
-        return self.runtime is not None and not self.runtime.is_done
-
-
-@dataclasses.dataclass
-class Job:
-    """A gang of device slices executing one (possibly batched) request.
-
-    ``source`` is the runtime the gang executes -- a plain request, or
-    the merged proxy of a router batch.  ``requests`` are the end-user
-    runtimes to settle at completion (for an unbatched job, just the
-    source).  ``slices`` hold the pipeline stages in order.
-    """
-
-    job_id: int
-    source: TaskRuntime
-    requests: Tuple[TaskRuntime, ...]
-    slices: List[DeviceSlice]
-    state: JobState = JobState.PENDING
-    #: When the job's work first ran on an NPU: the first device dispatch
-    #: of its stage-0 runtime (the merged proxy, for a batch member).  The
-    #: router's flush instant is ``BatchRecord.dispatch_cycles``.  Set at
-    #: settlement, with ``completion_time``.
-    dispatch_time: Optional[float] = None
-    completion_time: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not self.slices:
-            raise ValueError("a job needs at least one slice")
-        if not self.requests:
-            raise ValueError("a job needs at least one member request")
-
-    @classmethod
-    def single(cls, runtime: TaskRuntime) -> "Job":
-        """Wrap one task runtime as a single-slice job -- zero-copy.
-
-        The slice runtime *is* ``runtime``; running the job through the
-        cluster is indistinguishable from running the task (this is how
-        ``ClusterScheduler.run`` serves tasks).
-        """
-        plan = StagePlan(
-            index=0,
-            profile=runtime.profile,
-            estimated_cycles=max(runtime.context.estimated_cycles, 1e-9),
-            activation_bytes=0.0,
-        )
-        return cls(
-            job_id=runtime.task_id,
-            source=runtime,
-            requests=(runtime,),
-            slices=[DeviceSlice(stage=plan, runtime=runtime)],
-        )
-
-    @property
-    def arrival_cycles(self) -> float:
-        return self.source.spec.arrival_cycles
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.slices)
-
-    @property
-    def is_single(self) -> bool:
-        """True when this job is exactly one unbatched, unsharded task."""
-        return (
-            len(self.slices) == 1
-            and len(self.requests) == 1
-            and self.slices[0].runtime is self.source
-        )
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.requests)
-
-
 @dataclasses.dataclass(frozen=True)
 class BatchConfig:
     """Router-level batching / sharding knobs of the cluster frontend.
@@ -186,7 +75,7 @@ class BatchConfig:
     model: a merged dispatch costs ``max + alpha * (sum - max)`` of its
     members' isolated cycles -- alpha = 1 is no amortization, alpha = 0 is
     perfect weight-reuse overlap.  ``shard_stages`` > 1 additionally cuts
-    every dispatched job into that many pipeline stages (clamped to layer
+    every dispatch into that many pipeline stages (clamped to layer
     count and fleet size) when its merged cost clears
     ``min_shard_cycles`` -- sharding tiny requests just buys DMA overhead.
     """
@@ -313,7 +202,7 @@ def stage_runtime(
     restore charges).  Stage 0 has no inbound tensor.
     """
     spec = dataclasses.replace(
-        source.spec, task_id=task_id, arrival_cycles=arrival, stages=1
+        source.spec, task_id=task_id, arrival_cycles=arrival
     )
     context = TaskContext(
         task_id=task_id,
@@ -408,7 +297,6 @@ def merge_runtimes(
         task_id=task_id,
         batch=sum(m.spec.batch for m in members),
         arrival_cycles=now,
-        stages=1,
     )
     context = TaskContext(
         task_id=task_id,
@@ -438,9 +326,9 @@ def settle_member(
 ) -> None:
     """Mark a member request done on behalf of its proxy execution.
 
-    Members of a batched (or sharded) job never run under their own ids;
-    their accounting -- wait accrual to the finish instant, completion
-    time, DONE state -- settles from the proxy here.  ``first_dispatch``
+    Members of a batched (or sharded) dispatch never run under their own
+    ids; their accounting -- wait accrual to the finish instant,
+    completion time, DONE state -- settles from the proxy here.  ``first_dispatch``
     back-dates queueing-delay attribution to when the proxy first touched
     an NPU.
     """

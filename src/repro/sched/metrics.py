@@ -255,7 +255,7 @@ class ClusterMetrics:
     #: divided by the makespan (in [0, num_devices]).  The PCS-style
     #: throughput measure admission must not sacrifice.
     goodput: float = 0.0
-    # -- Job-surface metrics (router batching + pipeline sharding) ------
+    # -- Dispatch metrics (router batching + pipeline sharding) --------
     #: Dispatches that coalesced more than one request.
     batch_count: int = 0
     #: Mean requests per dispatch (1.0 when nothing coalesced; 0 when the
@@ -452,8 +452,8 @@ def _rack_metrics(
 def _job_metrics(result) -> Dict[str, object]:
     """Batching/sharding fields from the result's ``batches`` records.
 
-    Duck-typed like the rest of this module: results without a job
-    surface (plain task runs, older result-likes) yield zeros.
+    Duck-typed like the rest of this module: results without batch
+    records (plain task runs, older result-likes) yield zeros.
     """
     batches = tuple(getattr(result, "batches", ()))
     transfers = tuple(getattr(result, "transfers", ()))

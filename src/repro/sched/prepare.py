@@ -138,30 +138,6 @@ class TaskFactory:
         )
         return TaskRuntime(spec=spec, profile=profile, context=context)
 
-    def build_job(self, spec: TaskSpec, oracle: bool = False) -> "Job":
-        """Build the job for one request (the gang-of-slices surface).
-
-        ``spec.stages == 1`` yields a single-slice job that wraps the
-        task runtime without copying -- the legacy-equivalent path.  For
-        ``stages > 1`` the compiled model's profile is cut into balanced
-        pipeline stage plans (clamped to the layer count); the cluster
-        reserves one device per stage at dispatch.
-        """
-        from repro.sched.job import DeviceSlice, Job, partition_runtime
-
-        runtime = self.build_task(spec, oracle=oracle)
-        if spec.stages <= 1:
-            return Job.single(runtime)
-        plans = partition_runtime(runtime, spec.stages)
-        if len(plans) == 1:
-            return Job.single(runtime)
-        return Job(
-            job_id=runtime.task_id,
-            source=runtime,
-            requests=(runtime,),
-            slices=[DeviceSlice(stage=plan) for plan in plans],
-        )
-
     def build_workload(
         self, workload: WorkloadSpec, oracle: bool = False
     ) -> List[TaskRuntime]:

@@ -93,15 +93,6 @@ class Timeline:
                     f"overlapping segments: {previous} then {current}"
                 )
 
-    def span_bounds(self) -> Optional[Tuple[float, float]]:
-        """(first start, last end) over all segments; None when empty."""
-        if not self._segments:
-            return None
-        return (
-            min(s.start_cycles for s in self._segments),
-            max(s.end_cycles for s in self._segments),
-        )
-
     def render_ascii(
         self,
         width: int = 80,
@@ -205,15 +196,6 @@ class ClusterTimeline:
         """Per-device no-overlap invariant (devices run in parallel)."""
         for timeline in self._devices.values():
             timeline.verify_no_overlap(tolerance)
-
-    def span_cycles(self) -> float:
-        """Wall-clock span from the earliest start to the latest end."""
-        bounds = [
-            b for b in (t.span_bounds() for t in self._devices.values()) if b
-        ]
-        if not bounds:
-            return 0.0
-        return max(hi for _, hi in bounds) - min(lo for lo, _ in bounds)
 
     def render_ascii(
         self,

@@ -23,7 +23,9 @@ class TaskSpec:
     Sequence lengths apply to RNN benchmarks only: ``input_len`` is
     statically known pre-inference; ``actual_output_len`` is the
     data-dependent ground truth the simulator executes (the scheduler
-    never sees it -- it sees the regressor's prediction instead).
+    never sees it -- it sees the regressor's prediction instead).  A
+    request does not choose pipeline stages: the cluster router cuts a
+    dispatch when ``BatchConfig.shard_stages`` asks it to.
     """
 
     task_id: int
@@ -38,12 +40,6 @@ class TaskSpec:
     #: membership is validated at resolution (`qos_of`), not here, so the
     #: workload layer stays independent of the serving layer.
     qos: Optional[str] = None
-    #: Requested pipeline-parallel stages.  1 (the default) is the paper's
-    #: whole-model-on-one-NPU execution; >1 asks the cluster to cut the
-    #: model into that many device slices (see :mod:`repro.sched.job`).
-    #: A request, not a guarantee: the gang dispatcher clamps to the layer
-    #: count and fleet size.
-    stages: int = 1
 
     def __post_init__(self) -> None:
         if self.task_id < 0:
@@ -56,8 +52,6 @@ class TaskSpec:
             raise ValueError("input_len must be positive")
         if self.actual_output_len is not None and self.actual_output_len <= 0:
             raise ValueError("actual_output_len must be positive")
-        if self.stages < 1:
-            raise ValueError("stages must be >= 1")
 
     @property
     def is_rnn(self) -> bool:

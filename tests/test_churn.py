@@ -39,7 +39,6 @@ from repro.sched.faults import (
     FleetAvailability,
 )
 from repro.sched.interconnect import Interconnect, InterconnectConfig
-from repro.sched.job import Job
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.policies import make_policy
 from repro.sched.simulator import (
@@ -798,7 +797,7 @@ class TestClusterChurnIntegration:
     )
     def test_static_placements_divert_from_a_dead_device(self, routing):
         """Each device counts the static placements still to come; every
-        ROUTE wake drops its device's count, also when it diverts the job
+        ROUTE wake drops its device's count, also when it diverts the task
         from a device that stopped accepting work, so none is left."""
         trace = hog_trace(30, seed=7, num_devices=2)
         dead_at = max(task.spec.arrival_cycles for task in trace) / 3
@@ -816,7 +815,7 @@ class TestClusterChurnIntegration:
         )
         runtimes = [copy.deepcopy(task) for task in trace]
         routed = scheduler.route(runtimes)
-        run = _ClusterRun(scheduler, [Job.single(task) for task in runtimes])
+        run = _ClusterRun(scheduler, runtimes)
         assert [device.pending_placements for device in run.devices] == [
             list(routed.values()).count(index) for index in range(2)
         ]

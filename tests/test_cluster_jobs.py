@@ -1,20 +1,20 @@
 """Gang lifecycle on the cluster: equivalence, sharding, batching.
 
-The PR-6 compatibility contract and the new mechanics, end to end:
+The gang mechanics of ``ClusterScheduler.run``, end to end:
 
-1. *Equivalence*: a stream of single-slice jobs with batching disabled
-   makes exactly the decisions of ``run(tasks)`` across every routing
-   policy (same encoder the golden suites use); a degenerate batching
-   config (no window, no sharding) makes exactly the decisions of an
-   unbatched run, on flat and racked fleets.
-2. *Pipeline sharding*: stage cutting over real devices -- activation
-   transfers on the fabric, DMA-in restores, distinct device
+1. *Equivalence*: a degenerate batching config (no window, no sharding)
+   makes exactly the decisions of an unbatched run, on flat and racked
+   fleets (same encoder the golden suites use).
+2. *Pipeline sharding*: router-cut stages over real devices --
+   activation transfers on the fabric, DMA-in restores, distinct device
    reservations, slice-level preemption, and checkpoint migration of
    gangs straddling a contended link.
 3. *Router batching*: window coalescing, max-batch flush, class
    separation, member settlement, and batch dissolution when admission
    rejects a would-be member.
 """
+
+import math
 
 import pytest
 
@@ -26,14 +26,9 @@ from repro.sched.cluster import (
     ClusterScheduler,
     RoutingPolicy,
 )
+from repro.sched.faults import ChurnEvent, ChurnSchedule
 from repro.sched.interconnect import InterconnectConfig
-from repro.sched.job import (
-    BatchConfig,
-    DeviceSlice,
-    Job,
-    JobState,
-    partition_runtime,
-)
+from repro.sched.job import BatchConfig, partition_runtime
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
@@ -66,15 +61,28 @@ def compat_task(task_id, arrival, cycles, priority=Priority.MEDIUM):
     return synthetic_runtime(spec, cycles)
 
 
-def sharded_job(task_id, arrival, cycles, num_stages, priority=Priority.LOW):
-    runtime = compat_task(task_id, arrival, cycles, priority)
-    plans = partition_runtime(runtime, num_stages)
-    return Job(
-        job_id=task_id,
-        source=runtime,
-        requests=(runtime,),
-        slices=[DeviceSlice(stage=plan) for plan in plans],
+#: Router sharding with no coalescing: every dispatch is one request,
+#: cut into two stages when its estimate clears ``min_shard_cycles``.
+def shard_two(min_shard_cycles=0.0):
+    return BatchConfig(
+        window_cycles=0.0, max_batch=1, shard_stages=2,
+        min_shard_cycles=min_shard_cycles,
     )
+
+
+#: Device 1 fails for good at cycle 0, so a 2-device fleet runs both
+#: stages of a 2-stage gang on device 0 (router sharding clamps the
+#: stage count to the fleet size, so a 1-device fleet never cuts).
+DEVICE_1_DEAD = ChurnSchedule(events=(
+    ChurnEvent(1, "fault", warn_cycles=0.0, down_cycles=0.0,
+               restore_cycles=math.inf),
+))
+
+
+def stage_runtime_of(result, slice_id):
+    """The stage slice runtime ``slice_id`` on the device that ran it."""
+    device = result.assignments[slice_id]
+    return result.device_results[device].task_by_id(slice_id)
 
 
 def trace(num_tasks=16, seed=21, **kwargs):
@@ -103,28 +111,6 @@ DEGENERATE_SHAPES = {
 # 1. Equivalence
 # ----------------------------------------------------------------------
 class TestLegacyEquivalence:
-    @pytest.mark.parametrize("routing", list(RoutingPolicy))
-    def test_single_slice_jobs_replay_task_path(self, routing):
-        """run_jobs(single-slice, batching off) == run(tasks), all 7
-        routings, bit-for-bit under the golden encoder."""
-        config = sim_config()
-        baseline = ClusterScheduler(
-            3, config, config=ClusterConfig(routing=routing, seed=5)
-        ).run(trace())
-        jobs = [Job.single(task) for task in trace()]
-        via_jobs = ClusterScheduler(
-            3, config, config=ClusterConfig(routing=routing, seed=5)
-        ).run_jobs(jobs)
-        assert _encode_cluster_v2(via_jobs) == _encode_cluster_v2(baseline)
-        assert all(job.state is JobState.DONE for job in via_jobs.jobs)
-        for job in via_jobs.jobs:
-            assert job.completion_time == job.source.completion_time
-            assert job.dispatch_time == job.source.first_dispatch_time
-            assert (
-                via_jobs.assignments[job.source.task_id]
-                == job.slices[0].device_id
-            )
-
     @pytest.mark.parametrize("shape", sorted(DEGENERATE_SHAPES))
     @pytest.mark.parametrize(
         "routing",
@@ -154,8 +140,7 @@ class TestLegacyEquivalence:
             ),
         ).run(trace(seed=33, **trace_kwargs))
         assert _encode_cluster_v2(gang) == _encode_cluster_v2(baseline)
-        # The gang run carries the job surface on top.
-        assert len(gang.jobs) == len(gang.tasks)
+        # The gang run carries batch records on top.
         assert len(gang.batches) == len(gang.tasks)
         assert all(b.batch_size == 1 for b in gang.batches)
         assert gang.batch_count == 0
@@ -166,82 +151,89 @@ class TestLegacyEquivalence:
 # ----------------------------------------------------------------------
 class TestShardedPipeline:
     def test_two_stage_gang_ships_activations(self):
-        job = sharded_job(0, arrival=0.0, cycles=2_000_000.0, num_stages=2)
-        expected_bytes = job.slices[0].stage.activation_bytes
+        task = compat_task(0, arrival=0.0, cycles=2_000_000.0,
+                           priority=Priority.LOW)
+        expected_bytes = partition_runtime(task, 2)[0].activation_bytes
         scheduler = ClusterScheduler(
             2, sim_config(),
             config=ClusterConfig(
                 routing=RoutingPolicy.ONLINE_PREDICTED,
                 interconnect=InterconnectConfig.nvlink(),
+                batching=shard_two(),
             ),
         )
-        result = scheduler.run_jobs([job])
-        assert job.state is JobState.DONE
-        devices = [s.device_id for s in job.slices]
-        assert None not in devices and devices[0] != devices[1]
-        for device_slice in job.slices:
-            assert device_slice.runtime is not None
-            assert device_slice.runtime.is_done
+        result = scheduler.run([task])
+        assert result.tasks == (task,)
+        # Stage 0 runs under the request's id, stage 1 under the first
+        # id above every offered one.
+        devices = [result.assignments[0], result.assignments[1]]
+        assert devices[0] != devices[1]
+        assert list(result.batches[0].devices) == devices
+        stage0 = stage_runtime_of(result, 0)
+        stage1 = stage_runtime_of(result, 1)
+        assert stage0 is not task
+        assert stage0.is_done and stage1.is_done
         activations = [
             t for t in result.transfers if t.purpose == "activation"
         ]
         assert len(activations) == 1
         assert activations[0].num_bytes == expected_bytes
         # DMA-in: stage 1 paid the landing cost as its dispatch restore.
-        stage1 = job.slices[1].runtime
         assert stage1.dispatch_restore == pytest.approx(
             expected_bytes / _CONFIG.bandwidth_bytes_per_cycle
         )
         # The source settles at the final stage's completion.
-        assert job.source.is_done
-        assert job.source.completion_time == stage1.completion_time
-        assert job.completion_time == stage1.completion_time
+        assert task.is_done
+        assert task.completion_time == stage1.completion_time
         metrics = compute_cluster_metrics(result)
         assert metrics.sharded_job_count == 1
         assert metrics.activation_bytes_total == expected_bytes
 
     def test_same_device_stages_skip_the_fabric(self):
-        # A 2-stage gang on a 1-device fleet wraps around: both stages
-        # land on device 0 and the boundary tensor never ships.
-        job = sharded_job(0, arrival=0.0, cycles=1_000_000.0, num_stages=2)
+        # With device 1 dead, both stages land on device 0 and the
+        # boundary tensor never ships.
+        task = compat_task(0, arrival=0.0, cycles=1_000_000.0,
+                           priority=Priority.LOW)
         result = ClusterScheduler(
-            1, sim_config(),
-            config=ClusterConfig(routing=RoutingPolicy.ONLINE_PREDICTED),
-        ).run_jobs([job])
-        assert job.state is JobState.DONE
-        assert [s.device_id for s in job.slices] == [0, 0]
+            2, sim_config(),
+            config=ClusterConfig(
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                batching=shard_two(),
+                churn=DEVICE_1_DEAD,
+            ),
+        ).run([task])
+        assert result.tasks == (task,)
+        assert result.batches[0].num_stages == 2
+        assert [result.assignments[0], result.assignments[1]] == [0, 0]
         assert not result.transfers
-        assert job.slices[1].runtime.dispatch_restore == 0.0
+        assert stage_runtime_of(result, 1).dispatch_restore == 0.0
 
     def test_preempting_one_slice_of_a_gang(self):
-        # Both stages of a LOW job run on the lone device; a HIGH task
-        # arrives mid-stage-0 and preempts just that slice under HPF.
-        job = sharded_job(
-            0, arrival=0.0, cycles=2_000_000.0, num_stages=2,
-            priority=Priority.LOW,
-        )
-        interloper = Job.single(
-            compat_task(1, arrival=200_000.0, cycles=400_000.0,
-                        priority=Priority.HIGH)
-        )
+        # Both stages of a LOW request run on device 0 (device 1 is
+        # dead); a HIGH task, too small to be cut, arrives mid-stage-0
+        # and preempts just that slice under HPF.
+        task = compat_task(0, arrival=0.0, cycles=2_000_000.0,
+                           priority=Priority.LOW)
+        interloper = compat_task(1, arrival=200_000.0, cycles=400_000.0,
+                                 priority=Priority.HIGH)
         scheduler = ClusterScheduler(
-            1, sim_config(),
+            2, sim_config(),
             config=ClusterConfig(
                 policy_name="HPF",
                 routing=RoutingPolicy.ONLINE_PREDICTED,
+                batching=shard_two(min_shard_cycles=1_000_000.0),
+                churn=DEVICE_1_DEAD,
             ),
         )
-        result = scheduler.run_jobs([job, interloper])
-        assert job.state is JobState.DONE
-        assert interloper.state is JobState.DONE
-        stage0 = job.slices[0].runtime
-        stage1 = job.slices[1].runtime
+        result = scheduler.run([task, interloper])
+        assert [b.num_stages for b in result.batches] == [2, 1]
+        stage0 = stage_runtime_of(result, 0)
+        stage1 = stage_runtime_of(result, 2)
         assert stage0.preemption_count >= 1
         assert stage1.preemption_count == 0
         # The interloper cut ahead: it finished before the gang did.
-        assert (
-            interloper.source.completion_time < job.source.completion_time
-        )
+        assert interloper.completion_time < task.completion_time
+        assert task.completion_time == stage1.completion_time
         assert len(result.tasks) == 2
 
     def test_gang_straddling_contended_link_migrates(self):
@@ -265,7 +257,6 @@ class TestShardedPipeline:
         )
         result = scheduler.run(tasks)
         assert len(result.tasks) == 40
-        assert all(job.state is JobState.DONE for job in result.jobs)
         kinds = {t.purpose for t in result.transfers}
         assert kinds == {"checkpoint", "activation"}
         assert any(m.kind == "checkpoint" for m in result.migrations)
@@ -417,22 +408,17 @@ class TestRouterBatching:
         assert len(result.batches) == 1
         assert result.batches[0].member_task_ids == (0, 2)
         assert [t.task_id for t in result.rejected_tasks] == [1]
-        rejected_job = next(
-            job for job in result.jobs if job.job_id == 1
-        )
-        assert rejected_job.state is JobState.REJECTED
-        assert not rejected_job.source.is_done
+        assert not result.rejected_tasks[0].is_done
         assert {t.task_id for t in result.tasks} == {0, 2}
         assert all(t.is_done for t in result.tasks)
 
     def test_job_dispatch_time_is_first_device_dispatch(self):
-        """``Job.dispatch_time`` is when the job's work first ran on an
-        NPU -- not the router flush, which ``BatchRecord`` records."""
-        hog = Job.single(
-            compat_task(0, 0.0, 500_000.0, priority=Priority.HIGH)
-        )
+        """A member's ``first_dispatch_time`` is when its dispatch first
+        ran on an NPU -- not the router flush, which ``BatchRecord``
+        records."""
+        hog = compat_task(0, 0.0, 500_000.0, priority=Priority.HIGH)
         pair = [
-            Job.single(compat_task(task_id, 10.0 * task_id, 50_000.0))
+            compat_task(task_id, 10.0 * task_id, 50_000.0)
             for task_id in (1, 2)
         ]
         scheduler = ClusterScheduler(
@@ -443,7 +429,7 @@ class TestRouterBatching:
                 batching=BatchConfig(window_cycles=1_000.0, max_batch=2),
             ),
         )
-        result = scheduler.run_jobs([hog] + pair)
+        result = scheduler.run([hog] + pair)
         flushes = {
             batch.member_task_ids: batch.dispatch_cycles
             for batch in result.batches
@@ -451,11 +437,9 @@ class TestRouterBatching:
         # The hog's window flushes at 1,000; the pair fills max_batch at
         # 20 and runs first, for 50k + 0.75 * 50k cycles.
         assert flushes == {(0,): 1_000.0, (1, 2): 20.0}
-        assert hog.dispatch_time == hog.source.first_dispatch_time
-        assert hog.dispatch_time == 20.0 + 87_500.0
-        for job in pair:
-            assert job.dispatch_time == 20.0
-            assert job.dispatch_time == job.source.first_dispatch_time
+        assert hog.first_dispatch_time == 20.0 + 87_500.0
+        for task in pair:
+            assert task.first_dispatch_time == 20.0
 
     def test_admission_settles_batched_members(self):
         # Every admitted member's budget charge is released at the

@@ -27,6 +27,7 @@ from repro.sched.cluster import (
     ClusterConfig,
     ClusterScheduler,
     RoutingPolicy,
+    _ClusterRun,
 )
 from repro.sched.policies import make_policy
 from repro.sched.simulator import (
@@ -406,6 +407,36 @@ class TestEdgeCases:
         )
         with pytest.raises(RuntimeError, match=r"unsettled tasks: \[2\]"):
             cluster.run(burst_workload())
+
+    def test_finished_task_also_lost_raises(self):
+        """The offered requests must split into completed, rejected and
+        lost ones with no overlap: a completed task that the run also
+        counts as lost fails the result by name."""
+        from repro.npu.config import NPUConfig
+
+        cluster = ClusterScheduler(
+            2,
+            SimulationConfig(npu=NPUConfig(), mode=PreemptionMode.NP),
+            config=ClusterConfig(
+                policy_name="FCFS", routing=RoutingPolicy.WORK_STEALING
+            ),
+        )
+        run = _ClusterRun(cluster, burst_workload())
+        run.loop()
+        finished = run.tasks[2]
+        assert finished.is_done
+        run.lost.append(finished)
+        with pytest.raises(
+            RuntimeError, match=r"finished tasks rejected or lost: \[2\]"
+        ):
+            run.result()
+        # Counted as both rejected and lost: the overlap check names it
+        # before the finished-task check does.
+        run.rejected.append(finished)
+        with pytest.raises(
+            RuntimeError, match=r"tasks rejected or lost twice: \[2\]"
+        ):
+            run.result()
 
     def test_cluster_timeline_reports_devices(self):
         result = run_cluster(burst_workload(), RoutingPolicy.WORK_STEALING)

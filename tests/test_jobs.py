@@ -1,11 +1,9 @@
 """Unit tests of the job layer: stage cutting, batching, configuration.
 
-Covers the PR-6 data model in isolation from the cluster event loop:
+Covers the dispatch building blocks in isolation from the cluster event loop:
 
 - :func:`balanced_partition` / :meth:`Graph.partition` /
   :func:`partition_model` -- the model-cutting primitives.
-- :class:`Job` construction invariants (``Job.single`` is zero-copy, the
-  factory's ``build_job`` clamps stage requests).
 - :func:`partition_runtime` / :func:`stage_runtime` -- the profile cut
   conserves cycles and the information asymmetry, and the DMA-in cost
   lands as ``restore_pending``.
@@ -36,8 +34,6 @@ from repro.sched.cluster import (
 from repro.sched.interconnect import CONTEXT_ROW_BYTES
 from repro.sched.job import (
     BatchConfig,
-    Job,
-    JobState,
     StagePlan,
     batch_key,
     merge_runtimes,
@@ -147,76 +143,6 @@ class TestModelPartition:
         assert sum(parts) == pytest.approx(whole, rel=1e-9)
         # A cycle-balanced 2-cut never puts >90% in one stage.
         assert max(parts) / whole < 0.9
-
-
-# ----------------------------------------------------------------------
-# Job construction
-# ----------------------------------------------------------------------
-class TestJobConstruction:
-    def test_single_is_zero_copy(self):
-        runtime = make_runtime()
-        job = Job.single(runtime)
-        assert job.is_single
-        assert job.source is runtime
-        assert job.slices[0].runtime is runtime
-        assert job.num_stages == 1
-        assert job.batch_size == 1
-        assert job.state is JobState.PENDING
-        assert job.arrival_cycles == runtime.spec.arrival_cycles
-
-    def test_spec_stage_request_validated(self):
-        with pytest.raises(ValueError):
-            TaskSpec(
-                task_id=0, benchmark="CNN-AN", batch=1,
-                priority=Priority.LOW, arrival_cycles=0.0, stages=0,
-            )
-
-    def test_build_job_single_wraps_build_task(self, factory):
-        spec = TaskSpec(
-            task_id=3, benchmark="CNN-AN", batch=1,
-            priority=Priority.HIGH, arrival_cycles=5.0,
-        )
-        job = factory.build_job(spec)
-        assert job.is_single
-        assert job.source.task_id == 3
-
-    def test_build_job_multi_stage(self, factory):
-        spec = TaskSpec(
-            task_id=4, benchmark="CNN-AN", batch=1,
-            priority=Priority.LOW, arrival_cycles=0.0, stages=3,
-        )
-        job = factory.build_job(spec)
-        assert job.num_stages == 3
-        assert not job.is_single
-        assert job.slices[0].runtime is None  # materialized at dispatch
-        total = sum(s.stage.profile.total_cycles for s in job.slices)
-        assert total == pytest.approx(
-            job.source.profile.total_cycles, rel=1e-9
-        )
-
-    def test_build_job_clamps_to_layer_count(self, factory):
-        spec = TaskSpec(
-            task_id=5, benchmark="CNN-AN", batch=1,
-            priority=Priority.LOW, arrival_cycles=0.0, stages=512,
-        )
-        job = factory.build_job(spec)
-        assert job.num_stages <= len(job.source.profile.layers)
-
-    def test_job_requires_slices_and_requests(self):
-        runtime = make_runtime()
-        with pytest.raises(ValueError):
-            Job(job_id=0, source=runtime, requests=(runtime,), slices=[])
-        plan = StagePlan(
-            index=0, profile=runtime.profile,
-            estimated_cycles=1.0, activation_bytes=0.0,
-        )
-        from repro.sched.job import DeviceSlice
-
-        with pytest.raises(ValueError):
-            Job(
-                job_id=0, source=runtime, requests=(),
-                slices=[DeviceSlice(stage=plan)],
-            )
 
 
 # ----------------------------------------------------------------------
@@ -390,25 +316,6 @@ class TestClusterConfig:
                     batching=BatchConfig(window_cycles=1e6),
                 ),
             )
-
-    def test_run_jobs_rejects_static_routing_for_gangs(self, factory):
-        spec = TaskSpec(
-            task_id=0, benchmark="CNN-AN", batch=1,
-            priority=Priority.LOW, arrival_cycles=0.0, stages=2,
-        )
-        job = factory.build_job(spec)
-        scheduler = ClusterScheduler(
-            2, _sim_config(),
-            config=ClusterConfig(routing=RoutingPolicy.ROUND_ROBIN),
-        )
-        with pytest.raises(ValueError, match="online routing"):
-            scheduler.run_jobs([job])
-
-    def test_run_jobs_rejects_duplicate_members(self):
-        runtime = make_runtime()
-        scheduler = ClusterScheduler(2, _sim_config())
-        with pytest.raises(ValueError, match="duplicate"):
-            scheduler.run_jobs([Job.single(runtime), Job.single(runtime)])
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from repro.sched.interconnect import (
     Interconnect,
     InterconnectConfig,
 )
-from repro.sched.job import Job
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.rack import RackRouter, RackTopology
 from repro.sched.policies import make_policy
@@ -266,7 +265,7 @@ def _steal(scheduler, devices):
         priority=Priority.MEDIUM,
         arrival_cycles=0.0,
     )
-    run = _ClusterRun(scheduler, [Job.single(synthetic_runtime(spec, 1.0))])
+    run = _ClusterRun(scheduler, [synthetic_runtime(spec, 1.0)])
     run.devices = devices
     run.indexes = _RackIndexes(devices, scheduler.racks, verify=True)
     run.steal(0.0)
