@@ -17,8 +17,11 @@ holds:
 
 The last row must cover the current benchmark and hot-path gate, so a
 workload or tier added without a measurement fails here.
+``benchmarks/trajectory_diff.py`` reports what moved between two rows;
+it runs here on a two-row fixture.
 """
 
+import importlib.util
 import json
 import pathlib
 
@@ -26,6 +29,11 @@ import pytest
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 _TRAJECTORY = _ROOT / "benchmarks" / "trajectory.jsonl"
+_SPEC = importlib.util.spec_from_file_location(
+    "trajectory_diff", _ROOT / "benchmarks" / "trajectory_diff.py"
+)
+trajectory_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(trajectory_diff)
 _TIMED = ("sim_tasks_per_s", "setup_s", "peak_rss_mb")
 _SUMMARY = ("base_median", "base_iqr", "head_median", "head_iqr", "change_pct", "head_won")
 
@@ -78,3 +86,65 @@ def test_last_row_summarizes_each_timed_metric():
         for metric in _TIMED:
             assert set(_SUMMARY) <= set(metrics[metric]), (workload, metric)
             assert 0 <= metrics[metric]["head_won"] <= last["ab"]["pairs"]
+
+
+def _fixture_row(commit, counts, median, tier):
+    return {
+        "parent": "0" * 40,
+        "commit": commit * 40,
+        "cpu_count": 2,
+        "python": "3.11.7",
+        "hotpath": {
+            "calibration_ops_per_s": 1_000_000,
+            "normalized": {"steady": 0.002, "tier": tier},
+        },
+        "counts": {"seed": 7, "workloads": {"w": counts, "calm": {"a.b": 1}}},
+        "ab": {
+            "seed": 7,
+            "seconds": 30.0,
+            "pairs": 10,
+            "workloads": {
+                "w": {
+                    "sim_tasks_per_s": {"head_median": median},
+                    "setup_s": {"head_median": 0.05},
+                }
+            },
+        },
+    }
+
+
+def test_diff_reports_what_moved_between_two_rows(tmp_path, capsys):
+    old = _fixture_row(
+        "a", {"simulator.events.period": 100, "simulator.preemptions": 5,
+              "job.sharded": 3, "tokens.ledger.calls": 7}, 2000.0, 0.004,
+    )
+    new = _fixture_row(
+        "b", {"simulator.events.period": 90, "simulator.preemptions": 5,
+              "job.sharded": 4, "trace.spans": 9}, 2100.0, 0.003,
+    )
+    path = tmp_path / "trajectory.jsonl"
+    path.write_text(json.dumps(old) + "\n" + json.dumps(new) + "\n")
+    assert trajectory_diff.main(["--file", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "trajectory: aaaaaaaaaaaa -> bbbbbbbbbbbb",
+        "work counts:",
+        "  calm: no count moved",
+        "  w:",
+        "    job",
+        "      job.sharded: 3 -> 4 (+33.3%)",
+        "    simulator",
+        "      simulator.events.period: 100 -> 90 (-10.0%)",
+        "    tokens",
+        "      tokens.ledger.calls: 7 -> absent",
+        "    trace",
+        "      trace.spans: absent -> 9",
+        "ab head medians:",
+        "  w sim_tasks_per_s: 2000 -> 2100 (+5.0%)",
+        "hotpath normalized tasks/s:",
+        "  tier: 0.004 -> 0.003 (-25.0%)",
+    ]
+    # Rows named by commit prefix, in either order.
+    assert trajectory_diff.main(["--file", str(path), "bbb", "a"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "trajectory: bbbbbbbbbbbb -> aaaaaaaaaaaa"
+    )
