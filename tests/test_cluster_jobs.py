@@ -61,9 +61,9 @@ def compat_task(task_id, arrival, cycles, priority=Priority.MEDIUM):
     return synthetic_runtime(spec, cycles)
 
 
-#: Router sharding with no coalescing: every dispatch is one request,
-#: cut into two stages when its estimate clears ``min_shard_cycles``.
 def shard_two(min_shard_cycles=0.0):
+    """Router sharding with no coalescing: every dispatch is one request,
+    cut into two stages when its estimate clears ``min_shard_cycles``."""
     return BatchConfig(
         window_cycles=0.0, max_batch=1, shard_stages=2,
         min_shard_cycles=min_shard_cycles,
