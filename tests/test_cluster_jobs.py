@@ -2,10 +2,12 @@
 
 The gang mechanics of ``ClusterScheduler.run``, end to end:
 
-1. *Equivalence*: a degenerate batching config (no window, no sharding)
-   makes exactly the decisions of an unbatched run, on flat and racked
-   fleets (same encoder the golden suites use).
-2. *Pipeline sharding*: router-cut stages over real devices --
+1. *Equivalence*: without batching every routing runs a request as its
+   own one-stage gang; a degenerate batching config (no window, no
+   sharding) makes exactly the decisions of an unbatched run, on flat
+   and racked fleets (same encoder the golden suites use).
+2. *Pipeline sharding*: router-cut stages over real devices -- cycle
+   conservation, stage-count clamping to fleet size and layer count,
    activation transfers on the fabric, DMA-in restores, distinct device
    reservations, slice-level preemption, and checkpoint migration of
    gangs straddling a contended link.
@@ -111,6 +113,32 @@ DEGENERATE_SHAPES = {
 # 1. Equivalence
 # ----------------------------------------------------------------------
 class TestLegacyEquivalence:
+    @pytest.mark.parametrize("routing", list(RoutingPolicy))
+    def test_unsharded_tasks_run_as_themselves(self, routing):
+        """Without batching, every routing serves a request as a
+        one-stage gang whose slice *is* the request's runtime: the device
+        that ran it (after any steal) holds that very object, no slice id
+        is minted above the offered ones, and no batch record is kept."""
+        tasks = trace(
+            num_tasks=24,
+            mean_interarrival_cycles=DEFAULT_MEAN_INTERARRIVAL_CYCLES / 3,
+        )
+        result = ClusterScheduler(
+            3, sim_config(), config=ClusterConfig(routing=routing, seed=5)
+        ).run(tasks)
+        assert result.tasks == tuple(tasks)
+        assert not result.rejected_tasks and not result.lost_tasks
+        assert sorted(result.assignments) == [t.task_id for t in tasks]
+        assert result.batches == ()
+        for task in tasks:
+            device = result.device_results[result.assignments[task.task_id]]
+            assert device.task_by_id(task.task_id) is task
+            assert (
+                task.spec.arrival_cycles
+                <= task.first_dispatch_time
+                <= task.completion_time
+            )
+
     @pytest.mark.parametrize("shape", sorted(DEGENERATE_SHAPES))
     @pytest.mark.parametrize(
         "routing",
@@ -269,6 +297,81 @@ class TestShardedPipeline:
             assert record.start_cycles >= previous_end
             previous_end = record.end_cycles
             previous_request = record.request_cycles
+
+    @staticmethod
+    def cut(task, num_devices, shard_stages, min_shard_cycles=0.0):
+        """Run ``task`` alone under router sharding with no coalescing."""
+        return ClusterScheduler(
+            num_devices, sim_config(),
+            config=ClusterConfig(
+                routing=RoutingPolicy.ONLINE_PREDICTED,
+                batching=BatchConfig(
+                    window_cycles=0.0, max_batch=1,
+                    shard_stages=shard_stages,
+                    min_shard_cycles=min_shard_cycles,
+                ),
+            ),
+        ).run([task])
+
+    def test_router_cut_conserves_cycles(self):
+        # Three stages on three devices: the cut splits the ground truth
+        # and the estimate without loss, and the stages run in order.
+        task = compat_task(0, arrival=0.0, cycles=3_000_000.0,
+                           priority=Priority.LOW)
+        result = self.cut(task, num_devices=3, shard_stages=3)
+        (batch,) = result.batches
+        assert batch.num_stages == 3
+        assert batch.member_task_ids == (0,)
+        assert sorted(batch.devices) == [0, 1, 2]
+        stages = [stage_runtime_of(result, i) for i in range(3)]
+        assert [result.assignments[i] for i in range(3)] == list(
+            batch.devices
+        )
+        assert sum(s.profile.total_cycles for s in stages) == pytest.approx(
+            task.profile.total_cycles, rel=1e-9
+        )
+        assert sum(
+            s.context.estimated_cycles for s in stages
+        ) == pytest.approx(task.context.estimated_cycles, rel=1e-9)
+        for before, after in zip(stages, stages[1:]):
+            assert after.first_dispatch_time >= before.completion_time
+        assert task.completion_time == stages[-1].completion_time
+
+    def test_router_cut_clamps_to_fleet_size(self):
+        task = compat_task(0, arrival=0.0, cycles=3_000_000.0,
+                           priority=Priority.LOW)
+        result = self.cut(task, num_devices=3, shard_stages=8)
+        assert result.batches[0].num_stages == 3
+        # Stage slices run under ids 0 (the request's), 1 and 2 only.
+        assert sorted(result.assignments) == [0, 1, 2]
+        assert task.is_done
+
+    def test_router_cut_clamps_to_layer_count(self):
+        # A 2-layer model cannot fill 4 stages, however large the fleet.
+        spec = TaskSpec(
+            task_id=0, benchmark="CNN-AN", batch=1,
+            priority=Priority.LOW, arrival_cycles=0.0,
+        )
+        task = synthetic_runtime(spec, 3_000_000.0, num_layers=2)
+        result = self.cut(task, num_devices=4, shard_stages=4)
+        assert result.batches[0].num_stages == 2
+        assert len(result.batches[0].devices) == 2
+        assert sorted(result.assignments) == [0, 1]
+        assert task.is_done
+
+    def test_small_dispatch_runs_uncut_as_itself(self):
+        # Under the shard threshold the dispatch is one stage: the
+        # request's own runtime runs, nothing ships, no id is minted.
+        task = compat_task(0, arrival=0.0, cycles=1_000_000.0,
+                           priority=Priority.LOW)
+        result = self.cut(
+            task, num_devices=3, shard_stages=3, min_shard_cycles=2_000_000.0
+        )
+        assert result.batches[0].num_stages == 1
+        assert list(result.assignments) == [0]
+        assert stage_runtime_of(result, 0) is task
+        assert not result.transfers
+        assert task.is_done
 
 
 # ----------------------------------------------------------------------

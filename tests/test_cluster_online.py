@@ -438,6 +438,60 @@ class TestEdgeCases:
         ):
             run.result()
 
+    def test_finished_task_also_rejected_raises(self):
+        from repro.npu.config import NPUConfig
+
+        cluster = ClusterScheduler(
+            2,
+            SimulationConfig(npu=NPUConfig(), mode=PreemptionMode.NP),
+            config=ClusterConfig(
+                policy_name="FCFS", routing=RoutingPolicy.ONLINE_PREDICTED
+            ),
+        )
+        run = _ClusterRun(cluster, burst_workload())
+        run.loop()
+        finished = run.tasks[1]
+        assert finished.is_done
+        run.rejected.append(finished)
+        with pytest.raises(
+            RuntimeError, match=r"finished tasks rejected or lost: \[1\]"
+        ):
+            run.result()
+
+    @pytest.mark.parametrize("again", ["rejected", "lost"])
+    def test_lost_task_counted_again_raises(self, again):
+        """A request the fleet really lost (every device down for good
+        from cycle 0) fails the result by name when the run also counts
+        it as rejected, or as lost a second time."""
+        import math
+
+        from repro.npu.config import NPUConfig
+        from repro.sched.faults import ChurnEvent, ChurnSchedule
+
+        dead_fleet = ChurnSchedule(events=tuple(
+            ChurnEvent(device, "fault", warn_cycles=0.0, down_cycles=0.0,
+                       restore_cycles=math.inf)
+            for device in (0, 1)
+        ))
+        cluster = ClusterScheduler(
+            2,
+            SimulationConfig(npu=NPUConfig(), mode=PreemptionMode.NP),
+            config=ClusterConfig(
+                policy_name="FCFS",
+                routing=RoutingPolicy.WORK_STEALING,
+                churn=dead_fleet,
+            ),
+        )
+        run = _ClusterRun(cluster, burst_workload())
+        run.loop()
+        assert [task.task_id for task in run.lost] == [0, 1, 2, 3]
+        assert not any(task.is_done for task in run.lost)
+        getattr(run, again).append(run.lost[3])
+        with pytest.raises(
+            RuntimeError, match=r"tasks rejected or lost twice: \[3\]"
+        ):
+            run.result()
+
     def test_cluster_timeline_reports_devices(self):
         result = run_cluster(burst_workload(), RoutingPolicy.WORK_STEALING)
         assert len(result.timeline) >= 1

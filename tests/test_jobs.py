@@ -317,6 +317,23 @@ class TestClusterConfig:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "routing", sorted(STATIC_ROUTINGS, key=lambda r: r.value)
+    )
+    def test_sharding_requires_online_routing(self, routing):
+        # A gang reserves a device per stage against live backlogs, so
+        # no static routing may cut dispatches into stages.
+        with pytest.raises(ValueError, match="online routing"):
+            ClusterScheduler(
+                2, _sim_config(),
+                config=ClusterConfig(
+                    routing=routing,
+                    batching=BatchConfig(
+                        window_cycles=0.0, max_batch=1, shard_stages=2
+                    ),
+                ),
+            )
+
 
 # ----------------------------------------------------------------------
 # Routing membership sets
