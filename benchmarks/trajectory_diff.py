@@ -11,7 +11,10 @@ compared.  The report lists, in this order:
 - per workload, each work count that moved (``old -> new``), grouped by
   layer, the first dotted part of the row's name;
 - each ``ab`` head median that moved, with its change in percent;
-- each ``bench_hotpath`` tier whose normalized tasks/s moved.
+- each ``bench_hotpath`` tier whose normalized tasks/s moved, under a
+  header with each row's calibration ops/s: normalized tiers of one
+  source differ by up to a third between runs on one host, so weigh a
+  move against the host's state.
 
 A workload, metric or tier that only one row has reads ``absent`` on the
 other side.  The row schema is in ``tests/test_trajectory.py``.  Needs
@@ -105,7 +108,10 @@ def ab_report(old: dict, new: dict) -> List[str]:
 
 
 def hotpath_report(old: dict, new: dict) -> List[str]:
-    lines = ["hotpath normalized tasks/s:"]
+    before, after = (row["hotpath"]["calibration_ops_per_s"] for row in (old, new))
+    lines = [
+        f"hotpath normalized tasks/s (calibration {before:,.0f} -> {after:,.0f} ops/s):"
+    ]
     moved = _moved(old["hotpath"]["normalized"], new["hotpath"]["normalized"])
     lines.extend(f"  {line}" for line in moved or ["none moved"])
     return lines

@@ -24,6 +24,7 @@ from typing import Dict
 from repro.isa.compiler import CompiledModel
 from repro.npu.config import NPUConfig
 from repro.npu.systolic import predicted_gemm_cycles
+from repro.npu.tiling import GemmShape
 
 
 def predicted_layer_cycles(shape, config: NPUConfig) -> float:
@@ -51,19 +52,23 @@ class LatencyPredictor:
 
     def __init__(self, config: NPUConfig) -> None:
         self.config = config
-        self._cache: Dict[tuple, float] = {}
+        #: Algorithm 1's estimate per GEMM shape, the only input it reads.
+        self._shape_cycles: Dict[GemmShape, float] = {}
+
+    def _gemm_cycles(self, shape: GemmShape) -> float:
+        cycles = self._shape_cycles.get(shape)
+        if cycles is None:
+            cycles = self._shape_cycles[shape] = predicted_gemm_cycles(
+                shape, self.config
+            )
+        return cycles
 
     def predict_model(self, model: CompiledModel) -> float:
         """Estimated cycles for a compiled model (CNN or unrolled RNN)."""
-        key = self._cache_key(model)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         total = 0.0
         for layer in model.layers:
             for shape in layer.gemm_shapes:
-                total += predicted_gemm_cycles(shape, self.config)
-        self._cache[key] = total
+                total += self._gemm_cycles(shape)
         return total
 
     def breakdown(self, model: CompiledModel) -> PredictionBreakdown:
@@ -73,8 +78,7 @@ class LatencyPredictor:
             if not layer.gemm_shapes:
                 continue
             layer_cycles[layer.name] = sum(
-                predicted_gemm_cycles(shape, self.config)
-                for shape in layer.gemm_shapes
+                self._gemm_cycles(shape) for shape in layer.gemm_shapes
             )
         return PredictionBreakdown(
             model_name=model.name,
@@ -82,10 +86,6 @@ class LatencyPredictor:
             total_cycles=sum(layer_cycles.values()),
             layer_cycles=layer_cycles,
         )
-
-    @staticmethod
-    def _cache_key(model: CompiledModel) -> tuple:
-        return (model.name, model.batch, len(model.layers))
 
 
 class OraclePredictor:

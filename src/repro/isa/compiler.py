@@ -19,7 +19,7 @@ both paths agree on every aggregate.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import (
     ConvOp,
@@ -189,15 +189,42 @@ def compile_model(
     config: NPUConfig,
     batch: int = 1,
     materialize_streams: bool = False,
+    cache: Optional[Dict[tuple, tuple]] = None,
 ) -> CompiledModel:
-    """Lower a whole graph for one batch size."""
+    """Lower a whole graph for one batch size.
+
+    ``cache``, one ``config``'s and kept by the caller, holds a lowering
+    per distinct node: its layer's class and fields other than ``name``,
+    its input shapes and the batch fix every lowered field, so an
+    unrolled RNN cell or a model built again lowers once, and a hit takes
+    this node's ``node_index`` and ``name``.  Streams are per node, so
+    ``materialize_streams`` bypasses the cache.
+    """
     if batch <= 0:
         raise ValueError("batch must be positive")
-    layers = tuple(
-        compile_layer(node, config, batch, materialize_stream=materialize_streams)
-        for node in graph
-    )
+    if cache is None or materialize_streams:
+        layers = tuple(
+            compile_layer(node, config, batch, materialize_stream=materialize_streams)
+            for node in graph
+        )
+    else:
+        layers = tuple(_cached_layer(node, config, batch, cache) for node in graph)
     return CompiledModel(name=graph.name, batch=batch, layers=layers)
+
+
+def _cached_layer(
+    node: Node, config: NPUConfig, batch: int, cache: Dict[tuple, tuple]
+) -> CompiledLayer:
+    layer = node.layer
+    fields = tuple(value for field, value in vars(layer).items() if field != "name")
+    key = (type(layer), fields, tuple(node.input_specs), batch)
+    lowered = cache.get(key)
+    if lowered is None:
+        compiled = compile_layer(node, config, batch, materialize_stream=False)
+        # Every field after node_index and name, in declaration order.
+        cache[key] = tuple(vars(compiled).values())[2:]
+        return compiled
+    return CompiledLayer(node.index, node.name, *lowered)
 
 
 def partition_model(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.compiler import CompiledLayer, CompiledModel
 from repro.models.layers import LayerKind
@@ -247,14 +247,40 @@ def time_vector_layer(layer: CompiledLayer, config: NPUConfig) -> LayerTiming:
     )
 
 
-def profile_model(model: CompiledModel, config: NPUConfig) -> ExecutionProfile:
-    """Time every layer of a compiled model on an idle NPU."""
+def _time_layer(layer: CompiledLayer, config: NPUConfig) -> LayerTiming:
+    if layer.is_gemm_layer:
+        return time_gemm_layer(layer, config)
+    return time_vector_layer(layer, config)
+
+
+def profile_model(
+    model: CompiledModel,
+    config: NPUConfig,
+    cache: Optional[Dict[tuple, LayerTiming]] = None,
+) -> ExecutionProfile:
+    """Time every layer of a compiled model on an idle NPU.
+
+    ``cache``, one ``config``'s and kept by the caller, holds a timing per
+    distinct set of the lowered fields the timing reads (kind, GEMM
+    shapes, tiles, output and vector elements, MACs), so equal layers are
+    timed once; a hit takes this layer's ``name``.
+    """
     timings: List[LayerTiming] = []
     for layer in model.layers:
-        if layer.is_gemm_layer:
-            timings.append(time_gemm_layer(layer, config))
-        else:
-            timings.append(time_vector_layer(layer, config))
+        if cache is None:
+            timings.append(_time_layer(layer, config))
+            continue
+        key = (
+            layer.kind, layer.gemm_shapes, layer.total_tiles,
+            layer.out_elems, layer.vector_elems, layer.macs,
+        )
+        timing = cache.get(key)
+        if timing is None:
+            timing = cache[key] = _time_layer(layer, config)
+        elif timing.name != layer.name:
+            # Every field after name, in declaration order.
+            timing = LayerTiming(layer.name, *tuple(vars(timing).values())[1:])
+        timings.append(timing)
     starts: List[float] = []
     clock = 0.0
     for timing in timings:

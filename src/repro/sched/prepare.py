@@ -8,9 +8,16 @@ the graph unrolled to the *predicted* output length from the regression
 model.  An :class:`OraclePredictor` can replace the estimate with the
 exact simulated time (Sec VI-D).
 
-Compilation results are cached by (benchmark, batch, lengths): the model
-zoo is finite and the profiled sequence grids are discrete, so ensembles
-of workloads re-use almost every compilation.
+Results are cached at two levels.  Per model, profiles and estimates are
+kept by (benchmark, batch, lengths): the model zoo is finite and the
+profiled sequence grids are discrete, so ensembles of workloads re-use
+almost every model.  Per layer, each distinct layer is lowered, timed and
+estimated once: a lowering depends only on the layer, its input shapes
+and the batch, and a timing or an Algorithm-1 estimate only on the
+lowered shape, so the time steps of an unrolled RNN, and all its
+unrolls, share one lowering per distinct cell.  Both levels live on the
+factory (and its predictor) and die with it; a fresh factory starts
+cold.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from repro.isa.compiler import CompiledModel, compile_model
 from repro.models.sequences import BENCHMARK_PROFILE, SequenceProfile
 from repro.models.zoo import build_benchmark, is_rnn
 from repro.npu.config import NPUConfig
-from repro.npu.engine import ExecutionProfile, profile_model
+from repro.npu.engine import ExecutionProfile, LayerTiming, profile_model
 from repro.sched.task import TaskRuntime
 from repro.workloads.generator import default_profiles
 from repro.workloads.specs import TaskSpec, WorkloadSpec
@@ -57,6 +64,8 @@ class TaskFactory:
         }
         self._profile_cache: Dict[_ModelKey, ExecutionProfile] = {}
         self._estimate_cache: Dict[_ModelKey, float] = {}
+        self._layer_cache: Dict[tuple, tuple] = {}
+        self._timing_cache: Dict[tuple, LayerTiming] = {}
 
     # ------------------------------------------------------------------
     # Ground truth
@@ -73,7 +82,7 @@ class TaskFactory:
         cached = self._profile_cache.get(key)
         if cached is None:
             model = self._compile(benchmark, batch, input_len, output_len)
-            cached = profile_model(model, self.config)
+            cached = profile_model(model, self.config, cache=self._timing_cache)
             self._profile_cache[key] = cached
         return cached
 
@@ -166,7 +175,7 @@ class TaskFactory:
             )
         else:
             graph = build_benchmark(benchmark)
-        return compile_model(graph, self.config, batch=batch)
+        return compile_model(graph, self.config, batch=batch, cache=self._layer_cache)
 
     def prediction_pairs(
         self, specs: Sequence[TaskSpec]

@@ -76,7 +76,10 @@ Which ticks fire (:meth:`DeviceSim._next_decision_tick`):
   preemptive-migration routing that polls after every device event);
 - the next tick after a change no wake looked at: a reserved DISPATCH
   (it runs no wake), :meth:`DeviceSim.remove_task` and
-  :meth:`DeviceSim.force_checkpoint`;
+  :meth:`DeviceSim.force_checkpoint`.  Under a token policy the tick
+  after a reserved DISPATCH falls inside the new runner's time quota and
+  ranks nothing, so the DISPATCH arms the first deciding tick of the
+  rule below instead;
 - under STATIC or DYNAMIC with a token policy: the first tick past the
   running task's time quota, and the first tick at which a READY row's
   tokens may cross a ``TOKEN_LEVELS`` value -- the threshold and the
@@ -996,8 +999,12 @@ class DeviceSim:
         if not (task.is_done or task.context.state == TaskState.RUNNING):
             self._running_id = self._dispatch(now, task)
         # No wake runs here, so a row that arrived during the trap has not
-        # been ranked against the new runner: the next tick decides.
-        if self._tick_can_matter():
+        # been ranked against the new runner: the next tick decides.  A
+        # token policy's next tick falls inside the new runner's quota and
+        # ranks nothing, so it plans the first deciding tick instead.
+        if self.policy.uses_tokens:
+            self._arm_decision_tick(now)
+        elif self._tick_can_matter():
             self._arm_period(now)
 
     # ------------------------------------------------------------------

@@ -34,6 +34,22 @@ class TestLatencyPredictor:
         model = compile_model(build_benchmark("CNN-AN"), config, batch=1)
         assert predictor.predict_model(model) == predictor.predict_model(model)
 
+    def test_unrolls_with_equal_node_counts_keep_their_own_estimates(self, config):
+        # RNN-MT1 at (10, 6) and at (5, 9) both unroll to 60 nodes; one
+        # predictor must still estimate each as a fresh one does.
+        models = [
+            compile_model(
+                build_benchmark("RNN-MT1", input_len=i, output_len=o), config
+            )
+            for i, o in ((10, 6), (5, 9))
+        ]
+        assert len(models[0].layers) == len(models[1].layers)
+        predictor = LatencyPredictor(config)
+        shared = [predictor.predict_model(model) for model in models]
+        fresh = [LatencyPredictor(config).predict_model(model) for model in models]
+        assert shared == fresh
+        assert shared[0] != shared[1]
+
     def test_breakdown_sums_to_total(self, config):
         predictor = LatencyPredictor(config)
         model = compile_model(build_benchmark("CNN-AN"), config, batch=1)

@@ -1,9 +1,20 @@
 """TaskFactory: ground truth vs scheduler-visible estimates."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.predictor import LatencyPredictor
 from repro.core.tokens import Priority
+from repro.isa import compiler as compiler_module
+from repro.isa.compiler import compile_model
+from repro.models.zoo import BENCHMARKS, build_benchmark, is_rnn
+from repro.npu.engine import profile_model
+from repro.sched.prepare import TaskFactory
 from repro.workloads.specs import TaskSpec
+
+#: RNN unrolls (input, output); the first two both give RNN-MT1 60 nodes.
+_UNROLLS = ((5, 9), (10, 6), (20, 20))
 
 
 def cnn_spec(task_id=0, benchmark="CNN-AN", batch=1):
@@ -88,3 +99,104 @@ class TestBuildTask:
         pairs = factory.prediction_pairs(specs)
         assert len(pairs) == 2
         assert all(e > 0 and a > 0 for e, a in pairs)
+
+
+def _graphs(benchmark, unrolls=_UNROLLS):
+    """(unroll, graph) per unroll of an RNN; one (None, graph) for a CNN."""
+    if not is_rnn(benchmark):
+        return [(None, build_benchmark(benchmark))]
+    return [
+        ((i, o), build_benchmark(benchmark, input_len=i, output_len=o))
+        for i, o in unrolls
+    ]
+
+
+def _caches(factory):
+    return (factory._layer_cache, factory._timing_cache,
+            factory.predictor._shape_cycles)
+
+
+class TestLayerCaches:
+    """Per-layer lowering, timing and estimates equal the uncached path."""
+
+    def test_cached_lowering_and_timing_equal_uncached(self, config):
+        # One pair of caches across every model, unroll and batch, so
+        # hits cross models.  Frozen-dataclass equality compares every
+        # field: exact floats, names and node indexes.
+        layers, timings = {}, {}
+        for benchmark in BENCHMARKS + ("RESNET",):
+            for unroll, graph in _graphs(benchmark):
+                for batch in (1, 4):
+                    plain = compile_model(graph, config, batch=batch)
+                    cached = compile_model(graph, config, batch=batch, cache=layers)
+                    assert cached == plain, (benchmark, unroll, batch)
+                    assert profile_model(cached, config, cache=timings) == (
+                        profile_model(plain, config)
+                    ), (benchmark, unroll, batch)
+        assert 0 < len(timings) <= len(layers)
+
+    def test_estimate_equals_a_fresh_predictor(self, config):
+        factory = TaskFactory(config)
+        for benchmark in BENCHMARKS:
+            for unroll, _graph in _graphs(benchmark):
+                input_len, output_len = unroll or (None, None)
+                predicted = (
+                    factory.predicted_output_len(benchmark, input_len)
+                    if unroll else None
+                )
+                (_, graph), = _graphs(benchmark, [(input_len, predicted)])
+                for batch in (1, 4):
+                    spec = TaskSpec(0, benchmark, batch, Priority.MEDIUM, 0.0,
+                                    input_len=input_len,
+                                    actual_output_len=output_len)
+                    model = compile_model(graph, config, batch=batch)
+                    assert factory.estimated_cycles(spec) == (
+                        LatencyPredictor(config).predict_model(model)
+                    ), (benchmark, unroll, batch)
+
+    def test_materialized_streams_bypass_the_cache(self, config):
+        graph = build_benchmark("RNN-MT1", input_len=5, output_len=9)
+        cache = {}
+        compile_model(graph, config, cache=cache)
+        size = len(cache)
+        model = compile_model(graph, config, materialize_streams=True, cache=cache)
+        plain = compile_model(graph, config, materialize_streams=True)
+        assert len(cache) == size
+        streams = [layer.stream for layer in model.layers]
+        assert len({id(stream) for stream in streams}) == len(model.layers)
+        for layer, reference in zip(model.layers, plain.layers):
+            assert layer.stream.label == layer.name
+            assert len(layer.stream) == len(reference.stream)
+            assert dataclasses.replace(layer, stream=None) == (
+                dataclasses.replace(reference, stream=None)
+            )
+
+    def test_factories_share_no_cache(self, config):
+        first, second = TaskFactory(config), TaskFactory(config)
+        assert not any(_caches(first)) and not any(_caches(second))
+        first.build_task(rnn_spec())
+        assert all(_caches(first))
+        assert not any(_caches(second))
+        for mine, theirs in zip(_caches(first), _caches(second)):
+            assert mine is not theirs
+
+    def test_compile_layer_runs_once_per_distinct_node(self, config, monkeypatch):
+        calls = []
+        compile_layer = compiler_module.compile_layer
+
+        def counting(node, *args, **kwargs):
+            calls.append(node)
+            return compile_layer(node, *args, **kwargs)
+
+        monkeypatch.setattr(compiler_module, "compile_layer", counting)
+        factory = TaskFactory(config)
+        distinct, nodes = set(), 0
+        for unroll, graph in _graphs("RNN-MT1", ((10, 6), (5, 9))):
+            factory.execution_profile("RNN-MT1", 1, *unroll)
+            # A node is its layer without the name, and its input shapes.
+            distinct |= {
+                (dataclasses.replace(node.layer, name="-"), tuple(node.input_specs))
+                for node in graph
+            }
+            nodes += len(graph)
+        assert len(calls) == len(distinct) < nodes

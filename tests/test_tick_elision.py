@@ -19,8 +19,9 @@ traces of at most 64 tasks.  Each of these breaks the suite: re-arming a
 woken chain at ``now + period`` instead of walking it, dropping the tick
 a sleeping device arms when it drains, letting a doomed device's clock
 sleep, dropping the tick armed after ``remove_task``, dropping the tick
-after a reserved DISPATCH, and arming a token-level crossing one tick
-late.
+after a reserved DISPATCH (the chain's next tick under FCFS/RRB/HPF/SJF,
+the first deciding tick past the new runner's quota under TOKEN/PREMA),
+and arming a token-level crossing one tick late.
 
 ``DeviceSim._replay`` replays a skipped span row by row and decides it
 once.  :class:`CheckedReplayDeviceSim` runs every replay twice from the
@@ -582,6 +583,42 @@ def test_reserved_dispatch_is_followed_by_a_deciding_tick(factory):
     assert high.spec.arrival_cycles < medium.first_dispatch_time
     assert medium.preemption_count == 1
     assert high.first_dispatch_time < medium.completion_time
+
+
+@pytest.mark.parametrize("policy", ["TOKEN", "PREMA"])
+def test_token_reserved_dispatch_plans_its_deciding_tick(factory, policy):
+    """Under a token policy the tick after a reserved DISPATCH falls in
+    the new runner's time quota and ranks nothing, so the DISPATCH arms
+    the first deciding tick instead, past the quota.
+
+    Under STATIC a HIGH task preempts a LOW one; a second HIGH task
+    arrives during the checkpoint trap.  Only a tick past the first HIGH
+    task's quota ranks the second against it and preempts it.
+    """
+    low_iso = factory.execution_profile("CNN-VN", 16).total_cycles
+    specs = [
+        TaskSpec(0, "CNN-VN", 16, Priority.LOW, 0.0),
+        TaskSpec(1, "CNN-GN", 1, Priority.HIGH, 0.3 * low_iso),
+        TaskSpec(2, "CNN-AN", 1, Priority.HIGH,
+                 0.3 * low_iso + _NPU.us_to_cycles(1.0)),
+    ]
+    config = SimulationConfig(npu=_NPU, mode=PreemptionMode.STATIC)
+
+    def run():
+        return NPUSimulator(config, make_policy(policy)).run(
+            [factory.build_task(spec) for spec in specs]
+        )
+
+    result = run()
+    with ticking():
+        oracle = run()
+    assert _encode_result(result) == _encode_result(oracle)
+    assert result.preemption_count == oracle.preemption_count
+    first, second = result.task_by_id(1), result.task_by_id(2)
+    assert second.spec.arrival_cycles < first.first_dispatch_time
+    assert first.preemption_count == 1
+    quota = config.scheduler.period_cycles
+    assert second.first_dispatch_time > first.first_dispatch_time + quota
 
 
 @pytest.mark.parametrize("mode", list(PreemptionMode), ids=lambda m: m.value)

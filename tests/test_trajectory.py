@@ -140,7 +140,7 @@ def test_diff_reports_what_moved_between_two_rows(tmp_path, capsys):
         "      trace.spans: absent -> 9",
         "ab head medians:",
         "  w sim_tasks_per_s: 2000 -> 2100 (+5.0%)",
-        "hotpath normalized tasks/s:",
+        "hotpath normalized tasks/s (calibration 1,000,000 -> 1,000,000 ops/s):",
         "  tier: 0.004 -> 0.003 (-25.0%)",
     ]
     # Rows named by commit prefix, in either order.
