@@ -138,13 +138,16 @@ class TestLayerCaches:
     def test_estimate_equals_a_fresh_predictor(self, config):
         factory = TaskFactory(config)
         for benchmark in BENCHMARKS:
-            for unroll, _graph in _graphs(benchmark):
-                input_len, output_len = unroll or (None, None)
-                predicted = (
-                    factory.predicted_output_len(benchmark, input_len)
-                    if unroll else None
-                )
-                (_, graph), = _graphs(benchmark, [(input_len, predicted)])
+            unrolls = _UNROLLS if is_rnn(benchmark) else [(None, None)]
+            for input_len, output_len in unrolls:
+                if input_len is None:
+                    graph = build_benchmark(benchmark)
+                else:
+                    # The estimate reads the *predicted* unroll.
+                    predicted = factory.predicted_output_len(benchmark, input_len)
+                    graph = build_benchmark(
+                        benchmark, input_len=input_len, output_len=predicted
+                    )
                 for batch in (1, 4):
                     spec = TaskSpec(0, benchmark, batch, Priority.MEDIUM, 0.0,
                                     input_len=input_len,
@@ -152,7 +155,7 @@ class TestLayerCaches:
                     model = compile_model(graph, config, batch=batch)
                     assert factory.estimated_cycles(spec) == (
                         LatencyPredictor(config).predict_model(model)
-                    ), (benchmark, unroll, batch)
+                    ), (benchmark, input_len, output_len, batch)
 
     def test_materialized_streams_bypass_the_cache(self, config):
         graph = build_benchmark("RNN-MT1", input_len=5, output_len=9)
